@@ -2,14 +2,14 @@
 """Walk a random Pachner-move sequence and watch the state sum stay constant.
 
 Usage: python scripts/pachner_demo.py [--n 3] [--k 1] [--moves 12] [--seed 7]
+                                      [--max-new-vertices 3]
 """
 
 import argparse
 
 import numpy as np
 
-from tvo import boundary_4_simplex, pointed_sixj, tv_evaluate
-from tvo.triangulation import pachner_14, pachner_23
+from tvo import boundary_4_simplex, pointed_sixj, random_pachner_walk, tv_evaluate
 
 
 def main():
@@ -32,21 +32,14 @@ def main():
           f"{z.real:>16.12f}{z.imag:>+.1e}j")
 
     for _ in range(args.moves):
-        if added < args.max_new_vertices and rng.random() < 0.25:
-            t = int(rng.integers(tri.num_tets))
-            tri = pachner_14(tri, t)
+        # one move per call; the cap on 1-4 moves covers the whole walk
+        tri, [(kind, where)] = random_pachner_walk(
+            tri, 1, rng, max_new_vertices=args.max_new_vertices - added)
+        if kind == "1-4":
             added += 1
-            name = f"1-4 @tet{t}"
+            name = f"1-4 @tet{where}"
         else:
-            vclass = tri.vertex_class
-            candidates = [
-                (t, f)
-                for (t, f), (t2, perm) in tri.gluings.items()
-                if t2 != t and (t, f) < (t2, perm[f]) and vclass[t][f] != vclass[t2][perm[f]]
-            ]
-            t, f = candidates[int(rng.integers(len(candidates)))]
-            tri = pachner_23(tri, t, f)
-            name = f"2-3 @({t},{f})"
+            name = f"2-3 @({where[0]},{where[1]})"
         z = tv_evaluate(sixj, tri).value
         print(f"{name:<12} {tri.num_tets:>5} {tri.num_vertices:>6} {tri.num_edges:>6} "
               f"{z.real:>16.12f}{z.imag:>+.1e}j")

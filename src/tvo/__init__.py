@@ -62,7 +62,13 @@ from .surgery import (
     lens_p2,
     plumbing_invariant,
 )
-from .triangulation import Triangulation, boundary_4_simplex, pachner_14, pachner_23
+from .triangulation import (
+    Triangulation,
+    boundary_4_simplex,
+    pachner_14,
+    pachner_23,
+    random_pachner_walk,
+)
 from .tube import CenterBasis, TubeAlgebra, center_idempotents, tube_modular_data, tube_pointed
 
 __version__ = "0.1.0"
@@ -115,6 +121,7 @@ __all__ = [
     "pointed_cyclic",
     "pointed_sixj",
     "quantum_double_abelian",
+    "random_pachner_walk",
     "save_modular_file",
     "save_triangulation",
     "standard_pointed_form",

@@ -7,8 +7,20 @@ The evaluator implements
 summing over edge colorings, with the inner face-coloring sum collapsing to
 a single product because pointed data has one-dimensional face spaces. A
 coloring is admissible when every face satisfies the fusion constraint;
-inadmissible colorings are pruned during the depth-first enumeration and
+inadmissible colorings are pruned during a depth-first enumeration (an
+explicit stack, so the depth is not bounded by the recursion limit) and
 contribute exactly zero.
+
+Gauge fixing: when the labels form a group with unit 0 and the weights are
+a unit-modulus 3-cocycle on it (the pentagon identity, checked on every
+evaluation), the weight of a coloring is invariant under the gauge group
+G^V acting at the vertices (Dijkgraaf-Witten, "Topological gauge theories
+and group cohomology", CMP 1990). Each orbit then holds n^(V-c) colorings
+and exactly one of them colors a fixed spanning forest of the 1-skeleton
+with 0, where c counts the forest's trees. The forest edges take the single
+label 0 and, with lambda = n, the normalisation n^(V-c) lambda^(-V) folds
+into n^(-c). Data failing the gate is summed over all colorings, forest
+edges ranging over every label.
 
 Conventions: edges are oriented from the smaller to the larger vertex
 class, each tetrahedron is read in the order of its vertex classes, and a
@@ -20,6 +32,7 @@ that (or non-orientable ones) are rejected.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +41,7 @@ import numpy as np
 from .catalog import cyclic_cocycle
 from .errors import StructureError, UnsupportedFeatureError
 from .surgery import InvariantValue
-from .triangulation import TET_EDGES, Triangulation
+from .triangulation import TET_EDGES, Triangulation, _UnionFind
 
 
 def _perm_sign(seq) -> int:
@@ -182,11 +195,40 @@ def verify_pentagon(sixj: SixJData, tol: float = 1e-9) -> PentagonReport:
     return PentagonReport(worst <= tol, worst, checked)
 
 
+def _gauge_fixable(sixj: SixJData) -> bool:
+    """Whether the weight of a coloring is constant on its gauge orbit.
+
+    A gauge transformation g in G^V recolors edge (u, v) from x to
+    g_u^-1 x g_v. When the labels form a group under fusion with unit 0 and
+    the weights are a unit-modulus 3-cocycle on it (the pentagon identity),
+    the weight changes by a coboundary, which integrates to 1 over a closed
+    oriented complex (Dijkgraaf-Witten, CMP 1990); unit modulus makes the
+    conjugate on negatively oriented tetrahedra the inverse. The pentagon is
+    checked on every call, since ``weights`` is a mutable dict.
+    """
+    passed = verify_pentagon(sixj).passed
+    chan = sixj._channel
+    labels = range(sixj.num_labels)
+    return (
+        passed
+        and all(chan[(0, a)] == a == chan[(a, 0)] for a in labels)
+        and all(
+            chan[(chan[(a, b)], c)] == chan[(a, chan[(b, c)])]
+            for a in labels
+            for b in labels
+            for c in labels
+        )
+        and all(abs(abs(w) - 1.0) <= 1e-9 for w in sixj.weights.values())
+    )
+
+
 @dataclass
 class _Evaluation:
     """Precomputed combinatorial layout for one (sixj, triangulation) pair."""
 
     num_edges: int
+    num_forest: int  # spanning-forest edges, the first entries of the schedule
+    num_components: int  # connected components of the 1-skeleton
     faces: list  # (e_lowmid, e_midhigh, e_lowhigh) per face class
     tets: list  # (edge class 6-tuple in rank order, conjugate flag)
     schedule: list  # (edge, forcing face index or -1, slot, faces to check)
@@ -228,48 +270,64 @@ def _layout(sixj: SixJData, tri: Triangulation) -> _Evaluation:
         eps = orient[t] * _perm_sign(rs)
         tets.append((key, eps < 0))
 
-    # static schedule: force an edge from a face whenever two of its three
-    # (distinct) edges are known, otherwise branch on the lowest unknown edge
+    # spanning forest of the 1-skeleton, edges taken in index order
     E = tri.num_edges
-    known = [False] * E
-    schedule = []
+    ends = [None] * E
+    for t in range(tri.num_tets):
+        for i, (a, b) in enumerate(TET_EDGES):
+            ends[eclass[t][i]] = (vclass[t][a], vclass[t][b])
+    components = _UnionFind(tri.num_vertices)
+    forest = []
+    for e, (u, v) in enumerate(ends):
+        if components.find(u) != components.find(v):
+            components.union(u, v)
+            forest.append(e)
+
+    # static schedule: the forest edges first, then force an edge from a face
+    # whenever two of its three edges are known, otherwise branch on the
+    # lowest unknown edge. A face's three edges are distinct classes, since
+    # its three vertex classes are.
+    faces_of_edge = [[] for _ in range(E)]
+    for fi, face in enumerate(faces):
+        for e in face:
+            faces_of_edge[e].append(fi)
+    unknown = [3] * len(faces)
     face_done = [False] * len(faces)
+    known = [False] * E
+    ready = deque()  # faces with exactly one unknown edge
+    schedule = []
 
-    def completed_faces(edge):
-        out = []
-        for fi, (a, b, c) in enumerate(faces):
-            if face_done[fi]:
-                continue
-            es = {a, b, c}
-            if edge in es and all(known[e] or e == edge for e in es):
-                out.append(fi)
-                face_done[fi] = True
-        return out
-
-    remaining = E
-    while remaining:
-        forced = None
-        for fi, (a, b, c) in enumerate(faces):
-            if face_done[fi] or len({a, b, c}) != 3:
-                continue
-            unknown = [e for e in (a, b, c) if not known[e]]
-            if len(unknown) == 1:
-                slot = (a, b, c).index(unknown[0])
-                forced = (unknown[0], fi, slot)
-                break
-        if forced is None:
-            edge = known.index(False)
-            known[edge] = True
-            checks = completed_faces(edge)
-            schedule.append((edge, -1, -1, checks))
-        else:
-            edge, fi, slot = forced
-            known[edge] = True
+    def mark_known(edge, fi=-1, slot=-1):
+        known[edge] = True
+        if fi >= 0:
             face_done[fi] = True
-            checks = completed_faces(edge)
-            schedule.append((edge, fi, slot, checks))
-        remaining -= 1
-    return _Evaluation(E, faces, tets, schedule)
+        checks = []
+        for g in faces_of_edge[edge]:
+            unknown[g] -= 1
+            if face_done[g]:
+                continue
+            if unknown[g] == 0:
+                face_done[g] = True
+                checks.append(g)
+            elif unknown[g] == 1:
+                ready.append(g)
+        schedule.append((edge, fi, slot, checks))
+
+    for edge in forest:
+        mark_known(edge)
+    lowest = 0
+    while len(schedule) < E:
+        while ready and (face_done[ready[0]] or unknown[ready[0]] != 1):
+            ready.popleft()
+        if ready:
+            fi = ready.popleft()
+            slot = next(i for i, e in enumerate(faces[fi]) if not known[e])
+            mark_known(faces[fi][slot], fi, slot)
+        else:
+            while known[lowest]:
+                lowest += 1
+            mark_known(lowest)
+    return _Evaluation(E, len(forest), tri.num_vertices - len(forest), faces, tets, schedule)
 
 
 def tv_evaluate(sixj: SixJData, tri: Triangulation) -> InvariantValue:
@@ -277,6 +335,10 @@ def tv_evaluate(sixj: SixJData, tri: Triangulation) -> InvariantValue:
 
     Requires pointed (single-channel, dimension-one) 6j data; the inner
     face-coloring sum is then a single product per admissible edge coloring.
+    ``stats`` on the result counts the enumeration: ``visited`` edge
+    assignments, ``pruned`` assignments that broke a face constraint,
+    ``leaves`` complete admissible colorings, and whether the sum was
+    ``gauge_fixed``.
     """
     if not sixj.pointed:
         raise UnsupportedFeatureError(
@@ -284,29 +346,46 @@ def tv_evaluate(sixj: SixJData, tri: Triangulation) -> InvariantValue:
             "dimension-one) 6j data only"
         )
     layout = _layout(sixj, tri)
+    gauge_fixed = _gauge_fixable(sixj)
     n = sixj.num_labels
     chan = sixj._channel
     ldiv = sixj._left_div
     mdiv = sixj._mid_div
     adm = sixj.admissible
     faces = layout.faces
+    schedule = layout.schedule
     wpos = dict(sixj.weights)
     wneg = {k: v.conjugate() for k, v in wpos.items()}
 
     colors = [0] * layout.num_edges
     tet_terms = [(key, wneg if conj else wpos) for key, conj in layout.tets]
+    all_labels = tuple(range(n))
+    forest_labels = (0,) if gauge_fixed else all_labels
+
+    def candidates(pos: int):
+        _, fi, slot, _ = schedule[pos]
+        if fi < 0:
+            return forest_labels if pos < layout.num_forest else all_labels
+        a, b, c = faces[fi]
+        if slot == 0:
+            val = ldiv.get((colors[b], colors[c]))
+        elif slot == 1:
+            val = mdiv.get((colors[a], colors[c]))
+        else:
+            val = chan.get((colors[a], colors[b]))
+        return () if val is None else (val,)
+
+    # depth-first over the schedule with an explicit stack: options[pos] are
+    # the labels for schedule[pos], next_option[pos] the next one to try
     total = 0.0 + 0.0j
-
-    def admissible_checks(checks) -> bool:
-        for fi in checks:
-            a, b, c = faces[fi]
-            if (colors[a], colors[b], colors[c]) not in adm:
-                return False
-        return True
-
-    def descend(pos: int):
-        nonlocal total
-        if pos == len(layout.schedule):
+    leaves = visited = pruned = 0
+    depth = len(schedule)
+    options = [()] * depth
+    next_option = [0] * depth
+    options[0] = candidates(0)
+    pos = 0
+    while pos >= 0:
+        if pos == depth:
             w = 1.0 + 0.0j
             for key, table in tet_terms:
                 w *= table[
@@ -320,31 +399,38 @@ def tv_evaluate(sixj: SixJData, tri: Triangulation) -> InvariantValue:
                     )
                 ]
             total += w
-            return
-        edge, fi, slot, checks = layout.schedule[pos]
-        if fi >= 0:
+            leaves += 1
+            pos -= 1
+            continue
+        i = next_option[pos]
+        if i == len(options[pos]):
+            pos -= 1
+            continue
+        next_option[pos] = i + 1
+        edge, _, _, checks = schedule[pos]
+        colors[edge] = options[pos][i]
+        visited += 1
+        for fi in checks:
             a, b, c = faces[fi]
-            if slot == 0:
-                val = ldiv.get((colors[b], colors[c]))
-            elif slot == 1:
-                val = mdiv.get((colors[a], colors[c]))
-            else:
-                val = chan.get((colors[a], colors[b]))
-            if val is None:
-                return
-            colors[edge] = val
-            if admissible_checks(checks):
-                descend(pos + 1)
+            if (colors[a], colors[b], colors[c]) not in adm:
+                pruned += 1
+                break
         else:
-            for val in range(n):
-                colors[edge] = val
-                if admissible_checks(checks):
-                    descend(pos + 1)
-
-    descend(0)
+            pos += 1
+            if pos < depth:
+                options[pos] = candidates(pos)
+                next_option[pos] = 0
 
     V = tri.num_vertices
-    lam = sixj.global_index
-    # prod_E [X]^(1/2) is identically 1 for pointed data
-    value = complex(total) * lam ** (-V)
-    return InvariantValue(value, f"statesum({sixj.name or 'sixj'}, {tri.num_tets} tets)")
+    # prod_E [X]^(1/2) is identically 1 for pointed data. Each gauge orbit
+    # holds n^(V-c) colorings and lambda = n, so lambda^(-V) n^(V-c) = n^(-c);
+    # folding them keeps large V from overflowing n^(V-c) or underflowing
+    # lambda^(-V).
+    if gauge_fixed:
+        value = complex(total) * float(n) ** (-layout.num_components)
+    else:
+        value = complex(total) * sixj.global_index ** (-V)
+    stats = {"leaves": leaves, "visited": visited, "pruned": pruned, "gauge_fixed": gauge_fixed}
+    return InvariantValue(
+        value, f"statesum({sixj.name or 'sixj'}, {tri.num_tets} tets)", stats=stats
+    )

@@ -25,7 +25,7 @@ carry a warning tag (no framing-anomaly correction is attempted).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,11 +35,16 @@ from .modular import ModularData
 
 @dataclass(frozen=True)
 class InvariantValue:
-    """A computed invariant: complex value plus the formula that produced it."""
+    """A computed invariant: complex value plus the formula that produced it.
+
+    ``stats`` holds the evaluator's counters; it takes no part in equality
+    or hashing.
+    """
 
     value: complex
     method: str
     warnings: tuple[str, ...] = ()
+    stats: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         v = complex(self.value)

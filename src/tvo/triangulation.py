@@ -366,3 +366,40 @@ def pachner_23(tri: Triangulation, t: int, f: int) -> Triangulation:
         done.add(key)
 
     return Triangulation(tri.num_tets + 1, gluings)
+
+
+def random_pachner_walk(tri, count, rng, max_new_vertices=3, p_vertex_move=0.25):
+    """Apply ``count`` random 1-4 / 2-3 moves, keeping tetrahedra class-distinct.
+
+    Each step is a 1-4 move on a uniformly drawn tetrahedron with
+    probability ``p_vertex_move`` while fewer than ``max_new_vertices`` have
+    been applied, else a 2-3 move on a uniformly drawn face whose two apex
+    vertex classes differ, so every tetrahedron keeps four distinct vertex
+    classes and the result stays evaluable by the state sum. ``rng`` is a
+    ``numpy.random.Generator``; its draws depend only on the complex, so a
+    seed fixes the walk. Returns the final complex and the list of applied
+    moves, ``("1-4", t)`` or ``("2-3", (t, f))``.
+    """
+    added = 0
+    applied = []
+    for _ in range(count):
+        do14 = added < max_new_vertices and rng.random() < p_vertex_move
+        if do14:
+            t = int(rng.integers(tri.num_tets))
+            tri = pachner_14(tri, t)
+            added += 1
+            applied.append(("1-4", t))
+            continue
+        vclass = tri.vertex_class
+        candidates = []
+        for (t, f), (t2, perm) in tri.gluings.items():
+            if t2 == t or (t2, perm[f]) < (t, f):
+                continue
+            if vclass[t][f] != vclass[t2][perm[f]]:
+                candidates.append((t, f))
+        if not candidates:
+            raise PreconditionError("no legal 2-3 move available")
+        t, f = candidates[int(rng.integers(len(candidates)))]
+        tri = pachner_23(tri, t, f)
+        applied.append(("2-3", (t, f)))
+    return tri, applied

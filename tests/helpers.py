@@ -11,6 +11,8 @@ from fractions import Fraction
 import numpy as np
 
 from tvo.triangulation import TET_EDGES, Triangulation
+# the random walk is library code, re-exported under the name the tests use
+from tvo.triangulation import random_pachner_walk as random_pachner_sequence  # noqa: F401
 
 
 def verlinde_loops(S):
@@ -177,37 +179,3 @@ def two_tet_sphere() -> Triangulation:
         gluings[(0, f)] = (1, ident)
         gluings[(1, f)] = (0, ident)
     return Triangulation(2, gluings)
-
-
-def random_pachner_sequence(tri, count, rng, max_new_vertices=3, p_vertex_move=0.25):
-    """Apply ``count`` random 1-4 / 2-3 moves, keeping tetrahedra class-distinct.
-
-    2-3 moves are only applied where the two apex vertex classes differ so
-    the result stays evaluable; 1-4 moves are capped to keep the coloring
-    enumeration desk-scale (each added vertex multiplies the number of
-    admissible colorings by the label count).
-    """
-    from tvo.triangulation import pachner_14, pachner_23
-
-    added = 0
-    applied = []
-    for _ in range(count):
-        do14 = added < max_new_vertices and rng.random() < p_vertex_move
-        if do14:
-            t = int(rng.integers(tri.num_tets))
-            tri = pachner_14(tri, t)
-            added += 1
-            applied.append(("1-4", t))
-            continue
-        vclass = tri.vertex_class
-        candidates = []
-        for (t, f), (t2, perm) in tri.gluings.items():
-            if t2 == t or (t2, perm[f]) < (t, f):
-                continue
-            if vclass[t][f] != vclass[t2][perm[f]]:
-                candidates.append((t, f))
-        assert candidates, "no legal 2-3 move available"
-        t, f = candidates[int(rng.integers(len(candidates)))]
-        tri = pachner_23(tri, t, f)
-        applied.append(("2-3", (t, f)))
-    return tri, applied

@@ -182,8 +182,7 @@ def test_criterion_5_state_sum(s3_triangulation):
         got = tv_evaluate(pointed_sixj(n, 0), s3_triangulation).value
         if abs(got - 1 / n) > TOL:
             failures.append(f"sphere value n={n}: {got}, want {1/n}")
-    # >= 20 randomized mixed moves per (n, k); vertex-adding moves capped so
-    # the coloring enumeration stays desk-scale (n^(V-1) admissible terms)
+    # >= 20 randomized mixed moves per (n, k), at most 3 of them adding a vertex
     for n in range(1, 5):
         rng = np.random.default_rng(100 + n)
         moved, applied = random_pachner_sequence(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tvo import (
+    InvariantValue,
     StructureError,
     Triangulation,
     UnsupportedFeatureError,
@@ -187,3 +188,106 @@ def test_statesum_lambda_squared_is_double_global_index(s3_triangulation):
     for n in (2, 3, 4):
         sj = pointed_sixj(n, 0)
         assert abs(global_index(twisted_double_cyclic(n, 0)) - sj.global_index**2) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# gauge fixing, the explicit-stack enumeration and its counters
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_sphere_reaches_one_leaf(n, s3_triangulation):
+    for k in range(n):
+        stats = tv_evaluate(pointed_sixj(n, k), s3_triangulation).stats
+        assert stats["leaves"] == 1, (k, stats)
+        assert stats["gauge_fixed"]
+        assert stats["visited"] >= s3_triangulation.num_edges
+
+
+def test_stats_take_no_part_in_equality(s3_triangulation):
+    z = tv_evaluate(pointed_sixj(2, 1), s3_triangulation)
+    bare = InvariantValue(z.value, z.method)
+    assert bare.stats == {}
+    assert z == bare
+    assert hash(z) == hash(bare)
+
+
+@pytest.fixture(scope="module")
+def thousand_edge_sphere(s3_triangulation):
+    rng = np.random.default_rng(275)
+    tri = s3_triangulation
+    for _ in range(275):
+        tri = pachner_14(tri, int(rng.integers(tri.num_tets)))
+    return tri
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 2)])
+def test_thousand_edge_sphere_is_one_over_n(n, k, thousand_edge_sphere):
+    # deeper than the interpreter's recursion limit, one edge per level
+    assert (thousand_edge_sphere.num_edges, thousand_edge_sphere.num_vertices) == (1110, 280)
+    z = tv_evaluate(pointed_sixj(n, k), thousand_edge_sphere)
+    assert abs(z.value - 1 / n) < 1e-9
+    assert z.stats["gauge_fixed"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_walk_with_many_vertex_moves_is_one_over_n(n, s3_triangulation):
+    rng = np.random.default_rng(40 + n)
+    tri, applied = random_pachner_sequence(
+        s3_triangulation, 30, rng, max_new_vertices=30, p_vertex_move=0.8
+    )
+    assert sum(kind == "1-4" for kind, _ in applied) >= 20
+    for k in range(n):
+        z = tv_evaluate(pointed_sixj(n, k), tri).value
+        assert abs(z - 1 / n) < 1e-9, (k, z)
+
+
+def _corrupted_pointed():
+    sj = pointed_sixj(2, 1)
+    key = sj.key_from_triple(1, 1, 0)
+    sj.weights[key] = -sj.weights[key]
+    return sj
+
+
+def _non_associative():
+    # a * b = -(a + b) mod 3: a Latin square with no unit, all weights 1
+    adm = frozenset((a, b, (-a - b) % 3) for a in range(3) for b in range(3))
+    sj = SixJData(num_labels=3, qdim=np.ones(3), admissible=adm, weights={})
+    sj.weights = {
+        sj.key_from_triple(a, b, c): 1.0 + 0.0j
+        for a in range(3)
+        for b in range(3)
+        for c in range(3)
+    }
+    return sj
+
+
+def _non_unitary():
+    # the coboundary of f on Z/2 with f(0, 1) = 2, a cocycle of weights 1/2, 1, 2
+    sj = pointed_sixj(2, 0)
+    f = {(a, b): 2.0 if (a, b) == (0, 1) else 1.0 for a in range(2) for b in range(2)}
+    sj.weights = {
+        sj.key_from_triple(a, b, c): complex(
+            f[(b, c)] * f[(a, (b + c) % 2)] / (f[((a + b) % 2, c)] * f[(a, b)])
+        )
+        for a in range(2)
+        for b in range(2)
+        for c in range(2)
+    }
+    return sj
+
+
+@pytest.mark.parametrize(
+    "make,pentagon,vertex_move",
+    [(_corrupted_pointed, False, True), (_non_associative, True, False),
+     (_non_unitary, True, True)],
+)
+def test_data_without_gauge_invariance_matches_bruteforce(
+    make, pentagon, vertex_move, s3_triangulation
+):
+    sj = make()
+    assert sj.pointed
+    assert verify_pentagon(sj).passed == pentagon
+    tri = pachner_14(s3_triangulation, 0) if vertex_move else s3_triangulation
+    z = tv_evaluate(sj, tri)
+    assert not z.stats["gauge_fixed"]
+    assert abs(z.value - tv_bruteforce(sj, tri)) < 1e-12
