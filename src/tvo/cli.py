@@ -163,10 +163,8 @@ def cmd_invariant(args) -> CommandResult:
     if args.manifold == "lens":
         if args.p is None or args.q is None:
             raise TvoError("lens requires -p and -q")
-        if args.q == 1:
+        if args.q == 1:  # lens_p1 alone also takes p = 0 (S^1 x S^2)
             result = surgery.lens_p1(data, args.p)
-        elif args.q == 2 and args.p % 2 == 1:
-            result = surgery.lens_p2(data, args.p)
         else:
             result = surgery.lens_general(data, args.p, args.q)
     elif args.manifold == "brieskorn":
@@ -295,10 +293,7 @@ def _e6_lens_against_data(data: ModularData):
             if q == 2 and p % 2 == 0:
                 continue
             want = catalog.e6_lens_reference(p, q)
-            if q == 1:
-                got = surgery.lens_p1(data, p).value
-            else:
-                got = surgery.lens_p2(data, p).value
+            got = surgery.lens_general(data, p, q).value
             diff = abs(got - want)
             ok = diff <= GOLDEN_TOLERANCE
             failures += 0 if ok else 1
@@ -318,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         "surgery formulas, state sums and reference comparisons.",
     )
     parser.add_argument("--list-builtins", action="store_true", help="list builtin names and exit")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; evaluators are deterministic and single-threaded")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("verify", help="run the Verlinde axiom suite on a data set")
@@ -365,9 +358,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, keep that contract
         return int(exc.code) if exc.code else 0
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     if args.list_builtins:
         for line in list_builtins():
             print(line)

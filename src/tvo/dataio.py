@@ -57,12 +57,15 @@ def save_modular_file(data: ModularData, path) -> None:
 
 
 def load_modular_file(path) -> ModularData:
-    """Parse a modular data file; errors name the offending line or missing entry."""
+    """Parse a modular data file; errors name the offending line or missing entry.
+
+    Entries are collected first and the arrays allocated only once all
+    rank^2 + rank of them are present, so memory follows the file's length,
+    not the rank it declares.
+    """
     rank = None
-    S = None
-    T = None
-    seen_S = None
-    seen_T = None
+    S: dict[tuple[int, int], complex] = {}
+    T: dict[int, complex] = {}
     labels: dict[int, str] = {}
 
     for lineno, toks in _tokens(path):
@@ -74,10 +77,6 @@ def load_modular_file(path) -> ModularData:
                 rank = int(toks[1])
                 if rank < 1:
                     raise ParseError(f"line {lineno}: rank must be positive")
-                S = np.zeros((rank, rank), dtype=complex)
-                T = np.zeros(rank, dtype=complex)
-                seen_S = np.zeros((rank, rank), dtype=bool)
-                seen_T = np.zeros(rank, dtype=bool)
             elif kind == "label":
                 if rank is None:
                     raise ParseError(f"line {lineno}: label before rank")
@@ -91,20 +90,18 @@ def load_modular_file(path) -> ModularData:
                 i, j = int(toks[1]), int(toks[2])
                 if not (0 <= i < rank and 0 <= j < rank):
                     raise ParseError(f"line {lineno}: S index ({i},{j}) out of range")
-                if seen_S[i, j]:
+                if (i, j) in S:
                     raise ParseError(f"line {lineno}: duplicate S entry ({i},{j})")
                 S[i, j] = complex(float(toks[3]), float(toks[4]))
-                seen_S[i, j] = True
             elif kind == "T":
                 if rank is None:
                     raise ParseError(f"line {lineno}: T entry before rank")
                 i = int(toks[1])
                 if not 0 <= i < rank:
                     raise ParseError(f"line {lineno}: T index {i} out of range")
-                if seen_T[i]:
+                if i in T:
                     raise ParseError(f"line {lineno}: duplicate T entry {i}")
                 T[i] = complex(float(toks[2]), float(toks[3]))
-                seen_T[i] = True
             else:
                 raise ParseError(f"line {lineno}: unknown directive {kind!r}")
         except (IndexError, ValueError) as exc:
@@ -112,18 +109,25 @@ def load_modular_file(path) -> ModularData:
 
     if rank is None:
         raise ParseError("no rank directive found")
-    missing = np.argwhere(~seen_S)
-    if len(missing):
-        i, j = missing[0]
-        raise ParseError(f"missing S entry ({i},{j})")
-    missing = np.argwhere(~seen_T)
-    if len(missing):
-        raise ParseError(f"missing T entry {missing[0][0]}")
+    # every stored index is in range, so the first absent one is among the
+    # first len + 1 in row-major order
+    if len(S) != rank * rank:
+        i, j = next((i, j) for i in range(rank) for j in range(rank) if (i, j) not in S)
+        raise ParseError(f"missing S entry ({i},{j}): rank {rank} needs {rank * rank} "
+                         f"S entries, the file has {len(S)}")
+    if len(T) != rank:
+        i = next(i for i in range(rank) if i not in T)
+        raise ParseError(f"missing T entry {i}: rank {rank} needs {rank} T entries, "
+                         f"the file has {len(T)}")
 
+    S_arr = np.empty((rank, rank), dtype=complex)
+    for (i, j), z in S.items():
+        S_arr[i, j] = z
+    T_arr = np.array([T[i] for i in range(rank)], dtype=complex)
     label_tuple = None
     if labels:
         label_tuple = tuple(labels.get(i, str(i)) for i in range(rank))
-    return ModularData(S, T, labels=label_tuple)
+    return ModularData(S_arr, T_arr, labels=label_tuple)
 
 
 def save_triangulation(tri: Triangulation, path) -> None:

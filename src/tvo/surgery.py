@@ -1,22 +1,24 @@
 """Dehn surgery evaluators: lens spaces, the Brieskorn star, and plumbing trees.
 
-The closed formulas evaluated here are
-
-    Z(L(p,1))    = sum_i t_i^p S_i0^2
-    Z(L(p,2))    = sum_ij t_i^((p+1)/2) t_j^2 S_i0 S_j0 S_ij       (p odd)
-    Z(M(p,q,r))  = sum_ijkl t_i^p t_j^q t_k^r t_l
-                   S_i0 S_j0 S_k0 S_il S_jl S_kl / S_l0
-
-where M(p,q,r) is the star plumbing with center framing 1 and legs p, q, r
-that the quadruple sum presents. It has |H_1| = |pqr - pq - pr - qr|, so it is the
-Brieskorn homology sphere Sigma(p,q,r) only when that value is 1 (e.g.
-(2,3,5) and (2,3,7), but not (2,5,7) or (3,5,7)).
-
-All three are specializations of the plumbing-tree evaluator: a tree
-with framings a_v contributes
+Every value here is the surgery formula on a framed plumbing tree,
 
     Z = sum_colors prod_v t_{i_v}^{a_v} S_{0 i_v}^{2 - deg(v)}
-        prod_{edges (u,v)} S_{i_u i_v}.
+        prod_{edges (u,v)} S_{i_u i_v},
+
+contracted leaf-first along the tree by one evaluator. The printed sums are
+the trees they build:
+
+    Z(L(p,1))    = sum_i t_i^p S_i0^2                    single vertex, framing p
+    Z(L(p,2))    = sum_ij t_i^((p+1)/2) t_j^2 S_i0 S_j0 S_ij   (p odd)
+                                                         chain [(p+1)/2, 2]
+    Z(M(p,q,r))  = sum_ijkl t_i^p t_j^q t_k^r t_l
+                   S_i0 S_j0 S_k0 S_il S_jl S_kl / S_l0  star: center 1, legs p, q, r
+    Z(L(p,q))                                            chain of the negative
+                                                         continued fraction of p/q
+
+M(p,q,r) has |H_1| = |pqr - pq - pr - qr|, so it is the Brieskorn homology
+sphere Sigma(p,q,r) only when that value is 1 (e.g. (2,3,5) and (2,3,7), but
+not (2,5,7) or (3,5,7)).
 
 Values for data whose anomaly phase differs from 1 are still computed but
 carry a warning tag (no framing-anomaly correction is attempted).
@@ -61,87 +63,56 @@ def _warnings_for(data: ModularData) -> tuple[str, ...]:
     return ()
 
 
-def lens_p1(data: ModularData, p: int) -> InvariantValue:
-    """sum_i t_i^p S_i0^2. p = 0 is allowed (the value for S^1 x S^2)."""
-    if p < 0:
-        raise PreconditionError("lens_p1 requires p >= 0")
-    val = np.sum(data.T**p * data.S[:, 0] ** 2)
-    return InvariantValue(complex(val), f"lens_p1(p={p})", _warnings_for(data))
-
-
-def lens_p2(data: ModularData, p: int) -> InvariantValue:
-    """sum_ij t_i^((p+1)/2) t_j^2 S_i0 S_j0 S_ij, for odd positive p."""
-    if p < 1 or p % 2 == 0:
-        raise PreconditionError("lens_p2 requires odd positive p")
-    u = data.T ** ((p + 1) // 2) * data.S[:, 0]
-    v = data.T**2 * data.S[:, 0]
-    val = u @ data.S @ v
-    return InvariantValue(complex(val), f"lens_p2(p={p})", _warnings_for(data))
-
-
-def brieskorn(data: ModularData, p: int, q: int, r: int) -> InvariantValue:
-    """The quadruple sum over (i,j,k,l), contracted over the center color.
-
-    This is the surgery value of the star plumbing with center framing 1 and
-    legs p, q, r, whose first homology has order |pqr - pq - pr - qr|. It is
-    the value of the Brieskorn sphere Sigma(p,q,r) only when that order is 1.
-
-    For fixed l the sum factorizes into three identical single sums, so the
-    evaluation costs O(rank^2) while remaining the printed quadruple sum
-    term for term. Summation order is fixed, so results are reproducible.
-    """
-    if min(p, q, r) < 2:
-        raise PreconditionError("brieskorn requires p, q, r >= 2")
-    s0 = data.S[:, 0]
-    if float(np.abs(s0).min()) <= data.tolerance:
-        raise DegenerateDataError("S column 0 has (near-)zero entries")
-    # A_e[l] = sum_i t_i^e S_i0 S_il
-    A = data.S.T @ (data.T**p * s0)
-    B = data.S.T @ (data.T**q * s0)
-    C = data.S.T @ (data.T**r * s0)
-    val = np.sum(data.T * A * B * C / s0)
-    return InvariantValue(complex(val), f"brieskorn(p={p},q={q},r={r})", _warnings_for(data))
-
-
 @dataclass(frozen=True)
 class PlumbingTree:
-    """Framed-unknot tree: vertices (id, framing) and unordered edges between ids."""
+    """Framed-unknot tree: vertices (id, framing) and unordered edges between ids.
+
+    ``schedule`` is the contraction order found while proving the tree
+    connected: breadth-first from the first vertex, children in id order, one
+    ``(framing, degree, child positions)`` entry per vertex, every vertex
+    after its parent.
+    """
 
     vertices: tuple[tuple[int, int], ...]
     edges: tuple[tuple[int, int], ...]
+    schedule: tuple[tuple[int, int, tuple[int, ...]], ...] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         verts = tuple((int(v), int(a)) for v, a in self.vertices)
         edges = tuple((int(u), int(v)) for u, v in self.edges)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
-        ids = [v for v, _ in verts]
-        if len(ids) != len(set(ids)):
+        framing = dict(verts)
+        if len(framing) != len(verts):
             raise StructureError("vertex ids must be unique")
-        if not ids:
+        if not verts:
             raise StructureError("a plumbing tree needs at least one vertex")
-        idset = set(ids)
+        adj = {v: [] for v in framing}
         for u, v in edges:
-            if u not in idset or v not in idset:
+            if u not in adj or v not in adj:
                 raise StructureError(f"edge ({u},{v}) references unknown vertex")
             if u == v:
                 raise StructureError(f"self-loop at vertex {u}")
-        if len(edges) != len(ids) - 1:
-            raise StructureError("edge count must be vertex count - 1 (tree)")
-        # connectivity
-        adj = {v: [] for v in ids}
-        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        seen = {ids[0]}
-        stack = [ids[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(ids):
+        if len(edges) != len(framing) - 1:
+            raise StructureError("edge count must be vertex count - 1 (tree)")
+        # connectivity, by the walk that becomes the contraction schedule
+        order = [verts[0][0]]
+        position = {order[0]: 0}
+        schedule = []
+        for v in order:
+            kids = []
+            for w in sorted(adj[v]):
+                if w not in position:
+                    position[w] = len(order)
+                    kids.append(len(order))
+                    order.append(w)
+            schedule.append((framing[v], len(adj[v]), tuple(kids)))
+        if len(order) != len(framing):
             raise StructureError("edge set is not connected")
+        object.__setattr__(self, "schedule", tuple(schedule))
 
     @classmethod
     def single(cls, framing: int) -> "PlumbingTree":
@@ -162,39 +133,59 @@ class PlumbingTree:
         return cls(verts, edges)
 
 
-def plumbing_invariant(data: ModularData, tree: PlumbingTree) -> InvariantValue:
-    """Evaluate the tree form of the surgery formula by contraction along the tree.
+def _contract(data: ModularData, tree: PlumbingTree, method: str) -> InvariantValue:
+    """The surgery sum of ``tree``, contracted leaf-first along its schedule.
 
-    Rooted at the first vertex; each vertex carries t^framing S_0^(2-deg) and
-    each edge an S contraction. Children are processed in id order, so the
-    summation order is deterministic.
+    Each vertex carries t^framing S_0^(2-deg) and each edge one S @ child;
+    a vertex multiplies in its children in id order, so the summation order
+    is fixed and repeated calls give the same bits.
     """
-    ids = [v for v, _ in tree.vertices]
-    framing = dict(tree.vertices)
-    adj = {v: [] for v in ids}
-    for u, v in tree.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for v in adj:
-        adj[v].sort()
-    deg = {v: len(adj[v]) for v in ids}
     s0 = data.S[:, 0]
-    if float(np.abs(s0).min()) <= data.tolerance and any(deg[v] > 1 for v in ids):
+    if (any(deg > 1 for _, deg, _ in tree.schedule)
+            and float(np.abs(s0).min()) <= data.tolerance):
         raise DegenerateDataError("S column 0 has (near-)zero entries")
+    bases = {}
+    messages = [None] * len(tree.schedule)
+    for k in range(len(tree.schedule) - 1, -1, -1):
+        a, deg, kids = tree.schedule[k]
+        vec = bases.get((a, deg))
+        if vec is None:
+            vec = bases[(a, deg)] = data.T ** a * s0 ** (2 - deg)
+        for c in kids:
+            vec = vec * (data.S @ messages[c])
+            messages[c] = None
+        messages[k] = vec
+    return InvariantValue(complex(messages[0].sum()), method, _warnings_for(data))
 
-    root = ids[0]
-    # message[v] = vector over colors i of the subtree sum at v
-    def message(v: int, parent: int | None) -> np.ndarray:
-        a = framing[v]
-        vec = data.T ** a * s0 ** (2 - deg[v])
-        for w in adj[v]:
-            if w != parent:
-                vec = vec * (data.S @ message(w, v))
-        return vec
 
-    val = np.sum(message(root, None))
-    return InvariantValue(complex(val), f"plumbing(tree with {len(ids)} vertices)",
-                          _warnings_for(data))
+def lens_p1(data: ModularData, p: int) -> InvariantValue:
+    """sum_i t_i^p S_i0^2. p = 0 is allowed (the value for S^1 x S^2)."""
+    if p < 0:
+        raise PreconditionError("lens_p1 requires p >= 0")
+    return _contract(data, PlumbingTree.single(p), f"lens_p1(p={p})")
+
+
+def lens_p2(data: ModularData, p: int) -> InvariantValue:
+    """sum_ij t_i^((p+1)/2) t_j^2 S_i0 S_j0 S_ij, for odd positive p."""
+    if p < 1 or p % 2 == 0:
+        raise PreconditionError("lens_p2 requires odd positive p")
+    return _contract(data, PlumbingTree.chain([(p + 1) // 2, 2]), f"lens_p2(p={p})")
+
+
+def brieskorn(data: ModularData, p: int, q: int, r: int) -> InvariantValue:
+    """The quadruple sum over (i,j,k,l): the star with center framing 1, legs p, q, r.
+
+    Its first homology has order |pqr - pq - pr - qr|; it is the value of the
+    Brieskorn sphere Sigma(p,q,r) only when that order is 1.
+    """
+    if min(p, q, r) < 2:
+        raise PreconditionError("brieskorn requires p, q, r >= 2")
+    return _contract(data, PlumbingTree.star(1, (p, q, r)), f"brieskorn(p={p},q={q},r={r})")
+
+
+def plumbing_invariant(data: ModularData, tree: PlumbingTree) -> InvariantValue:
+    """The surgery formula on an arbitrary plumbing tree, rooted at its first vertex."""
+    return _contract(data, tree, f"plumbing(tree with {len(tree.vertices)} vertices)")
 
 
 def negative_continued_fraction(p: int, q: int) -> list[int]:
@@ -225,6 +216,5 @@ def lens_general(data: ModularData, p: int, q: int) -> InvariantValue:
         if q >= p:
             raise PreconditionError("lens_general requires q < p")
         chain = negative_continued_fraction(p, q)
-    result = plumbing_invariant(data, PlumbingTree.chain(chain))
-    return InvariantValue(result.value, f"lens_general(p={p},q={q},chain={chain})",
-                          result.warnings)
+    return _contract(data, PlumbingTree.chain(chain),
+                     f"lens_general(p={p},q={q},chain={chain})")

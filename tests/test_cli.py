@@ -85,6 +85,30 @@ def test_invariant_plumbing_tree_file(capsys, tmp_path):
     assert abs(machine_value(out) - 0.5) < 1e-12
 
 
+def test_invariant_long_lens_chain(capsys):
+    code, out, err = run(capsys, "invariant", "lens", "-p", "2000", "-q", "1999",
+                         "--data", "builtin:toric-code")
+    assert code == 0, err
+    assert out.strip().splitlines()[-1].split()[0] == "1.000000000000"
+
+
+def test_invariant_lens_q2_is_the_general_chain(capsys):
+    code, out, _ = run(capsys, "invariant", "lens", "-p", "7", "-q", "2",
+                       "--data", "builtin:dw-z3")
+    assert code == 0
+    assert "lens_general(p=7,q=2,chain=[4, 2])" in out
+    assert out.strip().splitlines()[-1] == fmt_value(
+        tvo.lens_p2(resolve_builtin_data("dw-z3"), 7).value)
+
+
+def test_verify_huge_rank_file_exit2(capsys, tmp_path):
+    path = tmp_path / "huge.dat"
+    path.write_text("rank 100000000\n")
+    code, out, err = run(capsys, "verify", "--data", str(path))
+    assert code == 2
+    assert "rank 100000000" in err and "Traceback" not in err + out
+
+
 def test_invariant_anomalous_data_warns_on_stderr(capsys):
     code, out, err = run(capsys, "invariant", "lens", "-p", "3", "-q", "1",
                          "--data", "builtin:fibonacci")

@@ -69,6 +69,31 @@ def test_missing_t_entry(tmp_path):
         load_modular_file(path)
 
 
+def test_huge_rank_is_a_parse_error_naming_the_rank(tmp_path):
+    # the arrays are sized only once the file has supplied every entry
+    path = tmp_path / "huge.dat"
+    path.write_text("rank 100000000\nS 0 0 1 0\nT 5 1 0\n")
+    with pytest.raises(ParseError, match=r"missing S entry \(0,1\): rank 100000000"):
+        load_modular_file(path)
+
+
+def test_missing_t_entry_names_the_rank(tmp_path):
+    path = tmp_path / "broken.dat"
+    path.write_text("rank 2\nS 0 0 1 0\nS 0 1 0 0\nS 1 0 0 0\nS 1 1 1 0\nT 1 1 0\n")
+    with pytest.raises(ParseError, match="missing T entry 0: rank 2"):
+        load_modular_file(path)
+
+
+def test_duplicate_entries_rejected(tmp_path):
+    path = tmp_path / "dup.dat"
+    path.write_text("rank 1\nS 0 0 1 0\nS 0 0 1 0\nT 0 1 0\n")
+    with pytest.raises(ParseError, match=r"line 3: duplicate S entry \(0,0\)"):
+        load_modular_file(path)
+    path.write_text("rank 1\nS 0 0 1 0\nT 0 1 0\nT 0 1 0\n")
+    with pytest.raises(ParseError, match="line 4: duplicate T entry 0"):
+        load_modular_file(path)
+
+
 def test_parse_error_names_line(tmp_path):
     path = tmp_path / "broken.dat"
     path.write_text("rank 1\nS 0 0 oops 0\n")

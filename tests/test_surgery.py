@@ -253,6 +253,72 @@ def test_lens_general_p1_is_sphere(toric_code):
     assert abs(lens_general(toric_code, 1, 1).value - toric_code.S[0, 0]) < 1e-12
 
 
+@pytest.mark.parametrize("p", [1000, 2000])
+def test_lens_general_long_chain_matches_oracle(p, toric_code):
+    # L(p, p-1) is the chain of p-1 vertices of framing 2
+    got = lens_general(toric_code, p, p - 1)
+    assert abs(got.value - float(dw_lens_oracle(FiniteAbelianGroup((2,)), p))) < 1e-12
+
+
+def test_long_tree_with_shuffled_ids_matches_oracle():
+    rng = np.random.default_rng(3)
+    n = 1500
+    ids = [int(i) for i in rng.permutation(n)]
+    # a path through the ids in shuffled order, vertices listed in another order
+    tree = PlumbingTree(tuple((v, 2) for v in sorted(ids)),
+                        tuple(zip(ids[:-1], ids[1:])))
+    got = plumbing_invariant(tvo.quantum_double_abelian(FiniteAbelianGroup((3,))), tree).value
+    assert abs(got - float(dw_lens_oracle(FiniteAbelianGroup((3,)), n + 1))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one engine
+# ---------------------------------------------------------------------------
+
+ENGINE_DATA = [
+    ("toric", lambda: tvo.quantum_double_abelian(FiniteAbelianGroup((2,)))),
+    ("double_su2_8", lambda: double_data(tvo.su2_level_k(8))),
+]
+
+
+@pytest.mark.parametrize("name,maker", ENGINE_DATA)
+def test_lens_closed_forms_are_the_general_chain(name, maker):
+    d = maker()
+    for p in range(1, 16):
+        assert lens_p1(d, p).value == lens_general(d, p, 1).value
+        if p % 2 == 1 and p > 1:
+            assert lens_p2(d, p).value == lens_general(d, p, 2).value
+
+
+@pytest.mark.parametrize("name,maker", ENGINE_DATA)
+def test_repeated_calls_are_bit_identical(name, maker):
+    d = maker()
+    tree = PlumbingTree(((5, 3), (2, -1), (9, 2), (4, 1), (7, 2)),
+                        ((5, 2), (5, 9), (9, 4), (9, 7)))
+    for fn, args in ((lens_p1, (7,)), (lens_p2, (9,)), (brieskorn, (2, 3, 7)),
+                     (lens_general, (12, 5)), (plumbing_invariant, (tree,))):
+        assert fn(d, *args).value == fn(d, *args).value
+
+
+@pytest.mark.parametrize("name,maker", ENGINE_DATA)
+def test_closed_forms_use_the_tree_they_print(name, maker):
+    d = maker()
+    assert brieskorn(d, 2, 3, 5).value == plumbing_invariant(
+        d, PlumbingTree.star(1, (2, 3, 5))).value
+    assert lens_p2(d, 7).value == plumbing_invariant(d, PlumbingTree.chain([4, 2])).value
+    assert lens_p1(d, 0).value == plumbing_invariant(d, PlumbingTree.single(0)).value
+
+
+def test_schedule_is_outside_equality():
+    a = PlumbingTree(((0, 1), (1, 2), (2, 3)), ((0, 1), (1, 2)))
+    b = PlumbingTree(((0, 1), (1, 2), (2, 3)), ((0, 1), (1, 2)))
+    assert a == b and hash(a) == hash(b)
+    assert "schedule" not in repr(a)
+    # every vertex after its parent, children in id order
+    star = PlumbingTree(((4, 1), (9, 2), (1, 3), (6, 5)), ((4, 9), (1, 4), (6, 4)))
+    assert star.schedule == ((1, 3, (1, 2, 3)), (3, 1, ()), (5, 1, ()), (2, 1, ()))
+
+
 # ---------------------------------------------------------------------------
 # doubling identity and warnings
 # ---------------------------------------------------------------------------
@@ -295,6 +361,15 @@ def test_degenerate_s_column_rejected():
     data = tvo.ModularData(S, np.ones(2))
     with pytest.raises(DegenerateDataError):
         brieskorn(data, 2, 3, 5)
+
+
+def test_degenerate_s_column_only_matters_above_degree_one():
+    S = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    data = tvo.ModularData(S, np.ones(2))
+    assert lens_p1(data, 3).value == 1
+    assert lens_p2(data, 3).value == 0
+    with pytest.raises(DegenerateDataError):
+        lens_general(data, 7, 3)
 
 
 def test_invariant_value_must_be_finite():
