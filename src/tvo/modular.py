@@ -93,11 +93,28 @@ class ModularData:
         return ModularData(self.S.conj(), self.T.conj(), self.labels, self.tolerance)
 
     @cached_property
+    def _s_squared(self) -> np.ndarray:
+        return self.S @ self.S
+
+    @cached_property
+    def _s_squared_permutation(self):
+        # (label each row of S^2 selects, distance of S^2 from that permutation
+        # matrix or None when the rows do not select a bijection)
+        S2 = self._s_squared
+        r = self.rank
+        perm = np.argmax(np.abs(S2), axis=1)
+        if len(set(perm.tolist())) != r:
+            return perm, None
+        P = np.zeros_like(S2)
+        P[np.arange(r), perm] = 1.0
+        return perm, float(np.abs(S2 - P).max())
+
+    @cached_property
     def _st_cubed(self):
         # returns ((ST)^3, S^2, scalar u, proportionality residual)
         M = self.S * self.T[np.newaxis, :]
         M3 = M @ M @ M
-        S2 = self.S @ self.S
+        S2 = self._s_squared
         idx = np.unravel_index(np.argmax(np.abs(S2)), S2.shape)
         u = M3[idx] / S2[idx]
         residual = float(np.abs(M3 - u * S2).max())
@@ -220,6 +237,17 @@ def _verlinde_tensor(data: ModularData) -> np.ndarray:
     return np.einsum("il,jl,lk->ijk", S, S, weighted)
 
 
+def _round_verlinde(Nc: np.ndarray):
+    """Verlinde sums rounded to integers, the worst distance from them, and
+    the entries whose real or imaginary distance exceeds the integer
+    tolerance or whose rounded value is negative."""
+    Nr = np.round(Nc.real)
+    dev_re = np.abs(Nc.real - Nr)
+    dev_im = np.abs(Nc.imag)
+    bad = (dev_re > INTEGER_TOLERANCE) | (dev_im > INTEGER_TOLERANCE) | (Nr < 0)
+    return Nr, max(float(dev_re.max()), float(dev_im.max())), bad
+
+
 def verify_verlinde(data: ModularData) -> VerificationReport:
     """Run every Verlinde-basis axiom on ``data`` and report residuals.
 
@@ -245,15 +273,9 @@ def verify_verlinde(data: ModularData) -> VerificationReport:
     add("S symmetric", np.abs(S - S.T).max())
     add("T unitary", np.abs(np.abs(T) - 1.0).max())
 
-    S2 = S @ S
-    perm = np.argmax(np.abs(S2), axis=1)
-    if len(set(perm.tolist())) == r:
-        P = np.zeros_like(S2)
-        P[np.arange(r), perm] = 1.0
-        res_perm = np.abs(S2 - P).max()
-    else:
-        res_perm = float("inf")
-    add("S^2 permutation", res_perm)
+    S2 = data._s_squared
+    _, res_perm = data._s_squared_permutation
+    add("S^2 permutation", float("inf") if res_perm is None else res_perm)
     add("S^2 fixes vacuum", np.abs(S2[0, 0] - 1.0))
 
     min_s0 = float(np.abs(S[0]).min())
@@ -262,10 +284,8 @@ def verify_verlinde(data: ModularData) -> VerificationReport:
     Nc = _verlinde_tensor(data)
     finite = np.isfinite(Nc).all()
     if finite:
-        Nr = np.round(Nc.real)
-        int_res = max(float(np.abs(Nc.real - Nr).max()), float(np.abs(Nc.imag).max()))
-        nonneg = bool((Nr >= 0).all())
-        add("fusion integrality", int_res, int_res <= INTEGER_TOLERANCE and nonneg)
+        Nr, int_res, bad = _round_verlinde(Nc)
+        add("fusion integrality", int_res, not bad.any())
         # axiom (i): the vacuum is the unit of the fusion algebra
         add("vacuum unit", np.abs(Nc[0] - eye).max(), np.abs(Nc[0] - eye).max() <= INTEGER_TOLERANCE)
         table = FusionTable(np.maximum(Nr, 0).astype(np.int64))
@@ -296,9 +316,7 @@ def fusion_from_S(data: ModularData) -> FusionTable:
     if float(np.abs(data.S[0]).min()) <= data.tolerance:
         raise DegenerateDataError("S row 0 has (near-)zero entries; Verlinde sums undefined")
     Nc = _verlinde_tensor(data)
-    Nr = np.round(Nc.real)
-    dev = np.abs(Nc.real - Nr) + np.abs(Nc.imag)
-    bad = (dev > INTEGER_TOLERANCE) | (Nr < 0)
+    Nr, _, bad = _round_verlinde(Nc)
     if bad.any():
         i, j, k = np.argwhere(bad)[0]
         raise FusionIntegralityError(int(i), int(j), int(k), complex(Nc[i, j, k]))
@@ -311,19 +329,14 @@ def charge_conjugation(data: ModularData) -> np.ndarray:
     Raises :class:`ConjugationError` when S^2 is not within tolerance of a
     permutation matrix.
     """
-    S2 = data.S @ data.S
-    r = data.rank
-    perm = np.argmax(np.abs(S2), axis=1)
-    if len(set(perm.tolist())) != r:
+    perm, res = data._s_squared_permutation
+    if res is None:
         raise ConjugationError("S^2 rows do not select a bijection")
-    P = np.zeros_like(S2)
-    P[np.arange(r), perm] = 1.0
-    res = float(np.abs(S2 - P).max())
     if res > data.tolerance:
         raise ConjugationError(f"S^2 is not a permutation matrix (residual {res:.3e})")
     if perm[0] != 0:
         raise ConjugationError("S^2 does not fix the vacuum")
-    return perm
+    return perm.copy()
 
 
 def double_data(data: ModularData) -> ModularData:
@@ -409,34 +422,29 @@ def conjugate_equivalent(a: ModularData, b: ModularData) -> np.ndarray | None:
     if any(not js for js in cand):
         return None
 
+    # depth-first over labels, without recursion: perm[0..i-1] is the current
+    # partial assignment and i the label being assigned
     perm = np.full(n, -1, dtype=np.int64)
     used = np.zeros(n, dtype=bool)
-    nodes = 0
-
-    def assign(i: int) -> bool:
-        nonlocal nodes
-        if i == n:
-            return True
-        nodes += 1
+    nodes, i = 1, 0
+    while 0 <= i < n:
         if nodes > _NODE_BUDGET:
             raise CapacityError("conjugate-equivalence search exceeded node budget")
-        for j in cand[i]:
-            if used[j]:
-                continue
-            ok = True
-            for i2 in range(i + 1):
-                j2 = j if i2 == i else perm[i2]
-                if abs(Sa[i, i2] - Sb[j, j2]) > tol:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            perm[i] = j
-            used[j] = True
-            if assign(i + 1):
-                return True
-            used[j] = False
+        start = 0
+        if perm[i] >= 0:  # back from label i + 1: try the candidates after this one
+            start = cand[i].index(perm[i]) + 1
+            used[perm[i]] = False
             perm[i] = -1
-        return False
-
-    return perm.copy() if assign(0) else None
+        for j in cand[i][start:]:
+            if not used[j] and not any(
+                abs(Sa[i, i2] - Sb[j, perm[i2] if i2 < i else j]) > tol for i2 in range(i + 1)
+            ):
+                perm[i] = j
+                used[j] = True
+                break
+        if perm[i] < 0:
+            i -= 1
+        else:
+            i += 1
+            nodes += 1
+    return perm if i == n else None

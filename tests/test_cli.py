@@ -163,6 +163,13 @@ def test_compare_toric_conjugate_identity(capsys):
     assert perm_line.split() == ["0", "1", "2", "3"]
 
 
+def test_compare_rank_1001(capsys):
+    code, out, _ = run(capsys, "compare", "--a", "builtin:su2-1000", "--b", "builtin:su2-1000")
+    assert code == 0
+    perm_line = [l for l in out.splitlines() if not l.startswith("#")][-1]
+    assert perm_line.split() == [str(i) for i in range(1001)]
+
+
 def test_compare_rank_mismatch_exit1(capsys):
     code, out, _ = run(capsys, "compare", "--a", "builtin:fibonacci", "--b", "builtin:ising")
     assert code == 1

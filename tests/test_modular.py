@@ -149,6 +149,22 @@ def test_fusion_integrality_error_names_indices():
 # charge conjugation
 # ---------------------------------------------------------------------------
 
+def test_fusion_rounding_agrees_with_verify(toric_code):
+    # real and imaginary deviations of 8.07e-7 each: within the integer
+    # tolerance one by one, though their sum is not
+    S = toric_code.S.copy()
+    S[1, 1] += 5.38e-7 * (1 + 1j)
+    d = ModularData(S, toric_code.T)
+    check = verify_verlinde(d)._get("fusion integrality")
+    assert check.passed and 8e-7 < check.residual < 1e-6
+    assert np.array_equal(fusion_from_S(d).N, fusion_from_S(toric_code).N)
+    S[1, 1] += 3e-6j
+    d = ModularData(S, toric_code.T)
+    assert not verify_verlinde(d)._get("fusion integrality").passed
+    with pytest.raises(FusionIntegralityError):
+        fusion_from_S(d)
+
+
 def test_conjugation_trivial_cases(toric_code):
     assert charge_conjugation(tvo.trivial_data()).tolist() == [0]
     assert charge_conjugation(toric_code).tolist() == [0, 1, 2, 3]
@@ -169,6 +185,14 @@ def test_conjugation_is_involution_su2(k):
 def test_conjugation_is_involution_twisted(n, k):
     perm = charge_conjugation(tvo.twisted_double_cyclic(n, k))
     assert (perm[perm] == np.arange(n * n)).all()
+
+
+def test_conjugation_result_is_the_callers_copy():
+    d = tvo.pointed_cyclic(3, 2)
+    perm = charge_conjugation(d)
+    perm[:] = 0
+    assert charge_conjugation(d).tolist() == [0, 2, 1]
+    assert verify_verlinde(d)._get("S^2 permutation").passed
 
 
 def test_conjugation_error_for_non_permutation():
@@ -268,6 +292,22 @@ def test_capacity_error_for_large_flat_block():
     data = ModularData(S, np.ones(n))
     with pytest.raises(CapacityError):
         conjugate_equivalent(data, data)
+
+
+def test_rank_1001_search_needs_no_recursion():
+    d = tvo.su2_level_k(1000)
+    perm = conjugate_equivalent(d, d.conjugate())
+    assert perm.tolist() == list(range(1001))
+
+
+def test_node_budget_counts_one_node_per_assigned_label(monkeypatch):
+    # su2 level 4 has distinct T eigenvalues: one candidate per label, no backtracking
+    d = tvo.su2_level_k(4)
+    monkeypatch.setattr(tvo.modular, "_NODE_BUDGET", d.rank)
+    assert conjugate_equivalent(d, d.conjugate()) is not None
+    monkeypatch.setattr(tvo.modular, "_NODE_BUDGET", d.rank - 1)
+    with pytest.raises(CapacityError):
+        conjugate_equivalent(d, d.conjugate())
 
 
 def _assert_conj_perm(a, b, perm):

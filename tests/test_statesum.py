@@ -63,6 +63,36 @@ def test_pentagon_detects_corruption():
     assert rep.max_residual > 1.0
 
 
+def test_pentagon_residual_matches_direct_loop():
+    n = 3
+    sj = pointed_sixj(n, 1)
+    rng = np.random.default_rng(5)
+    for key in list(sj.weights)[::4]:
+        sj.weights[key] *= np.exp(1j * rng.uniform(0, 0.1))
+
+    def w(a, b, c):
+        return sj.weights[(a, (a + b) % n, (a + b + c) % n, b, (b + c) % n, c)]
+
+    worst = 0.0
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    lhs = w(b, c, d) * w(a, (b + c) % n, d) * w(a, b, c)
+                    rhs = w((a + b) % n, c, d) * w(a, b, (c + d) % n)
+                    worst = max(worst, abs(lhs - rhs))
+    rep = verify_pentagon(sj)
+    assert rep.max_residual == worst > 0.01
+    assert (rep.passed, rep.checked) == (False, n**4)
+
+
+def test_pentagon_missing_weight_is_structure_error():
+    sj = pointed_sixj(3, 1)
+    del sj.weights[(1, 2, 1, 1, 0, 2)]  # a, b, c = 1, 1, 2
+    with pytest.raises(StructureError, match="no 6j weight"):
+        verify_pentagon(sj)
+
+
 # ---------------------------------------------------------------------------
 # evaluation on the shipped sphere
 # ---------------------------------------------------------------------------

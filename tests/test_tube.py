@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,19 +48,17 @@ def test_k0_sectors_are_group_algebras():
     alg = tube_pointed(3, 0)
     # all structure constants are 0 or 1 and the product never mixes sectors
     assert set(np.round(alg.mult.reshape(-1), 12).tolist()) <= {0, 1}
-    for (g, x) in alg.labels:
-        for (h, y) in alg.labels:
-            i = alg.labels.index((g, x))
-            j = alg.labels.index((h, y))
-            row = alg.mult[i, j]
+    basis = np.eye(alg.dim, dtype=complex)
+    for i, (g, x) in enumerate(alg.labels):
+        for j, (h, y) in enumerate(alg.labels):
             if g != h:
-                assert np.abs(row).max() == 0
+                assert np.abs(alg.product(basis[i], basis[j])).max() == 0
 
 
 def test_pointed_tube_is_commutative():
     for n, k in ((2, 1), (3, 2), (4, 3)):
         alg = tube_pointed(n, k)
-        assert np.abs(alg.mult - np.swapaxes(alg.mult, 0, 1)).max() < 1e-12
+        assert np.abs(alg.mult - np.swapaxes(alg.mult, 1, 2)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n,k", ALL_NK)
@@ -115,18 +114,17 @@ def test_sector_cocycle_matches_tube_structure_constants():
     n, k = 4, 3
     alg = tube_pointed(n, k)
     omega = cyclic_cocycle(n, k)
-    idx = {lab: i for i, lab in enumerate(alg.labels)}
     for g in range(n):
         for x in range(n):
             for y in range(n):
-                got = alg.mult[idx[(g, x)], idx[(g, y)], idx[(g, (x + y) % n)]]
+                got = alg.mult[g, x, y, (x + y) % n]
                 assert abs(got - omega(g, x, y)) < 1e-15
 
 
 def test_non_associative_input_rejected():
     alg = tube_pointed(2, 1)
     broken = alg.mult.copy()
-    broken[0, 0, 3] = 0.7
+    broken[0, 0, 0, 1] = 0.7
     bad = tvo.TubeAlgebra(alg.n, alg.twist, alg.labels, broken, alg.star_phase,
                           alg.star_perm, alg.identity)
     with pytest.raises(DecompositionError):
@@ -160,6 +158,23 @@ def test_tube_lens_values_reproduce_hom_counting(n):
     for p in range(1, 13):
         got = lens_p1(md, p).value
         assert abs(got - math.gcd(p, n) / n) < 1e-9
+
+
+@pytest.mark.parametrize("n,k", [(8, 3), (8, 6), (12, 1), (12, 7)])
+def test_tube_modular_data_beyond_dense_sizes(n, k):
+    # the dense n^6 tensor and its n^8 residual needed ~14 GB at n = 12
+    alg = tube_pointed(n, k)
+    assert alg.mult.shape == (n, n, n, n)
+    tracemalloc.start()
+    try:
+        md = tube_modular_data(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    ref = twisted_double_cyclic(n, k)
+    assert np.abs(md.S - ref.S).max() < 1e-9
+    assert np.abs(md.T - ref.T).max() < 1e-9
 
 
 def test_tube_vacuum_label_first():
