@@ -373,19 +373,12 @@ def _t_blocks(ta: np.ndarray, tb_conj: np.ndarray, tol: float):
     Returns None if the multisets do not match; otherwise a list of candidate
     index lists, cand[i] = labels j of b with t^a_i ~ conj(t^b_j).
     """
-    n = len(ta)
-    cand = []
-    for i in range(n):
-        js = [j for j in range(n) if abs(ta[i] - tb_conj[j]) <= tol]
-        if not js:
-            return None
-        cand.append(js)
+    match = np.abs(ta[:, None] - tb_conj[None, :]) <= tol
     # multiset check: count of a-labels sharing a value must equal b-count
-    for i in range(n):
-        same_a = sum(1 for i2 in range(n) if abs(ta[i] - ta[i2]) <= tol)
-        if same_a != len(cand[i]):
-            return None
-    return cand
+    same_a = np.abs(ta[:, None] - ta[None, :]) <= tol
+    if not match.any(axis=1).all() or (same_a.sum(axis=1) != match.sum(axis=1)).any():
+        return None
+    return [np.flatnonzero(row).tolist() for row in match]
 
 
 def conjugate_equivalent(a: ModularData, b: ModularData) -> np.ndarray | None:

@@ -41,17 +41,7 @@ import numpy as np
 from .catalog import cyclic_cocycle
 from .errors import StructureError, UnsupportedFeatureError
 from .surgery import InvariantValue
-from .triangulation import TET_EDGES, Triangulation, _UnionFind
-
-
-def _perm_sign(seq) -> int:
-    inv = 0
-    n = len(seq)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+from .triangulation import TET_EDGES, _EDGE_INDEX, Triangulation, _UnionFind, _perm_sign
 
 
 @dataclass(eq=False)
@@ -242,22 +232,20 @@ def _layout(sixj: SixJData, tri: Triangulation) -> _Evaluation:
     if orient is None:
         raise UnsupportedFeatureError("triangulation is not orientable")
 
-    edge_idx = {pair: i for i, pair in enumerate(TET_EDGES)}
-
     faces = []
     for (t, f) in tri.face_classes:
         slots = sorted((v for v in range(4) if v != f), key=lambda v: vclass[t][v])
         x, y, z = slots
-        e1 = eclass[t][edge_idx[tuple(sorted((x, y)))]]
-        e2 = eclass[t][edge_idx[tuple(sorted((y, z)))]]
-        e3 = eclass[t][edge_idx[tuple(sorted((x, z)))]]
+        e1 = eclass[t][_EDGE_INDEX[tuple(sorted((x, y)))]]
+        e2 = eclass[t][_EDGE_INDEX[tuple(sorted((y, z)))]]
+        e3 = eclass[t][_EDGE_INDEX[tuple(sorted((x, z)))]]
         faces.append((e1, e2, e3))
 
     tets = []
     for t in range(tri.num_tets):
         rs = sorted(range(4), key=lambda v: vclass[t][v])
         key = tuple(
-            eclass[t][edge_idx[tuple(sorted((rs[i], rs[j])))]]
+            eclass[t][_EDGE_INDEX[tuple(sorted((rs[i], rs[j])))]]
             for i in range(4)
             for j in range(i + 1, 4)
         )

@@ -216,5 +216,5 @@ def lens_general(data: ModularData, p: int, q: int) -> InvariantValue:
         if q >= p:
             raise PreconditionError("lens_general requires q < p")
         chain = negative_continued_fraction(p, q)
-    return _contract(data, PlumbingTree.chain(chain),
-                     f"lens_general(p={p},q={q},chain={chain})")
+    shown = f"chain={chain}" if len(chain) <= 8 else f"chain of {len(chain)} vertices"
+    return _contract(data, PlumbingTree.chain(chain), f"lens_general(p={p},q={q},{shown})")

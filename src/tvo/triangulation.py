@@ -11,6 +11,11 @@ never glued to itself.
 Vertex, edge and face classes are the equivalence classes generated by the
 gluings; they are computed once and cached (instances are immutable by
 convention, the moves build new triangulations).
+
+Both moves are bistellar flips on five vertices, written as token tuples:
+each removed and each new tetrahedron names the vertex token in each of its
+slots, and one routine, ``_flip``, glues the new tetrahedra to each other and
+to the rest of the complex by matching the token sets of faces.
 """
 
 from __future__ import annotations
@@ -32,11 +37,11 @@ def inverse_perm(perm):
     return tuple(inv)
 
 
-def _perm_sign3(seq) -> int:
-    """Sign of the permutation sorting a 3-sequence of distinct numbers."""
+def _perm_sign(seq) -> int:
+    """Sign of the permutation sorting a sequence of distinct numbers."""
     inv = 0
-    for i in range(3):
-        for j in range(i + 1, 3):
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
             if seq[i] > seq[j]:
                 inv += 1
     return -1 if inv % 2 else 1
@@ -204,7 +209,7 @@ class Triangulation:
                     t2, perm = self.gluings[(t, f)]
                     f2 = perm[f]
                     face = [v for v in range(4) if v != f]
-                    s = _perm_sign3([perm[v] for v in face])
+                    s = _perm_sign([perm[v] for v in face])
                     needed = -signs[t] * ((-1) ** (f + f2)) * s
                     if signs[t2] == 0:
                         signs[t2] = needed
@@ -244,15 +249,65 @@ def boundary_4_simplex() -> Triangulation:
     return Triangulation(5, gluings)
 
 
-def _remap_builder(removed: set, num_tets: int):
-    """Map old tet ids (outside ``removed``) to compacted new ids."""
-    mapping = {}
-    nxt = 0
-    for t in range(num_tets):
-        if t not in removed:
-            mapping[t] = nxt
-            nxt += 1
-    return mapping, nxt
+def _flip(tri: Triangulation, old: dict, new: list) -> Triangulation:
+    """Replace the tetrahedra ``old`` by ``new``, all spanning the same vertex tokens.
+
+    ``old`` maps each removed tetrahedron to the tokens of its slots 0..3 and
+    ``new`` lists the slot tokens of each new tetrahedron. Two new faces with
+    the same token set are glued to each other; a new face whose tokens span
+    a face of an old tetrahedron takes over that face's gluing, also when it
+    was glued back into ``old``; the remaining old faces are interior and
+    disappear. Surviving tetrahedra keep their order and the new ones follow.
+    Gluings are written untouched first, then the internal faces by (new tet,
+    face), then the outer faces by (new tet, position of the old tet in
+    ``old``).
+    """
+    keep = [s for s in range(tri.num_tets) if s not in old]
+    remap = {s: i for i, s in enumerate(keep)}
+    base = len(keep)
+    gluings = {
+        (remap[s], g): (remap[s2], perm)
+        for (s, g), (s2, perm) in tri.gluings.items()
+        if s in remap and s2 in remap
+    }
+
+    def face(tokens, g):
+        return frozenset(tokens) - {tokens[g]}
+
+    def slot_map(src, g, dst, h):
+        """Slots of ``src`` onto ``dst`` by token, face slot g onto face slot h."""
+        return tuple(h if v == g else dst.index(src[v]) for v in range(4))
+
+    spans = {}
+    for i, tokens in enumerate(new):
+        for g in range(4):
+            spans.setdefault(face(tokens, g), []).append((i, g))
+
+    for i, tokens in enumerate(new):
+        for g in range(4):
+            for j, h in spans[face(tokens, g)]:
+                if j != i:
+                    gluings[(base + i, g)] = (base + j, slot_map(tokens, g, new[j], h))
+
+    outer = {}  # old face -> (new tet, new face, new-slot -> old-slot map)
+    for i, tokens in enumerate(new):
+        for s, old_tokens in old.items():
+            for g in range(4):
+                span = face(tokens, g)
+                if len(spans[span]) == 1 and span <= set(old_tokens):
+                    f = next(v for v in range(4) if old_tokens[v] not in span)
+                    outer[(s, f)] = (base + i, g, slot_map(tokens, g, old_tokens, f))
+
+    for (s, f), (i, g, sigma) in outer.items():
+        s2, rho = tri.gluings[(s, f)]
+        if (s2, rho[f]) in outer:
+            j, _, tau = outer[(s2, rho[f])]
+            perm = tuple(tau.index(rho[sigma[x]]) for x in range(4))
+        else:
+            j, perm = remap[s2], tuple(rho[sigma[x]] for x in range(4))
+        gluings[(i, g)] = (j, perm)
+        gluings[(j, perm[g])] = (i, inverse_perm(perm))
+    return Triangulation(base + len(new), gluings)
 
 
 def pachner_14(tri: Triangulation, t: int) -> Triangulation:
@@ -265,32 +320,8 @@ def pachner_14(tri: Triangulation, t: int) -> Triangulation:
     tri.require_closed()
     if not 0 <= t < tri.num_tets:
         raise StructureError(f"no tetrahedron {t}")
-    remap, base = _remap_builder({t}, tri.num_tets)
-    B = [base + f for f in range(4)]
-
-    gluings = {}
-    for (s, f), (s2, perm) in tri.gluings.items():
-        if s != t and s2 != t:
-            gluings[(remap[s], f)] = (remap[s2], perm)
-
-    # internal faces: B_f face g <-> B_g face f via the transposition (f g)
-    for f in range(4):
-        for g in range(4):
-            if f != g:
-                perm = list(range(4))
-                perm[f], perm[g] = g, f
-                gluings[(B[f], g)] = (B[g], tuple(perm))
-
-    # external faces: B_f face f inherits the old gluing of (t, f)
-    for f in range(4):
-        s2, perm = tri.gluings[(t, f)]
-        if s2 == t:
-            f2 = perm[f]
-            gluings[(B[f], f)] = (B[f2], perm)
-        else:
-            gluings[(B[f], f)] = (remap[s2], perm)
-            gluings[(remap[s2], perm[f])] = (B[f], inverse_perm(perm))
-    return Triangulation(tri.num_tets + 3, gluings)
+    new = [tuple(4 if v == f else v for v in range(4)) for f in range(4)]
+    return _flip(tri, {t: (0, 1, 2, 3)}, new)
 
 
 def pachner_23(tri: Triangulation, t: int, f: int) -> Triangulation:
@@ -308,64 +339,12 @@ def pachner_23(tri: Triangulation, t: int, f: int) -> Triangulation:
     t2, pi = tri.gluings[(t, f)]
     if t2 == t:
         raise PreconditionError("2-3 move needs the face to join two distinct tetrahedra")
-    f2 = pi[f]
-    F = [v for v in range(4) if v != f]  # shared-face slots in t
-
-    remap, base = _remap_builder({t, t2}, tri.num_tets)
-    C = {v: base + i for i, v in enumerate(F)}
-
-    def others(v):
-        p, q = sorted(set(F) - {v})
-        return p, q
-
-    # old outer faces -> (new tet, new face, old-slot -> new-slot map)
-    outer = {}
-    for v in F:
-        p, q = others(v)
-        outer[(t, v)] = (C[v], 1, {f: 0, v: 1, p: 2, q: 3})
-        outer[(t2, pi[v])] = (C[v], 0, {f2: 1, pi[v]: 0, pi[p]: 2, pi[q]: 3})
-
-    gluings = {}
-    for (s, g), (s2, perm) in tri.gluings.items():
-        if s not in (t, t2) and s2 not in (t, t2):
-            gluings[(remap[s], g)] = (remap[s2], perm)
-
-    # internal faces: the face of C_v omitting shared token w is also the
-    # face of C_w omitting shared token v
-    for v in F:
-        p, q = others(v)
-        slot_v = {"a1": 0, "a2": 1, p: 2, q: 3}
-        for omitted in (p, q):
-            w = omitted
-            pw, qw = others(w)
-            slot_w = {"a1": 0, "a2": 1, pw: 2, qw: 3}
-            perm = [0, 0, 0, 0]
-            for token, sv in slot_v.items():
-                perm[sv] = slot_w[v] if token == omitted else slot_w[token]
-            gluings[(C[v], slot_v[omitted])] = (C[w], tuple(perm))
-
-    # external faces, including old gluings that pointed back into {t, t2}
-    done = set()
-    for key, (new_tet, new_face, slot_map) in outer.items():
-        if key in done:
-            continue
-        s, g = key
-        s_star, rho = tri.gluings[key]
-        g_star = rho[g]
-        inv_src = {new: old for old, new in slot_map.items()}
-        if (s_star, g_star) in outer:
-            tgt_tet, tgt_face, tgt_map = outer[(s_star, g_star)]
-            perm = tuple(tgt_map[rho[inv_src[x]]] for x in range(4))
-            gluings[(new_tet, new_face)] = (tgt_tet, perm)
-            gluings[(tgt_tet, tgt_face)] = (new_tet, inverse_perm(perm))
-            done.add((s_star, g_star))
-        else:
-            perm = tuple(rho[inv_src[x]] for x in range(4))
-            gluings[(new_tet, new_face)] = (remap[s_star], perm)
-            gluings[(remap[s_star], g_star)] = (new_tet, inverse_perm(perm))
-        done.add(key)
-
-    return Triangulation(tri.num_tets + 1, gluings)
+    shared = [v for v in range(4) if v != f]
+    partner = [4] * 4  # tokens are the slots of t, and 4 for the apex of t2
+    for v in shared:
+        partner[pi[v]] = v
+    new = [(f, 4, *(w for w in shared if w != v)) for v in shared]
+    return _flip(tri, {t: (0, 1, 2, 3), t2: tuple(partner)}, new)
 
 
 def random_pachner_walk(tri, count, rng, max_new_vertices=3, p_vertex_move=0.25):

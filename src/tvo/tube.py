@@ -223,7 +223,7 @@ def tube_modular_data(alg: TubeAlgebra, tol: float = 1e-9) -> ModularData:
         c0 = row[g * n]
         if abs(c0 - 1.0 / n) > 1e3 * tol:
             raise DecompositionError(f"vacuum coefficient {c0} of sector {g} is not 1/n")
-        psi = np.array([(row[g * n + x] / c0).conjugate() for x in range(n)])
+        psi = (row[g * n : g * n + n] / c0).conj()
         if np.abs(np.abs(psi) - 1.0).max() > 1e3 * tol:
             raise DecompositionError("projective character is not unimodular")
         # charge index j from psi(1) = exp(2 pi i (k g / n + j) / n); psi(1) = psi(0) if n = 1
@@ -233,12 +233,10 @@ def tube_modular_data(alg: TubeAlgebra, tol: float = 1e-9) -> ModularData:
     if len({(g, j) for g, j, _ in chars}) != r:
         raise DecompositionError("flux/charge labels of the idempotents are not distinct")
 
-    S = np.zeros((r, r), dtype=complex)
-    T = np.zeros(r, dtype=complex)
-    for i, (g, _, psi) in enumerate(chars):
-        T[i] = psi[g]
-        for i2, (h, _, phi) in enumerate(chars):
-            S[i, i2] = (psi[h] * phi[g]).conjugate() / n
+    # A[i, i2] = psi_i(flux of i2), so S[i, i2] = conj(psi_i(h) phi_i2(g)) / n
+    A = np.array([psi for _, _, psi in chars])[:, [g for g, _, _ in chars]]
+    S = (A * A.T).conj() / n
+    T = A.diagonal().copy()
     labels = tuple(f"({g},{j})" for g, j, _ in chars)
     if chars[0][:2] != (0, 0):
         raise DecompositionError("vacuum idempotent (flux 0, trivial character) not found")

@@ -92,6 +92,15 @@ def test_invariant_long_lens_chain(capsys):
     assert out.strip().splitlines()[-1].split()[0] == "1.000000000000"
 
 
+def test_invariant_long_lens_chain_comment_is_short(capsys):
+    code, out, err = run(capsys, "invariant", "lens", "-p", "2000", "-q", "1999",
+                         "--data", "builtin:toric-code")
+    assert code == 0, err
+    comments = [l for l in out.splitlines() if l.startswith("#")]
+    assert comments and all(len(l) < 100 for l in comments), comments
+    assert "chain of 1999 vertices" in comments[0]
+
+
 def test_invariant_lens_q2_is_the_general_chain(capsys):
     code, out, _ = run(capsys, "invariant", "lens", "-p", "7", "-q", "2",
                        "--data", "builtin:dw-z3")

@@ -148,3 +148,43 @@ def test_random_move_sequences_stay_valid(s3_triangulation):
     assert tri.orientation is not None
     kinds = {kind for kind, _ in applied}
     assert "2-3" in kinds
+
+
+def test_pachner_23_gluing_order_on_two_tet_sphere():
+    # every outer face of the two tetrahedra is glued back into the region,
+    # so the new tetrahedra end up glued to themselves; the item order is
+    # what random walks draw from
+    ident, swap01, swap23 = (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2)
+    assert list(pachner_23(two_tet_sphere(), 0, 0).gluings.items()) == [
+        ((0, 2), (1, ident)),
+        ((0, 3), (2, swap23)),
+        ((1, 2), (0, ident)),
+        ((1, 3), (2, ident)),
+        ((2, 2), (0, swap23)),
+        ((2, 3), (1, ident)),
+        ((0, 1), (0, swap01)),
+        ((0, 0), (0, swap01)),
+        ((1, 1), (1, swap01)),
+        ((1, 0), (1, swap01)),
+        ((2, 1), (2, swap01)),
+        ((2, 0), (2, swap01)),
+    ]
+
+
+def test_seeded_walk_is_pinned(s3_triangulation):
+    tri, applied = random_pachner_sequence(
+        s3_triangulation, 40, np.random.default_rng(11), max_new_vertices=3
+    )
+    assert applied == [
+        ("1-4", 3), ("2-3", (4, 2)), ("1-4", 4), ("2-3", (1, 1)), ("1-4", 7),
+        ("2-3", (3, 3)), ("2-3", (14, 2)), ("2-3", (16, 3)), ("2-3", (14, 2)),
+        ("2-3", (4, 1)), ("2-3", (4, 0)), ("2-3", (12, 3)), ("2-3", (6, 3)),
+        ("2-3", (3, 0)), ("2-3", (16, 2)), ("2-3", (5, 1)), ("2-3", (1, 1)),
+        ("2-3", (11, 3)), ("2-3", (5, 1)), ("2-3", (6, 0)), ("2-3", (8, 0)),
+        ("2-3", (16, 0)), ("2-3", (4, 1)), ("2-3", (9, 3)), ("2-3", (1, 3)),
+        ("2-3", (25, 3)), ("2-3", (35, 3)), ("2-3", (32, 3)), ("2-3", (33, 3)),
+        ("2-3", (7, 2)), ("2-3", (28, 1)), ("2-3", (27, 3)), ("2-3", (12, 2)),
+        ("2-3", (12, 1)), ("2-3", (3, 0)), ("2-3", (19, 2)), ("2-3", (41, 3)),
+        ("2-3", (3, 0)), ("2-3", (28, 2)), ("2-3", (26, 3)),
+    ]
+    assert (tri.num_tets, tri.num_vertices, tri.num_edges) == (51, 8, 59)
