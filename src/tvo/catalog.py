@@ -129,31 +129,29 @@ def pointed_cyclic(n: int, q: int) -> ModularData:
     return ModularData(S, T, labels=tuple(str(x) for x in a))
 
 
+def _double_from_characters(A: np.ndarray, order: int, labels) -> ModularData:
+    """Modular data of a double from its character table A[i, j] = psi_i(flux of j).
+
+    S_ij = conj(psi_i(g_j) psi_j(g_i)) / |G| and t_i = psi_i(g_i)
+    (Dijkgraaf-Pasquier-Roche; Coste-Gannon-Ruelle, Finite group modular data).
+    """
+    return ModularData((A * A.T).conj() / order, A.diagonal(), labels=labels)
+
+
 def quantum_double_abelian(G: FiniteAbelianGroup) -> ModularData:
     """Untwisted quantum double of an abelian group.
 
     Labels are pairs (g, h) of a group element and a character index,
-    ordered (index(g), index(h)); S from the character pairing, T from
-    chi_h(g). Strictly anomaly-free.
+    ordered (index(g), index(h)); the character of (g, h) is chi_h.
+    Strictly anomaly-free.
     """
-    els = G.elements()
+    els = G.elements()  # els[G.index(g)] == g
     m = G.order
-    S = np.zeros((m * m, m * m), dtype=complex)
-    T = np.zeros(m * m, dtype=complex)
-    labels = []
-    for g in els:
-        for h in els:
-            i = G.index(g) * m + G.index(h)
-            T[i] = G.pairing(g, h)
-            labels.append(f"({','.join(map(str, g))}|{','.join(map(str, h))})")
-    for g in els:
-        for h in els:
-            i = G.index(g) * m + G.index(h)
-            for g2 in els:
-                for h2 in els:
-                    j = G.index(g2) * m + G.index(h2)
-                    S[i, j] = (G.pairing(g2, h) * G.pairing(g, h2)).conjugate() / m
-    return ModularData(S, T, labels=tuple(labels))
+    # P[x, h] = chi_h(x); A[(g, h), (g2, h2)] = P[g2, h]
+    P = np.array([[G.pairing(x, h) for h in els] for x in els])
+    A = np.tile(np.repeat(P.T, m, axis=1), (m, 1))
+    labels = tuple(f"({','.join(map(str, g))}|{','.join(map(str, h))})" for g in els for h in els)
+    return _double_from_characters(A, m, labels)
 
 
 def cyclic_cocycle(n: int, k: int):
@@ -187,22 +185,15 @@ def twisted_double_cyclic(n: int, k: int) -> ModularData:
     if n < 1:
         raise PreconditionError("twisted_double_cyclic requires n >= 1")
     k = k % n
-    d = n * n
     a = np.arange(n)
     # psi[a, j, x] = exp(2 pi i (k a x / n + j x)/ n)
     phase = (k * np.einsum("a,x->ax", a, a)[:, np.newaxis, :] / n
              + np.einsum("j,x->jx", a, a)[np.newaxis, :, :])
     psi = np.exp(_TWO_PI_I * phase / n)
-    T = np.zeros(d, dtype=complex)
-    S = np.zeros((d, d), dtype=complex)
-    for fa in range(n):
-        for i in range(n):
-            T[fa * n + i] = psi[fa, i, fa]
-            for fb in range(n):
-                for j in range(n):
-                    S[fa * n + i, fb * n + j] = (psi[fa, i, fb] * psi[fb, j, fa]).conjugate() / n
+    # A[(a, i), (b, j)] = psi[a, i, b]
+    A = np.repeat(psi.reshape(n * n, n), n, axis=1)
     labels = tuple(f"({fa},{i})" for fa in range(n) for i in range(n))
-    return ModularData(S, T, labels=labels)
+    return _double_from_characters(A, n, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +347,4 @@ def golden_fixtures(source: str | None = None) -> tuple[GoldenFixture, ...]:
 
 
 def fixture_sources() -> tuple[str, ...]:
-    seen = []
-    for f in _FIXTURES:
-        if f.source not in seen:
-            seen.append(f.source)
-    return tuple(seen)
+    return tuple(dict.fromkeys(f.source for f in _FIXTURES))

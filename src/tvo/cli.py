@@ -103,20 +103,21 @@ def resolve_builtin_data(name: str) -> ModularData:
     raise TvoError(f"unknown builtin data set {name!r} (see --list-builtins)")
 
 
+def _load(loader, path, what):
+    try:
+        return loader(path)
+    except FileNotFoundError:
+        raise TvoError(f"cannot open {what} file {path!r}") from None
+
+
 def resolve_data_source(source: str) -> ModularData:
     if source.startswith("builtin:"):
         return resolve_builtin_data(source[len("builtin:") :])
-    try:
-        return dataio.load_modular_file(source)
-    except FileNotFoundError:
-        raise TvoError(f"cannot open data file {source!r}") from None
+    return _load(dataio.load_modular_file, source, "data")
 
 
 def resolve_sixj(source: str) -> statesum.SixJData:
-    if source.startswith("builtin:"):
-        name = source[len("builtin:") :]
-    else:
-        name = source
+    name = source.removeprefix("builtin:")
     m = re.fullmatch(r"vec-z(\d+)(?:-(\d+))?", name)
     if m:
         n = int(m.group(1))
@@ -131,10 +132,7 @@ def resolve_triangulation(source: str):
         if name == "s3":
             return boundary_4_simplex()
         raise TvoError(f"unknown builtin triangulation {name!r}")
-    try:
-        return dataio.load_triangulation(source)
-    except FileNotFoundError:
-        raise TvoError(f"cannot open triangulation file {source!r}") from None
+    return _load(dataio.load_triangulation, source, "triangulation")
 
 
 def list_builtins() -> list[str]:
@@ -174,7 +172,7 @@ def cmd_invariant(args) -> CommandResult:
     elif args.manifold == "plumbing":
         if args.tree is None:
             raise TvoError("plumbing requires --tree FILE")
-        tree = _load_tree(args.tree)
+        tree = _load(dataio.load_plumbing_tree, args.tree, "tree")
         result = surgery.plumbing_invariant(data, tree)
     else:  # pragma: no cover - argparse restricts choices
         raise TvoError(f"unknown manifold {args.manifold!r}")
@@ -184,32 +182,6 @@ def cmd_invariant(args) -> CommandResult:
         records=[fmt_value(result.value)],
         warnings=list(result.warnings),
     )
-
-
-def _load_tree(path) -> surgery.PlumbingTree:
-    """Plumbing tree file: `vertex <id> <framing>` and `edge <u> <v>` lines."""
-    verts = []
-    edges = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        raise TvoError(f"cannot open tree file {path!r}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            toks = line.split()
-            try:
-                if toks[0] == "vertex":
-                    verts.append((int(toks[1]), int(toks[2])))
-                elif toks[0] == "edge":
-                    edges.append((int(toks[1]), int(toks[2])))
-                else:
-                    raise TvoError(f"tree file line {lineno}: unknown directive {toks[0]!r}")
-            except (IndexError, ValueError) as exc:
-                raise TvoError(f"tree file line {lineno}: {exc}") from exc
-    return surgery.PlumbingTree(tuple(verts), tuple(edges))
 
 
 def cmd_statesum(args) -> CommandResult:

@@ -17,6 +17,11 @@ where the final triple lists the images of the three face vertices of
 (t, f) taken in increasing order. Each glued face pair may be listed from
 one or both sides; listing both sides must be involution-consistent.
 
+Plumbing tree format::
+
+    vertex 0 1           # vertex <id> <framing>
+    edge 0 1             # edge <u> <v>
+
 Loading never validates the mathematics (a file whose S fails unitarity
 loads fine; run the verifier separately). Saving writes >= 15 significant
 digits so a round trip reproduces every double exactly.
@@ -28,6 +33,7 @@ import numpy as np
 
 from .errors import ParseError, StructureError
 from .modular import ModularData
+from .surgery import PlumbingTree
 from .triangulation import Triangulation, inverse_perm
 
 
@@ -205,3 +211,22 @@ def load_triangulation(path) -> Triangulation:
     except StructureError as exc:
         raise ParseError(f"invalid triangulation: {exc}") from exc
     return tri
+
+
+def load_plumbing_tree(path) -> PlumbingTree:
+    """Parse a plumbing tree file; the vertices and edges must form a tree."""
+    verts, edges = [], []
+    for lineno, toks in _tokens(path):
+        kind = toks[0]
+        if kind not in ("vertex", "edge"):
+            raise ParseError(f"line {lineno}: unknown directive {kind!r}")
+        if len(toks) != 3:
+            raise ParseError(f"line {lineno}: {kind} needs 2 fields")
+        try:
+            (verts if kind == "vertex" else edges).append((int(toks[1]), int(toks[2])))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: malformed {kind!r} line ({exc})") from exc
+    try:
+        return PlumbingTree(tuple(verts), tuple(edges))
+    except StructureError as exc:
+        raise ParseError(f"invalid plumbing tree: {exc}") from exc

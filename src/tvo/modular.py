@@ -10,7 +10,9 @@ precision.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -32,6 +34,8 @@ INTEGER_TOLERANCE = 1e-6
 # larger than this are refused rather than searched
 _BLOCK_CAP = 16
 _NODE_BUDGET = 500_000
+# largest order of T that ModularData._t_order looks for
+_T_ORDER_CAP = 10_000
 
 
 def close(a, b, tol=DEFAULT_TOLERANCE) -> bool:
@@ -108,6 +112,17 @@ class ModularData:
         P = np.zeros_like(S2)
         P[np.arange(r), perm] = 1.0
         return perm, float(np.abs(S2 - P).max())
+
+    @cached_property
+    def _t_order(self) -> int | None:
+        # the lcm N of the denominators of T's phases read as fractions, kept
+        # only when N <= _T_ORDER_CAP and every t_i^N = 1 within tolerance
+        N = 1
+        for turn in np.nan_to_num(np.angle(self.T) / (2 * np.pi)):  # NaN fails the last check
+            N = math.lcm(N, Fraction(turn).limit_denominator(_T_ORDER_CAP).denominator)
+            if N > _T_ORDER_CAP:
+                return None
+        return N if float(np.abs(self.T ** N - 1.0).max()) <= self.tolerance else None
 
     @cached_property
     def _st_cubed(self):
@@ -386,8 +401,8 @@ def conjugate_equivalent(a: ModularData, b: ModularData) -> np.ndarray | None:
 
     Returns the permutation as an index array, or None if no equivalence
     exists. The search is a backtracking match over labels, pruned by the
-    T spectrum and by S row 0; blocks of more than a dozen labels sharing a
-    T eigenvalue, or searches exceeding the node budget, raise
+    T spectrum and by S row 0; blocks of more than ``_BLOCK_CAP`` (16) labels
+    sharing a T eigenvalue, or searches exceeding the node budget, raise
     :class:`CapacityError`.
     """
     if a.rank != b.rank:

@@ -144,10 +144,13 @@ def _contract(data: ModularData, tree: PlumbingTree, method: str) -> InvariantVa
     if (any(deg > 1 for _, deg, _ in tree.schedule)
             and float(np.abs(s0).min()) <= data.tolerance):
         raise DegenerateDataError("S column 0 has (near-)zero entries")
+    order = data._t_order
     bases = {}
     messages = [None] * len(tree.schedule)
     for k in range(len(tree.schedule) - 1, -1, -1):
         a, deg, kids = tree.schedule[k]
+        if order is not None and abs(a) >= order:  # t^N = 1: exact, unlike a huge float power
+            a %= order
         vec = bases.get((a, deg))
         if vec is None:
             vec = bases[(a, deg)] = data.T ** a * s0 ** (2 - deg)

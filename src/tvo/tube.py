@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import cyclic_cocycle
+from .catalog import _double_from_characters, cyclic_cocycle
 from .errors import DecompositionError, PreconditionError
 from .modular import ModularData
 
@@ -217,7 +217,6 @@ def tube_modular_data(alg: TubeAlgebra, tol: float = 1e-9) -> ModularData:
     """
     cb = center_idempotents(alg, tol)
     n = alg.n
-    r = cb.idempotents.shape[0]
     chars = []
     for g, row in zip(cb.flux, cb.idempotents):
         c0 = row[g * n]
@@ -230,14 +229,11 @@ def tube_modular_data(alg: TubeAlgebra, tol: float = 1e-9) -> ModularData:
         ang = cmath.phase(psi[1 % n]) / (2 * math.pi) * n - alg.twist * g / n
         chars.append((g, int(round(ang)) % n, psi))
     chars.sort(key=lambda t: (t[0], t[1]))
-    if len({(g, j) for g, j, _ in chars}) != r:
+    if len({(g, j) for g, j, _ in chars}) != len(chars):
         raise DecompositionError("flux/charge labels of the idempotents are not distinct")
 
-    # A[i, i2] = psi_i(flux of i2), so S[i, i2] = conj(psi_i(h) phi_i2(g)) / n
-    A = np.array([psi for _, _, psi in chars])[:, [g for g, _, _ in chars]]
-    S = (A * A.T).conj() / n
-    T = A.diagonal().copy()
-    labels = tuple(f"({g},{j})" for g, j, _ in chars)
     if chars[0][:2] != (0, 0):
         raise DecompositionError("vacuum idempotent (flux 0, trivial character) not found")
-    return ModularData(S, T, labels=labels)
+    # A[i, i2] = psi_i(flux of i2)
+    A = np.array([psi for _, _, psi in chars])[:, [g for g, _, _ in chars]]
+    return _double_from_characters(A, n, tuple(f"({g},{j})" for g, j, _ in chars))

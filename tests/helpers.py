@@ -5,7 +5,9 @@ enumeration, no pruning or contraction tricks) so that agreement with the
 library is meaningful.
 """
 
+import cmath
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +66,50 @@ def brieskorn_loops(S, T, p, q, r):
                         / S[l, 0]
                     )
     return acc
+
+
+def abelian_double_loops(factors):
+    """S and T of the untwisted double of the product of Z/n, n in ``factors``.
+
+    Label (g, h) sits at index(g) * |G| + index(h), elements in lexicographic
+    order; chi_h(g) = exp(2 pi i sum_c g_c h_c / n_c),
+    S_(g,h),(g2,h2) = conj(chi_h(g2) chi_h2(g)) / |G| and t_(g,h) = chi_h(g).
+    """
+    group = list(itertools.product(*(range(n) for n in factors)))
+    labels = [(g, h) for g in group for h in group]
+
+    def chi(h, g):
+        return cmath.exp(2j * math.pi * sum(a * b / n for a, b, n in zip(g, h, factors)))
+
+    size = len(labels)
+    S = np.zeros((size, size), dtype=complex)
+    T = np.zeros(size, dtype=complex)
+    for i, (g, h) in enumerate(labels):
+        T[i] = chi(h, g)
+        for j, (g2, h2) in enumerate(labels):
+            S[i, j] = (chi(h, g2) * chi(h2, g)).conjugate() / len(group)
+    return S, T
+
+
+def twisted_double_loops(n, k):
+    """S and T of the twisted double of Z/n with cocycle parameter k.
+
+    Label (a, i) sits at a * n + i; psi_(a,i)(x) = exp(2 pi i (k a x / n + i x) / n),
+    S_(a,i),(b,j) = conj(psi_(a,i)(b) psi_(b,j)(a)) / n and t_(a,i) = psi_(a,i)(a).
+    """
+    k = k % n
+
+    def psi(a, i, x):
+        return cmath.exp(2j * math.pi * (k * a * x / n + i * x) / n)
+
+    labels = [(a, i) for a in range(n) for i in range(n)]
+    S = np.zeros((n * n, n * n), dtype=complex)
+    T = np.zeros(n * n, dtype=complex)
+    for p, (a, i) in enumerate(labels):
+        T[p] = psi(a, i, a)
+        for q, (b, j) in enumerate(labels):
+            S[p, q] = (psi(a, i, b) * psi(b, j, a)).conjugate() / n
+    return S, T
 
 
 def star_linking_matrix(center, legs):

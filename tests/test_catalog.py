@@ -18,6 +18,9 @@ from tvo import (
     golden_fixtures,
     verify_verlinde,
 )
+from tvo.cli import resolve_builtin_data
+
+from helpers import abelian_double_loops, twisted_double_loops
 
 ALL_GENERATORS = [
     ("trivial", tvo.trivial_data),
@@ -243,3 +246,34 @@ def test_pointed_standard_form_is_valid(n):
     assert d.rank == n
     rep = verify_verlinde(d)
     assert rep.axioms_pass
+
+
+# ---------------------------------------------------------------------------
+# the doubles against plain-loop oracles
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("factors", [(1,), (2, 4), (3, 3), (2, 2, 2)])
+def test_quantum_double_matches_loop_oracle(factors):
+    S, T = abelian_double_loops(factors)
+    d = tvo.quantum_double_abelian(FiniteAbelianGroup(factors))
+    assert np.abs(d.S - S).max() <= 1e-15
+    assert np.abs(d.T - T).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_twisted_double_matches_loop_oracle(n):
+    # both sides exponentiate unreduced angles of up to 4 pi n, computed in a
+    # different order (numpy divides by n as a multiply by 1/n), so they may
+    # differ by a rounding of that angle: 7.1e-15 at n = 6
+    tol = 2 * math.ulp(4 * math.pi * n)
+    for k in range(n):
+        S, T = twisted_double_loops(n, k)
+        d = tvo.twisted_double_cyclic(n, k)
+        assert np.abs(d.S - S).max() <= tol, (n, k)
+        assert np.abs(d.T - T).max() <= tol, (n, k)
+
+
+def test_rank_625_double_builds_unitary():
+    d = resolve_builtin_data("dw-z5x5")
+    assert d.rank == 625
+    assert np.abs(d.S @ d.S.conj().T - np.eye(625)).max() <= 1e-12

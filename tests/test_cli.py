@@ -296,3 +296,40 @@ def test_command_result_contract():
     args.data = "builtin:fibonacci"
     res = cmd_invariant(args)
     assert res.exit_code == 0 and res.warnings
+
+
+def test_invariant_huge_framing_is_exact(capsys):
+    code, out, _ = run(capsys, "invariant", "lens", "-p", "100000000000000000000", "-q", "1",
+                       "--data", "builtin:toric-code")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "1.000000000000 0.000000000000"
+
+
+def test_invariant_malformed_tree_file_exit2(capsys, tmp_path):
+    for text, where in (("vertex 0\n", "line 1"),
+                        ("vertex 0 1\n# comment\nknot 0 1\n", "line 3"),
+                        ("vertex 0 1 7\n", "line 1")):
+        tree = tmp_path / "bad.tree"
+        tree.write_text(text)
+        code, out, err = run(capsys, "invariant", "plumbing", "--tree", str(tree),
+                             "--data", "builtin:toric-code")
+        assert code == 2
+        assert err.startswith("error:") and where in err
+        assert "Traceback" not in err and out == ""
+
+
+def test_invariant_missing_tree_file_exit2(capsys, tmp_path):
+    code, _, err = run(capsys, "invariant", "plumbing", "--tree", str(tmp_path / "none.tree"),
+                       "--data", "builtin:toric-code")
+    assert code == 2
+    assert "cannot open tree file" in err
+
+
+def test_invariant_nan_twist_exit2(capsys, tmp_path):
+    path = tmp_path / "nan.dat"
+    r = 0.7071067811865476
+    path.write_text(f"rank 2\nS 0 0 {r} 0\nS 0 1 {r} 0\nS 1 0 {r} 0\nS 1 1 {-r} 0\n"
+                    "T 0 1 0\nT 1 nan 0\n")
+    code, _, err = run(capsys, "invariant", "lens", "-p", "3", "-q", "1", "--data", str(path))
+    assert code == 2
+    assert "non-finite invariant value" in err

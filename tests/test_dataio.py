@@ -15,6 +15,8 @@ from tvo import (
     verify_verlinde,
 )
 
+from tvo.dataio import load_plumbing_tree
+
 from helpers import two_tet_sphere
 
 
@@ -186,3 +188,30 @@ def test_bad_image_triple(tmp_path):
     path.write_text("tets 2\nglue 0 0 1 0 1 2 2\n")
     with pytest.raises(ParseError, match="line 2"):
         load_triangulation(path)
+
+
+# ---------------------------------------------------------------------------
+# plumbing trees
+# ---------------------------------------------------------------------------
+
+def test_plumbing_tree_file_reads_a_star(tmp_path):
+    path = tmp_path / "star.tree"
+    path.write_text("# star\nvertex 0 1\nvertex 1 2   # leg\nvertex 2 3\nvertex 3 5\n\n"
+                    "edge 0 1\nedge 0 2\nedge 0 3\n")
+    assert load_plumbing_tree(path) == tvo.PlumbingTree.star(1, (2, 3, 5))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("vertex 0\n", "line 1: vertex needs 2 fields"),
+    ("vertex 0 1 7\n", "line 1: vertex needs 2 fields"),
+    ("vertex 0 1\nedge 0\n", "line 2: edge needs 2 fields"),
+    ("vertex 0 1\nvertex 1 x\n", "line 2: malformed 'vertex' line"),
+    ("vertex 0 1\nknot 0 1\n", "line 2: unknown directive 'knot'"),
+    ("vertex 0 1\nvertex 1 1\n", "invalid plumbing tree"),
+    ("", "invalid plumbing tree"),
+])
+def test_plumbing_tree_file_errors_name_the_line(tmp_path, text, message):
+    path = tmp_path / "bad.tree"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        load_plumbing_tree(path)

@@ -377,3 +377,38 @@ def test_invariant_value_must_be_finite():
         tvo.InvariantValue(complex("nan"), "synthetic")
     with pytest.raises(tvo.TvoError):
         tvo.InvariantValue(complex(float("inf"), 0), "synthetic")
+
+
+# ---------------------------------------------------------------------------
+# framings modulo the order of T
+# ---------------------------------------------------------------------------
+
+def test_t_order_is_read_and_verified(toric_code):
+    assert toric_code._t_order == 2
+    assert tvo.fibonacci()._t_order == 5
+    assert tvo.ising()._t_order == 16
+    assert tvo.su2_level_k(3)._t_order == 20
+    # at rank 1001 the float phases miss t^4008 = 1 by more than the tolerance
+    assert tvo.su2_level_k(1000)._t_order is None
+    irrational = tvo.ModularData(np.eye(2), [1.0, np.exp(2j * np.pi * math.sqrt(2))])
+    assert irrational._t_order is None
+
+
+def test_huge_framing_is_its_residue(toric_code):
+    fib = tvo.fibonacci()
+    assert abs(lens_p1(fib, 10**15).value - lens_p1(fib, 0).value) <= 1e-12
+    assert abs(lens_p1(toric_code, 10**15 + 1).value - 0.5) <= 1e-15
+    assert abs(lens_p1(toric_code, 10**20).value - 1.0) <= 1e-15
+    d = double_data(tvo.su2_level_k(3))
+    chain = PlumbingTree.chain([10**18 + 3, -(10**18) - 2, 5])
+    small = PlumbingTree.chain([3, -2, 5])
+    assert abs(plumbing_invariant(d, chain).value - plumbing_invariant(d, small).value) <= 1e-12
+
+
+def test_framings_below_the_order_keep_the_raw_power():
+    for d in (tvo.su2_level_k(3), tvo.su2_level_k(1000)):
+        N = d._t_order
+        for p in (0, 1, 7, 19, 10**6 + 1):
+            if N is None or p < N:
+                raw = complex((d.T ** p * d.S[:, 0] ** 2).sum())
+                assert lens_p1(d, p).value == raw
