@@ -97,8 +97,9 @@ def su2_level_k(k: int) -> ModularData:
         raise PreconditionError("su2_level_k requires k >= 1")
     n = k + 2
     j = np.arange(k + 1)
-    S = np.sqrt(2 / n) * np.sin(np.outer(j + 1, j + 1) * np.pi / n).astype(complex)
-    T = np.exp(_TWO_PI_I * j * (j + 2) / (4 * n))
+    # integer numerators reduced mod their periods, so the angles stay below 2 pi
+    S = np.sqrt(2 / n) * np.sin(np.outer(j + 1, j + 1) % (2 * n) * np.pi / n).astype(complex)
+    T = np.exp(_TWO_PI_I * (j * (j + 2) % (4 * n)) / (4 * n))
     return ModularData(S, T, labels=tuple(str(x) for x in j))
 
 
@@ -124,8 +125,8 @@ def pointed_cyclic(n: int, q: int) -> ModularData:
             f"quadratic form parameter q={q} is degenerate on Z/{n} (gcd(q, n) != 1)"
         )
     a = np.arange(n)
-    S = np.exp(-_TWO_PI_I * q * np.outer(a, a) / n) / math.sqrt(n)
-    T = np.exp(_TWO_PI_I * q * a * a / (2 * n))
+    S = np.exp(-_TWO_PI_I * (q * np.outer(a, a) % n) / n) / math.sqrt(n)
+    T = np.exp(_TWO_PI_I * (q * a * a % (2 * n)) / (2 * n))
     return ModularData(S, T, labels=tuple(str(x) for x in a))
 
 
@@ -186,10 +187,9 @@ def twisted_double_cyclic(n: int, k: int) -> ModularData:
         raise PreconditionError("twisted_double_cyclic requires n >= 1")
     k = k % n
     a = np.arange(n)
-    # psi[a, j, x] = exp(2 pi i (k a x / n + j x)/ n)
-    phase = (k * np.einsum("a,x->ax", a, a)[:, np.newaxis, :] / n
-             + np.einsum("j,x->jx", a, a)[np.newaxis, :, :])
-    psi = np.exp(_TWO_PI_I * phase / n)
+    # psi[a, j, x] = exp(2 pi i (k a x + n j x) / n^2), numerator reduced mod n^2
+    ax = np.outer(a, a)
+    psi = np.exp(_TWO_PI_I * ((k * ax[:, np.newaxis, :] + n * ax[np.newaxis]) % (n * n)) / (n * n))
     # A[(a, i), (b, j)] = psi[a, i, b]
     A = np.repeat(psi.reshape(n * n, n), n, axis=1)
     labels = tuple(f"({fa},{i})" for fa in range(n) for i in range(n))

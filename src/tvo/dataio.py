@@ -4,7 +4,7 @@ Modular data format::
 
     # comment
     rank 4
-    label 0 1
+    label 0 1            # label <i> <name>, the name is the rest of the line
     S 0 0 0.5 0.0        # S <i> <j> <re> <im>, all rank^2 entries required
     T 0 1.0 0.0          # T <i> <re> <im>, all rank entries required
 
@@ -22,6 +22,8 @@ Plumbing tree format::
     vertex 0 1           # vertex <id> <framing>
     edge 0 1             # edge <u> <v>
 
+Every other directive has exactly the fields shown, and a second label,
+S or T line for the same index is an error; errors name the line.
 Loading never validates the mathematics (a file whose S fails unitarity
 loads fine; run the verifier separately). Saving writes >= 15 significant
 digits so a round trip reproduces every double exactly.
@@ -44,6 +46,11 @@ def _tokens(path):
             line = raw.split("#", 1)[0].strip()
             if line:
                 yield lineno, line.split()
+
+
+def _check_fields(lineno, toks, count):
+    if len(toks) != count + 1:
+        raise ParseError(f"line {lineno}: {toks[0]} needs {count} fields")
 
 
 def save_modular_file(data: ModularData, path) -> None:
@@ -80,6 +87,7 @@ def load_modular_file(path) -> ModularData:
             if kind == "rank":
                 if rank is not None:
                     raise ParseError(f"line {lineno}: duplicate rank directive")
+                _check_fields(lineno, toks, 1)
                 rank = int(toks[1])
                 if rank < 1:
                     raise ParseError(f"line {lineno}: rank must be positive")
@@ -89,10 +97,13 @@ def load_modular_file(path) -> ModularData:
                 i = int(toks[1])
                 if not 0 <= i < rank:
                     raise ParseError(f"line {lineno}: label index {i} out of range")
+                if i in labels:
+                    raise ParseError(f"line {lineno}: duplicate label {i}")
                 labels[i] = " ".join(toks[2:])
             elif kind == "S":
                 if rank is None:
                     raise ParseError(f"line {lineno}: S entry before rank")
+                _check_fields(lineno, toks, 4)
                 i, j = int(toks[1]), int(toks[2])
                 if not (0 <= i < rank and 0 <= j < rank):
                     raise ParseError(f"line {lineno}: S index ({i},{j}) out of range")
@@ -102,6 +113,7 @@ def load_modular_file(path) -> ModularData:
             elif kind == "T":
                 if rank is None:
                     raise ParseError(f"line {lineno}: T entry before rank")
+                _check_fields(lineno, toks, 3)
                 i = int(toks[1])
                 if not 0 <= i < rank:
                     raise ParseError(f"line {lineno}: T index {i} out of range")
@@ -156,16 +168,16 @@ def load_triangulation(path) -> Triangulation:
             if kind == "tets":
                 if num_tets is not None:
                     raise ParseError(f"line {lineno}: duplicate tets directive")
+                _check_fields(lineno, toks, 1)
                 num_tets = int(toks[1])
                 if num_tets < 1:
                     raise ParseError(f"line {lineno}: need at least one tetrahedron")
             elif kind == "glue":
                 if num_tets is None:
                     raise ParseError(f"line {lineno}: glue before tets")
+                _check_fields(lineno, toks, 7)
                 t, f, t2, f2 = (int(x) for x in toks[1:5])
                 imgs = [int(x) for x in toks[5:8]]
-                if len(toks) != 8:
-                    raise ParseError(f"line {lineno}: glue needs 7 fields")
                 for val, hi in ((t, num_tets), (t2, num_tets), (f, 4), (f2, 4)):
                     if not 0 <= val < hi:
                         raise ParseError(f"line {lineno}: index {val} out of range")
@@ -220,8 +232,7 @@ def load_plumbing_tree(path) -> PlumbingTree:
         kind = toks[0]
         if kind not in ("vertex", "edge"):
             raise ParseError(f"line {lineno}: unknown directive {kind!r}")
-        if len(toks) != 3:
-            raise ParseError(f"line {lineno}: {kind} needs 2 fields")
+        _check_fields(lineno, toks, 2)
         try:
             (verts if kind == "vertex" else edges).append((int(toks[1]), int(toks[2])))
         except ValueError as exc:

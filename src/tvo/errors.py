@@ -38,7 +38,7 @@ class ConjugationError(TvoError):
 
 
 class CapacityError(TvoError):
-    """A search exceeded its configured size budget."""
+    """A search or an array would exceed its configured size cap."""
 
 
 class GeneratorError(TvoError):

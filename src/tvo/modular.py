@@ -36,6 +36,8 @@ _BLOCK_CAP = 16
 _NODE_BUDGET = 500_000
 # largest order of T that ModularData._t_order looks for
 _T_ORDER_CAP = 10_000
+# largest Verlinde tensor (rank^3 complex entries) built, in bytes: rank <= 406
+_VERLINDE_CAP_BYTES = 2**30
 
 
 def close(a, b, tol=DEFAULT_TOLERANCE) -> bool:
@@ -245,8 +247,18 @@ class VerificationReport:
 
 
 def _verlinde_tensor(data: ModularData) -> np.ndarray:
-    """Raw complex Verlinde sums N_ij^k = sum_l S_il S_jl conj(S_lk) / S_0l."""
+    """Raw complex Verlinde sums N_ij^k = sum_l S_il S_jl conj(S_lk) / S_0l.
+
+    Raises :class:`CapacityError` before allocating when the rank^3 tensor
+    would exceed ``_VERLINDE_CAP_BYTES`` (1 GiB, i.e. rank > 406).
+    """
     S = data.S
+    size = data.rank**3 * np.dtype(complex).itemsize
+    if size > _VERLINDE_CAP_BYTES:
+        raise CapacityError(
+            f"the Verlinde tensor of rank {data.rank} needs {size / 2**30:.1f} GiB "
+            f"(cap {_VERLINDE_CAP_BYTES / 2**30:g} GiB)"
+        )
     with np.errstate(divide="ignore", invalid="ignore"):
         weighted = S.conj() / S[0][:, np.newaxis]
     return np.einsum("il,jl,lk->ijk", S, S, weighted)

@@ -9,11 +9,12 @@ the annulus label x) with product
 
 which for the cyclic cocycle collapses to exp(2 pi i k g carry(x,y) / n).
 The delta_{g,h} splits the algebra into n flux sectors of dimension n, and
-the structure constants are stored per sector. The center is extracted
-numerically sector by sector (nullspace of the commutator equations, then
-diagonalization of a generic central multiplication operator); each
-minimal idempotent of sector g carries a projective character psi, and
-the modular data on the idempotent basis is
+the structure constants are stored per sector. Each sector is a twisted
+group algebra of Z/n, commutative because H^2(Z/n, U(1)) = 0 and
+generated by u_(g,1), so its minimal idempotents are the eigenvectors of
+multiplication by u_(g,1), rescaled. Each minimal idempotent of sector g
+carries a projective character psi, and the modular data on the
+idempotent basis is
 
     t_p = psi(g),    S_{p q} = conj(psi_p(g_q) psi_q(g_p)) / n.
 """
@@ -62,9 +63,9 @@ class TubeAlgebra:
         return out
 
     def associativity_residual(self) -> float:
-        lhs = np.einsum("gabx,gxcd->gabcd", self.mult, self.mult)
-        rhs = np.einsum("gbcy,gayd->gabcd", self.mult, self.mult)
-        return float(np.abs(lhs - rhs).max())
+        # one sector at a time, so the temporaries are n^4 like mult itself
+        return max(float(np.abs(np.einsum("abx,xcd->abcd", m, m)
+                                - np.einsum("bcy,ayd->abcd", m, m)).max()) for m in self.mult)
 
     def star_antihomomorphism_residual(self) -> float:
         """max |(e_a e_b)^* - e_b^* e_a^*| over all basis pairs of one sector."""
@@ -117,93 +118,54 @@ class CenterBasis:
     flux: tuple  # the flux sector g of each row
 
 
-def _center_subspace(m: np.ndarray, tol: float) -> np.ndarray:
-    d = m.shape[0]
-    # constraints[(a, c), b]: coefficient of e_c in e_b e_a - e_a e_b
-    constraints = (np.swapaxes(m, 0, 1) - m).transpose(0, 2, 1).reshape(d * d, d)
-    _, s, vh = np.linalg.svd(constraints)
-    smax = s[0] if len(s) else 0.0
-    cutoff = max(tol, 1e-12 * max(1.0, smax))
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj()  # rows span the nullspace, i.e. the center
-
-
-def _charge_phase(p: np.ndarray) -> float:
-    """Phase in [0, 2 pi) of conj(p_1 / p_0) for a sector idempotent p (0 if n = 1)."""
-    ang = cmath.phase((p[1 % len(p)] / p[0]).conjugate()) % (2 * math.pi)
-    return 0.0 if ang > 2 * math.pi - 1e-8 else ang
+def _charge_phase(P: np.ndarray) -> np.ndarray:
+    """Phase in [0, 2 pi) of conj(p_1 / p_0) for each row p of sector idempotents (0 if n = 1)."""
+    ang = np.angle((P[:, 1 % P.shape[1]] / P[:, 0]).conj()) % (2 * math.pi)
+    return np.where(ang > 2 * math.pi - 1e-8, 0.0, ang)
 
 
 def center_idempotents(alg: TubeAlgebra, tol: float = 1e-9) -> CenterBasis:
     """Extract the minimal central idempotents of ``alg`` numerically.
 
-    In each flux sector the center is the nullspace of the commutation
-    constraints; a generic central element's multiplication operator
-    restricted to the center is diagonalized, its eigenvectors rescaled to
-    idempotents. Raises :class:`DecompositionError` if residuals exceed
-    tolerance (the algebra is then not associative/semisimple enough for
-    this route).
+    Every flux sector must be commutative. In sector g the eigenvectors of
+    left multiplication by u_(g,1) are rescaled to idempotents; for
+    ``tube_pointed`` data u_(g,1) generates the sector and its eigenvalues
+    psi_j(1) = exp(2 pi i (k g / n + j) / n) are at least 2 sin(pi / n) apart.
+    Raises :class:`DecompositionError` if the structure constants are not
+    associative or not commutative, if the eigenvalues are not separated,
+    or if residuals exceed tolerance.
     """
     res = alg.associativity_residual()
     if res > tol:
         raise DecompositionError(f"structure constants not associative (residual {res:.3e})")
+    res = float(np.abs(alg.mult - alg.mult.swapaxes(1, 2)).max())
+    if res > tol:
+        raise DecompositionError(f"structure constants not commutative (residual {res:.3e})")
     n = alg.n
-    rng = np.random.default_rng(7)
-    rows, flux = [], []
+    idempotents = np.zeros((alg.dim, alg.dim), dtype=complex)
     worst = completeness = 0.0
     for g in range(n):
-        m = alg.mult[g]
-
-        def product(u, v):
-            return np.einsum("x,y,xyz->z", u, v, m)
-
-        Z = _center_subspace(m, tol)
-        r = Z.shape[0]
-        if r == 0:
-            raise DecompositionError("empty center")
-
-        # multiplication by a generic central element, restricted to the center
-        for _attempt in range(4):
-            z = rng.standard_normal(r) @ Z
-            L = np.zeros((r, r), dtype=complex)
-            closure = 0.0
-            for j in range(r):
-                prod = product(z, Z[j])
-                comp = Z.conj() @ prod
-                closure = max(closure, float(np.abs(prod - comp @ Z).max()))
-                L[:, j] = comp
-            if closure > 1e3 * tol:
-                raise DecompositionError(f"center not closed under product (residual {closure:.3e})")
-            evals, evecs = np.linalg.eig(L)
-            gaps = np.abs(evals[:, None] - evals[None, :]) + np.eye(r)
-            if gaps.min() > 1e-6:
-                break
-        else:
+        m, sector = alg.mult[g], slice(g * n, (g + 1) * n)
+        evals, evecs = np.linalg.eig(m[1 % n].T)  # left multiplication by u_(g,1)
+        gaps = np.abs(evals[:, None] - evals[None, :]) + np.eye(n)
+        if gaps.min() <= 1e-6:
             raise DecompositionError("could not separate central eigenvalues")
-
-        idems = []
-        for j in range(r):
-            q = evecs[:, j] @ Z
-            mu = (q.conj() @ product(q, q)) / (q.conj() @ q)
-            if abs(mu) < tol:
-                raise DecompositionError("nilpotent direction in the center")
-            p = q / mu
-            worst = max(worst, float(np.abs(product(p, p) - p).max()))
-            idems.append(p)
+        Q = evecs.T
+        mu = np.einsum("jz,jz->j", Q.conj(), np.einsum("jx,jy,xyz->jz", Q, Q, m))
+        mu /= np.einsum("jz,jz->j", Q.conj(), Q)
+        if np.abs(mu).min() < tol:
+            raise DecompositionError("nilpotent direction in the center")
+        P = Q / mu[:, None]
+        worst = max(worst, float(np.abs(np.einsum("jx,jy,xyz->jz", P, P, m) - P).max()))
         if worst > 1e3 * tol:
             raise DecompositionError(f"idempotent residual {worst:.3e} above tolerance")
-        unit = alg.identity[g * n:(g + 1) * n]
-        completeness = max(completeness, float(np.abs(sum(idems) - unit).max()))
+        completeness = max(completeness, float(np.abs(P.sum(axis=0) - alg.identity[sector]).max()))
         if completeness > 1e3 * tol:
             raise DecompositionError(f"idempotents do not sum to the identity ({completeness:.3e})")
-
         # deterministic order inside the sector: by the phase of the character at 1
-        for p in sorted(idems, key=_charge_phase):
-            row = np.zeros(alg.dim, dtype=complex)
-            row[g * n:(g + 1) * n] = p
-            rows.append(row)
-            flux.append(g)
-    return CenterBasis(np.array(rows), worst, completeness, tuple(flux))
+        idempotents[sector, sector] = P[np.argsort(_charge_phase(P), kind="stable")]
+    flux = tuple(g for g in range(n) for _ in range(n))
+    return CenterBasis(idempotents, worst, completeness, flux)
 
 
 def tube_modular_data(alg: TubeAlgebra, tol: float = 1e-9) -> ModularData:

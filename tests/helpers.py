@@ -91,15 +91,19 @@ def abelian_double_loops(factors):
     return S, T
 
 
-def twisted_double_loops(n, k):
+def twisted_double_loops(n, k, reduced=False):
     """S and T of the twisted double of Z/n with cocycle parameter k.
 
     Label (a, i) sits at a * n + i; psi_(a,i)(x) = exp(2 pi i (k a x / n + i x) / n),
     S_(a,i),(b,j) = conj(psi_(a,i)(b) psi_(b,j)(a)) / n and t_(a,i) = psi_(a,i)(a).
+    With ``reduced`` the integer numerator k a x + n i x is taken mod n^2
+    before it becomes an angle, so every angle is below 2 pi.
     """
     k = k % n
 
     def psi(a, i, x):
+        if reduced:
+            return cmath.exp(2j * math.pi * ((k * a * x + n * i * x) % (n * n)) / (n * n))
         return cmath.exp(2j * math.pi * (k * a * x / n + i * x) / n)
 
     labels = [(a, i) for a in range(n) for i in range(n)]

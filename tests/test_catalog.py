@@ -273,6 +273,17 @@ def test_twisted_double_matches_loop_oracle(n):
         assert np.abs(d.T - T).max() <= tol, (n, k)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_twisted_double_matches_reduced_loop_oracle(n):
+    # with the numerator reduced mod n^2 on both sides every angle is below
+    # 2 pi, so the entries are exact roots of unity to a few ulp of 1
+    for k in range(n):
+        S, T = twisted_double_loops(n, k, reduced=True)
+        d = tvo.twisted_double_cyclic(n, k)
+        assert np.abs(d.S - S).max() <= 2e-15, (n, k)
+        assert np.abs(d.T - T).max() <= 2e-15, (n, k)
+
+
 def test_rank_625_double_builds_unitary():
     d = resolve_builtin_data("dw-z5x5")
     assert d.rank == 625

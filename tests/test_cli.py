@@ -118,6 +118,22 @@ def test_verify_huge_rank_file_exit2(capsys, tmp_path):
     assert "rank 100000000" in err and "Traceback" not in err + out
 
 
+def test_verify_extra_field_exit2(capsys, tmp_path):
+    path = tmp_path / "junk.dat"
+    path.write_text("rank 1\nS 0 0 1.0 0.0 junk\nT 0 1 0\n")
+    code, out, err = run(capsys, "verify", "--data", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "line 2" in err
+    assert "Traceback" not in err + out
+
+
+def test_verify_rank_above_the_verlinde_cap_exit2(capsys):
+    code, out, err = run(capsys, "verify", "--data", "builtin:su2-1000")
+    assert code == 2
+    assert err.startswith("error:") and "rank 1001" in err and "cap 1 GiB" in err
+    assert "Traceback" not in err + out
+
+
 def test_invariant_anomalous_data_warns_on_stderr(capsys):
     code, out, err = run(capsys, "invariant", "lens", "-p", "3", "-q", "1",
                          "--data", "builtin:fibonacci")

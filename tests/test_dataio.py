@@ -117,6 +117,20 @@ def test_out_of_range_index(tmp_path):
         load_modular_file(path)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("rank 1 7\nS 0 0 1 0\nT 0 1 0\n", "line 1: rank needs 1 fields"),
+    ("rank 1\nS 0 0 1.0 0.0 junk\nT 0 1 0\n", "line 2: S needs 4 fields"),
+    ("rank 1\nS 0 0 1 0\nT 0 1.0 0.0 9\n", "line 3: T needs 3 fields"),
+    ("rank 1\nS 0 0 1 0\nT 0 1\n", "line 3: T needs 3 fields"),
+    ("rank 1\nlabel 0 one\nlabel 0 uno\nS 0 0 1 0\nT 0 1 0\n", "line 3: duplicate label 0"),
+])
+def test_modular_file_lines_have_exact_fields(tmp_path, text, message):
+    path = tmp_path / "bad.dat"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        load_modular_file(path)
+
+
 def test_comments_and_labels(tmp_path):
     path = tmp_path / "c.dat"
     path.write_text(
@@ -180,6 +194,13 @@ def test_broken_involution_named(tmp_path):
     ]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match="involution"):
+        load_triangulation(path)
+
+
+def test_tets_line_has_exact_fields(tmp_path):
+    path = tmp_path / "bad.tri"
+    path.write_text("tets 5 9\n")
+    with pytest.raises(ParseError, match="line 1: tets needs 1 fields"):
         load_triangulation(path)
 
 

@@ -300,6 +300,14 @@ def test_rank_1001_search_needs_no_recursion():
     assert perm.tolist() == list(range(1001))
 
 
+def test_verlinde_tensor_above_the_cap_is_refused_before_allocation():
+    # rank 407 would need 1.004 GiB; the cap is 1 GiB (rank 406)
+    d = tvo.su2_level_k(406)
+    for call in (verify_verlinde, fusion_from_S):
+        with pytest.raises(CapacityError, match="rank 407 .*cap 1 GiB"):
+            call(d)
+
+
 def test_node_budget_counts_one_node_per_assigned_label(monkeypatch):
     # su2 level 4 has distinct T eigenvalues: one candidate per label, no backtracking
     d = tvo.su2_level_k(4)

@@ -388,8 +388,8 @@ def test_t_order_is_read_and_verified(toric_code):
     assert tvo.fibonacci()._t_order == 5
     assert tvo.ising()._t_order == 16
     assert tvo.su2_level_k(3)._t_order == 20
-    # at rank 1001 the float phases miss t^4008 = 1 by more than the tolerance
-    assert tvo.su2_level_k(1000)._t_order is None
+    # at rank 1001 the phases come from numerators reduced mod 4008: t^4008 = 1 to 6e-12
+    assert tvo.su2_level_k(1000)._t_order == 4008
     irrational = tvo.ModularData(np.eye(2), [1.0, np.exp(2j * np.pi * math.sqrt(2))])
     assert irrational._t_order is None
 
@@ -403,6 +403,11 @@ def test_huge_framing_is_its_residue(toric_code):
     chain = PlumbingTree.chain([10**18 + 3, -(10**18) - 2, 5])
     small = PlumbingTree.chain([3, -2, 5])
     assert abs(plumbing_invariant(d, chain).value - plumbing_invariant(d, small).value) <= 1e-12
+
+
+def test_su2_1000_huge_framing_is_its_residue():
+    d = tvo.su2_level_k(1000)
+    assert lens_p1(d, 4008 * 10**15 + 3).value == lens_p1(d, 3).value
 
 
 def test_framings_below_the_order_keep_the_raw_power():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -83,7 +84,7 @@ def test_idempotents_are_orthogonal():
 def test_idempotents_match_closed_form():
     # independent construction: p_(g,j) = (1/n) sum_x conj(eps_g(x) chi_j(x)) u_(g,x)
     # with eps_g(x) = exp(2 pi i k g x / n^2) trivializing the sector cocycle
-    for n, k in ((2, 1), (3, 1), (3, 2)):
+    for n, k in ((n, k) for n in range(1, 9) for k in range(n)):
         alg = tube_pointed(n, k)
         expected = []
         for g in range(n):
@@ -131,6 +132,22 @@ def test_non_associative_input_rejected():
         center_idempotents(bad)
 
 
+def test_noncommutative_sectors_rejected():
+    # every sector is M_2(C): associative, but E_01 E_10 = E_00 != E_11 = E_10 E_01
+    n = 4  # basis E_ij at x = 2 i + j
+    mult = np.zeros((n, n, n, n), dtype=complex)
+    for i, j, l in itertools.product(range(2), repeat=3):
+        mult[:, 2 * i + j, 2 * j + l, 2 * i + l] = 1.0
+    labels = tuple((g, x) for g in range(n) for x in range(n))
+    star_perm = np.array([g * n + 2 * j + i for g in range(n) for i in range(2) for j in range(2)])
+    identity = np.tile([1.0, 0.0, 0.0, 1.0], n).astype(complex)
+    alg = tvo.TubeAlgebra(n, 0, labels, mult, np.ones(n * n, dtype=complex), star_perm, identity)
+    assert alg.associativity_residual() == 0
+    assert np.abs(alg.product(identity, np.arange(n * n)) - np.arange(n * n)).max() == 0
+    with pytest.raises(DecompositionError, match="not commutative"):
+        center_idempotents(alg)
+
+
 # ---------------------------------------------------------------------------
 # modular data from the center
 # ---------------------------------------------------------------------------
@@ -175,6 +192,16 @@ def test_tube_modular_data_beyond_dense_sizes(n, k):
     ref = twisted_double_cyclic(n, k)
     assert np.abs(md.S - ref.S).max() < 1e-9
     assert np.abs(md.T - ref.T).max() < 1e-9
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_tube_modular_data_equals_twisted_double_tightly(n):
+    for k in range(n):
+        md = tube_modular_data(tube_pointed(n, k))
+        ref = twisted_double_cyclic(n, k)
+        assert md.labels == ref.labels
+        assert np.abs(md.S - ref.S).max() <= 1e-12, (n, k)
+        assert np.abs(md.T - ref.T).max() <= 1e-12, (n, k)
 
 
 def test_tube_vacuum_label_first():
