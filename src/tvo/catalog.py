@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GeneratorError, PreconditionError
-from .modular import ModularData
+from .modular import ModularData, _require_capacity
 
 _TWO_PI_I = 2j * math.pi
 
@@ -65,8 +65,8 @@ class FiniteAbelianGroup:
         return tuple((m * a) % f for a, f in zip(g, self.factors))
 
     def pairing(self, g, h) -> complex:
-        """Character value chi_h(g) = exp(2 pi i sum g_i h_i / n_i)."""
-        return _e(sum(a * b / f for a, b, f in zip(g, h, self.factors)))
+        """Character value chi_h(g) = exp(2 pi i sum (g_i h_i mod n_i) / n_i)."""
+        return _e(sum(a * b % f / f for a, b, f in zip(g, h, self.factors)))
 
     def __str__(self):
         return "x".join(f"Z{f}" for f in self.factors) if self.factors else "Z1"
@@ -95,6 +95,7 @@ def su2_level_k(k: int) -> ModularData:
     """SU(2) level-k data: S_ij = sqrt(2/(k+2)) sin((i+1)(j+1)pi/(k+2)), spins j(j+2)/(4(k+2))."""
     if k < 1:
         raise PreconditionError("su2_level_k requires k >= 1")
+    _require_capacity((k + 1) ** 2, f"the S matrix of su2_level_k({k}) (rank {k + 1})")
     n = k + 2
     j = np.arange(k + 1)
     # integer numerators reduced mod their periods, so the angles stay below 2 pi
@@ -124,6 +125,7 @@ def pointed_cyclic(n: int, q: int) -> ModularData:
         raise GeneratorError(
             f"quadratic form parameter q={q} is degenerate on Z/{n} (gcd(q, n) != 1)"
         )
+    _require_capacity(n * n, f"the S matrix of pointed_cyclic({n}, {q}) (rank {n})")
     a = np.arange(n)
     S = np.exp(-_TWO_PI_I * (q * np.outer(a, a) % n) / n) / math.sqrt(n)
     T = np.exp(_TWO_PI_I * (q * a * a % (2 * n)) / (2 * n))
@@ -146,8 +148,9 @@ def quantum_double_abelian(G: FiniteAbelianGroup) -> ModularData:
     ordered (index(g), index(h)); the character of (g, h) is chi_h.
     Strictly anomaly-free.
     """
-    els = G.elements()  # els[G.index(g)] == g
     m = G.order
+    _require_capacity(m**4, f"the S matrix of the double of {G} (rank {m * m})")
+    els = G.elements()  # els[G.index(g)] == g
     # P[x, h] = chi_h(x); A[(g, h), (g2, h2)] = P[g2, h]
     P = np.array([[G.pairing(x, h) for h in els] for x in els])
     A = np.tile(np.repeat(P.T, m, axis=1), (m, 1))
@@ -185,6 +188,7 @@ def twisted_double_cyclic(n: int, k: int) -> ModularData:
     """
     if n < 1:
         raise PreconditionError("twisted_double_cyclic requires n >= 1")
+    _require_capacity(n**4, f"the S matrix of twisted_double_cyclic({n}, {k}) (rank {n * n})")
     k = k % n
     a = np.arange(n)
     # psi[a, j, x] = exp(2 pi i (k a x + n j x) / n^2), numerator reduced mod n^2

@@ -36,7 +36,8 @@ _BLOCK_CAP = 16
 _NODE_BUDGET = 500_000
 # largest order of T that ModularData._t_order looks for
 _T_ORDER_CAP = 10_000
-# largest Verlinde tensor (rank^3 complex entries) built, in bytes: rank <= 406
+# largest complex array built, in bytes: the Verlinde tensor (rank^3 entries,
+# rank <= 406) and the generators' S matrices (rank^2 entries, rank <= 8192)
 _VERLINDE_CAP_BYTES = 2**30
 
 
@@ -246,19 +247,24 @@ class VerificationReport:
         return out
 
 
+def _require_capacity(entries: int, what: str):
+    """Raise :class:`CapacityError` when ``entries`` complex numbers exceed
+    ``_VERLINDE_CAP_BYTES``; callers check before they allocate."""
+    size = entries * np.dtype(complex).itemsize
+    if size > _VERLINDE_CAP_BYTES:
+        raise CapacityError(
+            f"{what} needs {size / 2**30:.3g} GiB (cap {_VERLINDE_CAP_BYTES / 2**30:g} GiB)"
+        )
+
+
 def _verlinde_tensor(data: ModularData) -> np.ndarray:
     """Raw complex Verlinde sums N_ij^k = sum_l S_il S_jl conj(S_lk) / S_0l.
 
     Raises :class:`CapacityError` before allocating when the rank^3 tensor
     would exceed ``_VERLINDE_CAP_BYTES`` (1 GiB, i.e. rank > 406).
     """
+    _require_capacity(data.rank**3, f"the Verlinde tensor of rank {data.rank}")
     S = data.S
-    size = data.rank**3 * np.dtype(complex).itemsize
-    if size > _VERLINDE_CAP_BYTES:
-        raise CapacityError(
-            f"the Verlinde tensor of rank {data.rank} needs {size / 2**30:.1f} GiB "
-            f"(cap {_VERLINDE_CAP_BYTES / 2**30:g} GiB)"
-        )
     with np.errstate(divide="ignore", invalid="ignore"):
         weighted = S.conj() / S[0][:, np.newaxis]
     return np.einsum("il,jl,lk->ijk", S, S, weighted)
@@ -373,6 +379,9 @@ def double_data(data: ModularData) -> ModularData:
     input satisfying the matrix axioms the result is strictly anomaly-free
     (the anomaly phases of the factor and its conjugate cancel).
     """
+    _require_capacity(
+        data.rank**4, f"the S matrix of the double of rank-{data.rank} data (rank {data.rank**2})"
+    )
     S2 = np.kron(data.S, data.S.conj())
     T2 = np.kron(data.T, data.T.conj())
     labels = None

@@ -10,18 +10,22 @@ never glued to itself.
 
 Vertex, edge and face classes are the equivalence classes generated by the
 gluings; they are computed once and cached (instances are immutable by
-convention, the moves build new triangulations).
+convention). The constructor validates every gluing.
 
 Both moves are bistellar flips on five vertices, written as token tuples:
 each removed and each new tetrahedron names the vertex token in each of its
 slots, and one routine, ``_flip``, glues the new tetrahedra to each other and
-to the rest of the complex by matching the token sets of faces.
+to the rest of the complex by matching the token sets of faces. A flip
+builds its result without the constructor: it re-validates only the gluings
+it writes, and it carries the vertex and edge classes forward from the
+parent's, numbered as a recomputation would number them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import PreconditionError, StructureError
 
@@ -73,6 +77,45 @@ class _UnionFind:
         return out, len(roots)
 
 
+def _check_gluing(gluings: dict, num_tets: int, key):
+    """Raise unless gluing ``key`` is in range, glues by a permutation of
+    0..3, does not glue a face to itself and is stored with its reverse."""
+    t, f = key
+    t2, perm = gluings[key]
+    if not (0 <= t < num_tets and 0 <= t2 < num_tets):
+        raise StructureError(f"gluing {key} -> {(t2, perm)}: tetrahedron index out of range")
+    if not (0 <= f < 4):
+        raise StructureError(f"gluing {key}: face index out of range")
+    if sorted(perm) != [0, 1, 2, 3]:
+        raise StructureError(f"gluing {key}: {perm} is not a permutation of 0..3")
+    f2 = perm[f]
+    if (t2, f2) == key:
+        raise StructureError(f"face ({t},{f}) glued to itself")
+    back = gluings.get((t2, f2))
+    if back is None or back != (t, inverse_perm(perm)):
+        raise StructureError(
+            f"gluing involution broken at tet {t} face {f} "
+            f"(reverse gluing of tet {t2} face {f2} missing or inconsistent)"
+        )
+
+
+def _by_first_appearance(rows):
+    """Class ids renumbered by first appearance in row order, and their count.
+
+    This is the numbering ``_UnionFind.classes`` gives over the same slots.
+    The rows before the first appearance of the first id that changes keep
+    only unchanged ids and are returned as they are.
+    """
+    flat = list(chain.from_iterable(rows))
+    order = list(dict.fromkeys(flat))
+    moved = next((i for i, c in enumerate(order) if i != c), len(order))
+    if moved == len(order):
+        return rows, len(order)
+    first = flat.index(order[moved]) // len(rows[0])
+    index = {c: i for i, c in enumerate(order)}
+    return rows[:first] + [list(map(index.__getitem__, row)) for row in rows[first:]], len(order)
+
+
 @dataclass
 class Triangulation:
     """A gluing complex on ``num_tets`` tetrahedra.
@@ -89,29 +132,12 @@ class Triangulation:
     def __post_init__(self):
         if self.num_tets < 1:
             raise StructureError("need at least one tetrahedron")
-        clean = {}
-        for key, val in self.gluings.items():
-            t, f = key
-            t2, perm = val
-            perm = tuple(int(x) for x in perm)
-            if not (0 <= t < self.num_tets and 0 <= t2 < self.num_tets):
-                raise StructureError(f"gluing {key} -> {val}: tetrahedron index out of range")
-            if not (0 <= f < 4):
-                raise StructureError(f"gluing {key}: face index out of range")
-            if sorted(perm) != [0, 1, 2, 3]:
-                raise StructureError(f"gluing {key}: {perm} is not a permutation of 0..3")
-            clean[(t, f)] = (t2, perm)
-        for (t, f), (t2, perm) in clean.items():
-            f2 = perm[f]
-            if (t2, f2) == (t, f):
-                raise StructureError(f"face ({t},{f}) glued to itself")
-            back = clean.get((t2, f2))
-            if back is None or back != (t, inverse_perm(perm)):
-                raise StructureError(
-                    f"gluing involution broken at tet {t} face {f} "
-                    f"(reverse gluing of tet {t2} face {f2} missing or inconsistent)"
-                )
-        self.gluings = clean
+        self.gluings = {
+            (t, f): (t2, tuple(int(x) for x in perm))
+            for (t, f), (t2, perm) in self.gluings.items()
+        }
+        for key in self.gluings:
+            _check_gluing(self.gluings, self.num_tets, key)
 
     # -- derived combinatorics ------------------------------------------------
 
@@ -260,7 +286,8 @@ def _flip(tri: Triangulation, old: dict, new: list) -> Triangulation:
     disappear. Surviving tetrahedra keep their order and the new ones follow.
     Gluings are written untouched first, then the internal faces by (new tet,
     face), then the outer faces by (new tet, position of the old tet in
-    ``old``).
+    ``old``). Only the new tetrahedra's gluings and the reverse gluings
+    written on survivors are checked; the rest were valid in ``tri``.
     """
     keep = [s for s in range(tri.num_tets) if s not in old]
     remap = {s: i for i, s in enumerate(keep)}
@@ -290,6 +317,7 @@ def _flip(tri: Triangulation, old: dict, new: list) -> Triangulation:
                     gluings[(base + i, g)] = (base + j, slot_map(tokens, g, new[j], h))
 
     outer = {}  # old face -> (new tet, new face, new-slot -> old-slot map)
+    rewritten = []  # reverse gluings written on surviving tetrahedra
     for i, tokens in enumerate(new):
         for s, old_tokens in old.items():
             for g in range(4):
@@ -307,7 +335,51 @@ def _flip(tri: Triangulation, old: dict, new: list) -> Triangulation:
             j, perm = remap[s2], tuple(rho[sigma[x]] for x in range(4))
         gluings[(i, g)] = (j, perm)
         gluings[(j, perm[g])] = (i, inverse_perm(perm))
-    return Triangulation(base + len(new), gluings)
+        if j < base:
+            rewritten.append((j, perm[g]))
+
+    out = object.__new__(Triangulation)
+    out.num_tets, out.gluings = base + len(new), gluings
+    if not out.is_closed:
+        raise StructureError("bistellar flip left faces unglued")
+    for key in [(t, g) for t in range(base, out.num_tets) for g in range(4)] + rewritten:
+        _check_gluing(gluings, out.num_tets, key)
+    _carry_classes(tri, out, old, new, keep)
+    return out
+
+
+def _carry_classes(tri: Triangulation, out: Triangulation, old: dict, new: list, keep: list):
+    """Give ``out``, the flip of ``tri``, vertex and edge classes derived from the parent's.
+
+    A flip keeps every vertex and edge class of the parent: a token, or a
+    pair of tokens, of a new tetrahedron lies in the class of the old corner
+    or edge it spans, and the tokens or pairs that no old tetrahedron spans
+    (the 1-4 apex and its edges, the 2-3 edge between the apexes) are new
+    classes. Surviving tetrahedra keep their rows; ids are then renumbered
+    by first appearance, so they equal a recomputation from the gluings.
+    Rows that the renumbering leaves alone are shared with the parent.
+    """
+    vclass, eclass = tri.vertex_class, tri.edge_class
+    vertex, edge = {}, {}  # token -> vertex class, token pair -> edge class
+    for s, tokens in old.items():
+        for v in range(4):
+            vertex[tokens[v]] = vclass[s][v]
+        for e, (a, b) in enumerate(TET_EDGES):
+            edge[frozenset((tokens[a], tokens[b]))] = eclass[s][e]
+    vertex_rows = [vclass[s] for s in keep]
+    edge_rows = [eclass[s] for s in keep]
+    for tokens in new:
+        for x in tokens:
+            if x not in vertex:
+                vertex[x] = tri.num_vertices + len(vertex)
+        vertex_rows.append([vertex[x] for x in tokens])
+        pairs = [frozenset((tokens[a], tokens[b])) for a, b in TET_EDGES]
+        for pair in pairs:
+            if pair not in edge:
+                edge[pair] = tri.num_edges + len(edge)
+        edge_rows.append([edge[pair] for pair in pairs])
+    out.vertex_class, out._num_vertices = _by_first_appearance(vertex_rows)
+    out.edge_class, out._num_edges = _by_first_appearance(edge_rows)
 
 
 def pachner_14(tri: Triangulation, t: int) -> Triangulation:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .catalog import _double_from_characters, cyclic_cocycle
 from .errors import DecompositionError, PreconditionError
-from .modular import ModularData
+from .modular import ModularData, _require_capacity
 
 
 @dataclass(eq=False)
@@ -89,6 +89,7 @@ def tube_pointed(n: int, k: int) -> TubeAlgebra:
     """
     if n < 1:
         raise PreconditionError("tube_pointed requires n >= 1")
+    _require_capacity(n**4, f"the tube algebra of Z/{n} (n^4 structure constants)")
     k = k % n
     omega = cyclic_cocycle(n, k)
     labels = tuple((g, x) for g in range(n) for x in range(n))

@@ -72,14 +72,14 @@ def abelian_double_loops(factors):
     """S and T of the untwisted double of the product of Z/n, n in ``factors``.
 
     Label (g, h) sits at index(g) * |G| + index(h), elements in lexicographic
-    order; chi_h(g) = exp(2 pi i sum_c g_c h_c / n_c),
+    order; chi_h(g) = exp(2 pi i sum_c (g_c h_c mod n_c) / n_c),
     S_(g,h),(g2,h2) = conj(chi_h(g2) chi_h2(g)) / |G| and t_(g,h) = chi_h(g).
     """
     group = list(itertools.product(*(range(n) for n in factors)))
     labels = [(g, h) for g in group for h in group]
 
     def chi(h, g):
-        return cmath.exp(2j * math.pi * sum(a * b / n for a, b, n in zip(g, h, factors)))
+        return cmath.exp(2j * math.pi * sum(a * b % n / n for a, b, n in zip(g, h, factors)))
 
     size = len(labels)
     S = np.zeros((size, size), dtype=complex)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import tvo
 from tvo import (
+    CapacityError,
     FiniteAbelianGroup,
     GeneratorError,
     PreconditionError,
@@ -260,6 +261,13 @@ def test_quantum_double_matches_loop_oracle(factors):
     assert np.abs(d.T - T).max() <= 1e-15
 
 
+def test_abelian_double_twists_are_exact_roots_of_unity():
+    # chi_h(g) sums (g_i h_i mod n_i) / n_i: at (1,3|1,3) on Z2 x Z4 the
+    # angle is 3/4 of a turn, not 11/4
+    d = tvo.quantum_double_abelian(FiniteAbelianGroup((2, 4)))
+    assert abs(d.T[d.labels.index("(1,3|1,3)")] - (-1j)) <= 4e-16
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_twisted_double_matches_loop_oracle(n):
     # both sides exponentiate unreduced angles of up to 4 pi n, computed in a
@@ -288,3 +296,23 @@ def test_rank_625_double_builds_unitary():
     d = resolve_builtin_data("dw-z5x5")
     assert d.rank == 625
     assert np.abs(d.S @ d.S.conj().T - np.eye(625)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("build, rank", [
+    (lambda: tvo.su2_level_k(8192), 8193),
+    (lambda: tvo.pointed_cyclic(8193, 2), 8193),
+    (lambda: tvo.twisted_double_cyclic(91, 1), 8281),
+    (lambda: tvo.quantum_double_abelian(FiniteAbelianGroup((7, 13))), 8281),
+    (lambda: tvo.double_data(tvo.su2_level_k(90)), 8281),
+])
+def test_generators_refuse_s_matrices_above_the_cap(build, rank):
+    # a rank x rank complex S fits 1 GiB up to rank 8192; the check runs
+    # before anything of that size is allocated
+    with pytest.raises(CapacityError, match=f"rank {rank}\\).* needs .*cap 1 GiB"):
+        build()
+
+
+def test_tube_algebra_above_the_cap_is_refused():
+    # n^4 complex structure constants: n = 90 fits 1 GiB, n = 91 does not
+    with pytest.raises(CapacityError, match="Z/91 .*cap 1 GiB"):
+        tvo.tube_pointed(91, 1)

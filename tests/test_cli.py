@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 import tvo
 from tvo.cli import fmt_value, main, resolve_builtin_data
 
@@ -131,6 +133,21 @@ def test_verify_rank_above_the_verlinde_cap_exit2(capsys):
     code, out, err = run(capsys, "verify", "--data", "builtin:su2-1000")
     assert code == 2
     assert err.startswith("error:") and "rank 1001" in err and "cap 1 GiB" in err
+    assert "Traceback" not in err + out
+
+
+@pytest.mark.parametrize("name, rank", [
+    ("su2-10000000", "10000001"),
+    ("pointed-z100000000", "100000000"),
+    ("twisted-z100000-1", "10000000000"),
+    ("dw-z100000x100000", "100000000000000000000"),
+    ("dw-z1000000", "1000000000000"),
+])
+def test_verify_huge_generator_exit2(capsys, name, rank):
+    # refused before the generator allocates its S matrix
+    code, out, err = run(capsys, "verify", "--data", f"builtin:{name}")
+    assert code == 2
+    assert err.startswith("error:") and f"rank {rank})" in err and "cap 1 GiB" in err
     assert "Traceback" not in err + out
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from tvo import PreconditionError, StructureError, Triangulation
-from tvo.triangulation import inverse_perm, pachner_14, pachner_23
+from tvo import PreconditionError, StructureError, Triangulation, pointed_sixj, tv_evaluate
+from tvo.triangulation import boundary_4_simplex, inverse_perm, pachner_14, pachner_23
 
 from helpers import random_pachner_sequence, two_tet_sphere
 
@@ -188,3 +188,69 @@ def test_seeded_walk_is_pinned(s3_triangulation):
         ("2-3", (3, 0)), ("2-3", (28, 2)), ("2-3", (26, 3)),
     ]
     assert (tri.num_tets, tri.num_vertices, tri.num_edges) == (51, 8, 59)
+
+
+def classes(tri):
+    for rows in (tri.vertex_class, tri.edge_class):
+        # ids are numbered by first appearance in corner order
+        top = -1
+        for c in (c for row in rows for c in row):
+            assert c <= top + 1
+            top = max(top, c)
+    return tri.vertex_class, tri.edge_class, tri.num_vertices, tri.num_edges
+
+
+def walk_step(tri, rng, distinct_apexes):
+    """One seeded move: a 1-4 move one time in ten, else a 2-3 move on a face
+    between two tetrahedra (with distinct apex classes if asked)."""
+    if rng.random() < 0.1:
+        return pachner_14(tri, int(rng.integers(tri.num_tets)))
+    vclass = tri.vertex_class
+    faces = [
+        (t, f) for (t, f), (t2, perm) in tri.gluings.items()
+        if t2 != t and (not distinct_apexes or vclass[t][f] != vclass[t2][perm[f]])
+    ]
+    return pachner_23(tri, *faces[int(rng.integers(len(faces)))])
+
+
+def test_carried_classes_match_recomputation_along_a_walk():
+    # the moves derive the classes from the parent's; a fresh complex on the
+    # same gluings re-validates them and recomputes the classes by union-find.
+    # With the degenerate chains below the walks make 1000 checked moves.
+    rng = np.random.default_rng(23)
+    sixjs = [pointed_sixj(2, 1), pointed_sixj(3, 1)]
+    tri = boundary_4_simplex()
+    kinds = set()
+    for step in range(1, 301):
+        before = tri.num_tets
+        tri = walk_step(tri, rng, distinct_apexes=True)
+        kinds.add(tri.num_tets - before)
+        fresh = Triangulation(tri.num_tets, tri.gluings)
+        assert classes(tri) == classes(fresh), step
+        if step in (50, 150, 300):
+            for sixj in sixjs:
+                assert tv_evaluate(sixj, tri).value == tv_evaluate(sixj, fresh).value
+    assert kinds == {1, 3}
+
+
+def test_carried_classes_match_recomputation_on_degenerate_flips():
+    # from the two-tet sphere every face joins the same two tetrahedra, so the
+    # flips glue new tetrahedra to themselves and 2-3 apexes may share a class
+    rng = np.random.default_rng(29)
+    for chain in range(14):
+        tri = two_tet_sphere()
+        for step in range(50):
+            tri = walk_step(tri, rng, distinct_apexes=False)
+            fresh = Triangulation(tri.num_tets, tri.gluings)
+            assert classes(tri) == classes(fresh), (chain, step)
+            assert tri.euler_characteristic == 0
+
+
+def test_flip_validates_the_faces_it_writes(s3_triangulation):
+    # a corrupt outer gluing of the flipped tetrahedron reaches only the
+    # faces the move writes; their check must still refuse it
+    tri = Triangulation(s3_triangulation.num_tets, s3_triangulation.gluings)
+    t2, _ = tri.gluings[(0, 1)]
+    tri.gluings[(0, 1)] = (t2, (0, 0, 2, 3))
+    with pytest.raises(StructureError, match="not a permutation"):
+        pachner_14(tri, 0)
