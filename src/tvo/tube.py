@@ -63,9 +63,17 @@ class TubeAlgebra:
         return out
 
     def associativity_residual(self) -> float:
-        # one sector at a time, so the temporaries are n^4 like mult itself
-        return max(float(np.abs(np.einsum("abx,xcd->abcd", m, m)
-                                - np.einsum("bcy,ayd->abcd", m, m)).max()) for m in self.mult)
+        # one sector at a time, so the temporaries are n^4 like mult itself;
+        # each triple product is one (n^2, n) @ (n, n^2) matmul
+        n = self.n
+        worst = 0.0
+        for m in self.mult:
+            M = m.reshape(n * n, n)
+            lhs = M @ m.reshape(n, n * n)  # [(a, b), (c, d)] = sum_x m[a,b,x] m[x,c,d]
+            rhs = M @ m.transpose(1, 0, 2).reshape(n, n * n)  # [(b, c), (a, d)] = sum_y m[b,c,y] m[a,y,d]
+            rhs = rhs.reshape(n, n, n, n).transpose(2, 0, 1, 3)
+            worst = max(worst, float(np.abs(lhs.reshape(n, n, n, n) - rhs).max()))
+        return worst
 
     def star_antihomomorphism_residual(self) -> float:
         """max |(e_a e_b)^* - e_b^* e_a^*| over all basis pairs of one sector."""

@@ -31,6 +31,25 @@ def verlinde_loops(S):
     return N
 
 
+def fusion_associative_loops(N):
+    """sum_x N[i][j][x] N[x][k][l] == sum_y N[j][k][y] N[i][y][l] for every i, j, k, l,
+    in exact Python integers."""
+    N = [[[int(v) for v in row] for row in plane] for plane in N]
+    m = len(N)
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                for l in range(m):
+                    lhs = 0
+                    rhs = 0
+                    for x in range(m):
+                        lhs += N[i][j][x] * N[x][k][l]
+                        rhs += N[j][k][x] * N[i][x][l]
+                    if lhs != rhs:
+                        return False
+    return True
+
+
 def lens_p1_loops(S, T, p):
     return sum(T[i] ** p * S[i, 0] ** 2 for i in range(S.shape[0]))
 

@@ -22,7 +22,7 @@ from tvo import (
     verify_verlinde,
 )
 
-from helpers import verlinde_loops
+from helpers import fusion_associative_loops, verlinde_loops
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -87,6 +87,31 @@ def test_anomaly_phase_unimodular_when_proportional(maker):
     assert abs(abs(rep.anomaly_phase) - 1.0) < 1e-9
 
 
+def test_report_stats_time_every_stage():
+    rep = verify_verlinde(tvo.su2_level_k(3))
+    assert set(rep.stats) == {"rank", "tensor_s", "rounding_s", "ring_s", "sl2_s"}
+    assert rep.stats["rank"] == 4
+    assert all(v >= 0 for v in rep.stats.values())
+    # the stats take no part in equality or in the printed lines
+    again = verify_verlinde(tvo.su2_level_k(3))
+    again.stats["tensor_s"] += 1.0
+    assert again == rep and again.lines() == rep.lines()
+
+
+def test_rank_81_double_passes_strictly_with_the_group_law():
+    # D(Z/3 x Z/3): label (g, h) sits at index(g) * 9 + index(h), so the base-3
+    # digits of a label are (g0, g1, h0, h1) and fusion adds them mod 3
+    d = tvo.quantum_double_abelian(tvo.FiniteAbelianGroup((3, 3)))
+    assert d.rank == 81
+    assert verify_verlinde(d).strict_pass
+    expected = np.zeros((81, 81, 81), dtype=np.int64)
+    for i in range(81):
+        for j in range(81):
+            k = sum((i // 3**e + j // 3**e) % 3 * 3**e for e in range(4))
+            expected[i, j, k] = 1
+    assert np.array_equal(fusion_from_S(d).N, expected)
+
+
 def test_report_flags_broken_unitarity():
     S = np.array([[1.0, 0.1], [0.1, -1.0]], dtype=complex)
     rep = verify_verlinde(ModularData(S, np.array([1, 1j])))
@@ -114,7 +139,8 @@ def test_fibonacci_fusion_against_loop_oracle():
 
 
 @pytest.mark.parametrize("maker", [tvo.ising, lambda: tvo.su2_level_k(3),
-                                   lambda: tvo.pointed_cyclic(4, 1)])
+                                   lambda: tvo.pointed_cyclic(4, 1),
+                                   lambda: tvo.twisted_double_cyclic(5, 2)])
 def test_fusion_matches_loop_oracle(maker):
     d = maker()
     raw = verlinde_loops(d.S)
@@ -122,6 +148,42 @@ def test_fusion_matches_loop_oracle(maker):
     table = fusion_from_S(d)
     assert np.abs(raw.real - table.N).max() < 1e-9
     assert table.unit_ok() and table.commutative_ok() and table.associative_ok()
+
+
+@pytest.mark.parametrize("factors", [(4,), (2, 2)])
+def test_associativity_matches_loop_oracle_at_rank_16(factors):
+    table = fusion_from_S(tvo.quantum_double_abelian(tvo.FiniteAbelianGroup(factors)))
+    assert table.rank == 16
+    assert table.associative_ok() and fusion_associative_loops(table.N)
+
+
+def test_associativity_detects_a_redirected_product():
+    # the group law of Z/4 x Z/4 (element 4a + b), with (1,0)(0,1) = (0,1)(1,0)
+    # sent to (2,0) instead of (1,1): still unital and commutative
+    N = np.zeros((16, 16, 16), dtype=np.int64)
+    for g in range(16):
+        for h in range(16):
+            N[g, h, 4 * ((g // 4 + h // 4) % 4) + (g + h) % 4] = 1
+    for g, h in ((4, 1), (1, 4)):
+        N[g, h] = 0
+        N[g, h, 8] = 1
+    table = tvo.FusionTable(N)
+    assert table.unit_ok() and table.commutative_ok()
+    assert not fusion_associative_loops(N)
+    assert not table.associative_ok()
+
+
+def test_associativity_refuses_tables_past_the_float64_bound():
+    # rank * max(N)^2 must stay below 2^53 for the float64 products to be exact
+    N = np.zeros((2, 2, 2), dtype=np.int64)
+    N[0] = np.eye(2, dtype=np.int64)
+    N[1, 0, 1] = 1
+    N[1, 1, 0] = 2**26 - 1
+    assert tvo.FusionTable(N).associative_ok() and fusion_associative_loops(N)
+    for big in (2**26, 2**27):
+        N[1, 1, 0] = big
+        with pytest.raises(CapacityError, match=r"rank \* max\(N\)\^2 < 2\^53"):
+            tvo.FusionTable(N).associative_ok()
 
 
 def test_toric_code_fusion_is_klein_group_law(toric_code):
