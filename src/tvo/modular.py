@@ -129,6 +129,11 @@ class ModularData:
         return N if float(np.abs(self.T ** N - 1.0).max()) <= self.tolerance else None
 
     @cached_property
+    def _s0_min(self) -> float:
+        # smallest |S_i0|: the surgery sums divide by S_i0 at vertices of degree > 1
+        return float(np.abs(self.S[:, 0]).min())
+
+    @cached_property
     def _st_cubed(self):
         # returns ((ST)^3, S^2, scalar u, proportionality residual)
         M = self.S * self.T[np.newaxis, :]

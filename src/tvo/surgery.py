@@ -20,6 +20,16 @@ M(p,q,r) has |H_1| = |pqr - pq - pr - qr|, so it is the Brieskorn homology
 sphere Sigma(p,q,r) only when that value is 1 (e.g. (2,3,5) and (2,3,7), but
 not (2,5,7) or (3,5,7)).
 
+A chain's sum is a product of SL(2,Z) images, e_0^T S prod_j (T^(a_j) S) e_0
+(Jeffrey 1992), so a lens chain is never built vertex by vertex. The
+continued fraction of p/q comes as O(log p) runs of equal framings, found
+by Euclid-style jumps, and the evaluator applies a run of m interior
+vertices either as m mat-vecs or as the m-th power of diag(t^a) S by binary
+powering, by a fixed rule on the two operation counts. L(p, q) costs
+O(log p) matrix products. Above 10^7 vertices, or a framing above 10^7 on
+data whose T has no verified finite order, the roundoff would swamp the
+value, and :class:`CapacityError` is raised instead.
+
 Values for data whose anomaly phase differs from 1 are still computed but
 carry a warning tag (no framing-anomaly correction is attempted).
 """
@@ -31,7 +41,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDataError, PreconditionError, StructureError, TvoError
+from .errors import (
+    CapacityError,
+    DegenerateDataError,
+    PreconditionError,
+    StructureError,
+    TvoError,
+)
 from .modular import ModularData
 
 
@@ -133,46 +149,129 @@ class PlumbingTree:
         return cls(verts, edges)
 
 
-def _contract(data: ModularData, tree: PlumbingTree, method: str) -> InvariantValue:
-    """The surgery sum of ``tree``, contracted leaf-first along its schedule.
+#: the most vertices one surgery sum contracts, and the largest |framing|
+#: raised as a float power when T has no verified finite order. The roundoff
+#: of both grows linearly (3e-17 to 3e-16 per vertex on L(p, p - 1) on the
+#: abelian doubles), so past this size a value carries more than a few 1e-9
+#: of noise; it is refused instead.
+_SURGERY_CAP = 10**7
 
-    Each vertex carries t^framing S_0^(2-deg) and each edge one S @ child;
-    a vertex multiplies in its children in id order, so the summation order
-    is fixed and repeated calls give the same bits.
+
+def _contract(data: ModularData, schedule, method: str) -> InvariantValue:
+    """The surgery sum of the plumbing that ``schedule`` describes, leaf-first.
+
+    ``schedule`` holds one ``(framing, degree, child positions, multiplicity)``
+    entry per vertex, every entry after its parent. A multiplicity m > 1
+    stands for a path of m identical vertices of degree 2 with one child.
+    Each vertex carries t^framing S_0^(2-deg) and each edge one S @ child; a
+    vertex multiplies in its children in the listed order, so the summation
+    order is fixed and repeated calls give the same bits.
+
+    A run applies M = diag(t^a) S m times. The loop does that with m
+    mat-vecs, m r^2 multiply-adds at rank r. Binary powering does
+    bit_length(m) - 1 squarings of r^3 each plus a mat-vec per set bit of m,
+    at most 2 r^3 bit_length(m) in all. A run is powered when the loop costs
+    more than that bound, m > 2 r bit_length(m). On rank >= 2 a run of up to
+    20 vertices (all of L(p, q) for p <= 23) stays on the loop, bit for bit.
+
+    Raises :class:`CapacityError` for more than ``_SURGERY_CAP`` vertices,
+    and for a framing above it in absolute value when T has no verified
+    finite order; with an order N, framings of N or more are reduced mod N,
+    exactly. ``stats`` counts ``vertices`` (expanded), schedule ``entries``,
+    distinct (framing, degree) ``bases``, ``powered_runs``, ``matmuls`` (r x r
+    products) and whether any framing was reduced (``framing_reduced``).
     """
-    s0 = data.S[:, 0]
-    if (any(deg > 1 for _, deg, _ in tree.schedule)
-            and float(np.abs(s0).min()) <= data.tolerance):
+    vertices = sum(entry[3] for entry in schedule)
+    if vertices > _SURGERY_CAP:
+        raise CapacityError(f"surgery on {vertices} vertices is above the cap of "
+                            f"{_SURGERY_CAP} vertices")
+    if any(entry[1] > 1 for entry in schedule) and data._s0_min <= data.tolerance:
         raise DegenerateDataError("S column 0 has (near-)zero entries")
+    S = data.S
+    s0 = S[:, 0]
+    r = data.rank
     order = data._t_order
     bases = {}
-    messages = [None] * len(tree.schedule)
-    for k in range(len(tree.schedule) - 1, -1, -1):
-        a, deg, kids = tree.schedule[k]
-        if order is not None and abs(a) >= order:  # t^N = 1: exact, unlike a huge float power
-            a %= order
-        vec = bases.get((a, deg))
-        if vec is None:
-            vec = bases[(a, deg)] = data.T ** a * s0 ** (2 - deg)
-        for c in kids:
-            vec = vec * (data.S @ messages[c])
-            messages[c] = None
+    reduced = False
+    powered = matmuls = 0
+    messages = [None] * len(schedule)
+    for k in range(len(schedule) - 1, -1, -1):
+        a, deg, kids, m = schedule[k]
+        if order is not None:
+            if abs(a) >= order:  # t^N = 1: exact, unlike a huge float power
+                a %= order
+                reduced = True
+        elif abs(a) > _SURGERY_CAP:
+            raise CapacityError(f"framing {a} is above the cap of {_SURGERY_CAP} and T has "
+                                "no verified finite order to reduce it by")
+        base = bases.get((a, deg))
+        if base is None:
+            base = bases[(a, deg)] = data.T ** a * s0 ** (2 - deg)
+        if m > 2 * r * m.bit_length():
+            # M^m v as the product of M^(2^j) over the set bits j of m
+            vec, M = messages[kids[0]], base[:, None] * S
+            messages[kids[0]] = None
+            powered += 1
+            while True:
+                if m & 1:
+                    vec = M @ vec
+                m >>= 1
+                if not m:
+                    break
+                M = M @ M
+                matmuls += 1
+        else:
+            vec = base
+            for c in kids:
+                vec = vec * (S @ messages[c])
+                messages[c] = None
+            for _ in range(m - 1):  # the rest of a run, bottom to top
+                vec = base * (S @ vec)
         messages[k] = vec
-    return InvariantValue(complex(messages[0].sum()), method, _warnings_for(data))
+    stats = {"vertices": vertices, "entries": len(schedule), "bases": len(bases),
+             "powered_runs": powered, "matmuls": matmuls, "framing_reduced": reduced}
+    return InvariantValue(complex(messages[0].sum()), method, _warnings_for(data), stats)
+
+
+def _tree_schedule(tree: PlumbingTree) -> list:
+    return [(a, deg, kids, 1) for a, deg, kids in tree.schedule]
+
+
+def _chain_schedule(runs) -> list:
+    """The schedule of the chain whose framings are ``runs`` of (framing,
+    count), root first: each end vertex alone, each run's interior as one
+    entry with its count as multiplicity."""
+    n = sum(c for _, c in runs)
+    if n == 1:
+        return [(runs[0][0], 0, (), 1)]
+    pieces = []  # (framing, degree, multiplicity)
+    seen = 0
+    for a, c in runs:
+        head = seen == 0
+        tail = seen + c == n
+        if head:
+            pieces.append((a, 1, 1))
+        if c - head - tail:
+            pieces.append((a, 2, c - head - tail))
+        if tail:
+            pieces.append((a, 1, 1))
+        seen += c
+    last = len(pieces) - 1
+    return [(a, deg, (k + 1,) if k < last else (), m) for k, (a, deg, m) in enumerate(pieces)]
 
 
 def lens_p1(data: ModularData, p: int) -> InvariantValue:
     """sum_i t_i^p S_i0^2. p = 0 is allowed (the value for S^1 x S^2)."""
     if p < 0:
         raise PreconditionError("lens_p1 requires p >= 0")
-    return _contract(data, PlumbingTree.single(p), f"lens_p1(p={p})")
+    return _contract(data, _chain_schedule([(p, 1)]), f"lens_p1(p={p})")
 
 
 def lens_p2(data: ModularData, p: int) -> InvariantValue:
     """sum_ij t_i^((p+1)/2) t_j^2 S_i0 S_j0 S_ij, for odd positive p."""
     if p < 1 or p % 2 == 0:
         raise PreconditionError("lens_p2 requires odd positive p")
-    return _contract(data, PlumbingTree.chain([(p + 1) // 2, 2]), f"lens_p2(p={p})")
+    return _contract(data, _chain_schedule([((p + 1) // 2, 1), (2, 1)]), f"lens_p2(p={p})")
 
 
 def brieskorn(data: ModularData, p: int, q: int, r: int) -> InvariantValue:
@@ -183,41 +282,67 @@ def brieskorn(data: ModularData, p: int, q: int, r: int) -> InvariantValue:
     """
     if min(p, q, r) < 2:
         raise PreconditionError("brieskorn requires p, q, r >= 2")
-    return _contract(data, PlumbingTree.star(1, (p, q, r)), f"brieskorn(p={p},q={q},r={r})")
+    return _contract(data, _tree_schedule(PlumbingTree.star(1, (p, q, r))),
+                     f"brieskorn(p={p},q={q},r={r})")
 
 
 def plumbing_invariant(data: ModularData, tree: PlumbingTree) -> InvariantValue:
     """The surgery formula on an arbitrary plumbing tree, rooted at its first vertex."""
-    return _contract(data, tree, f"plumbing(tree with {len(tree.vertices)} vertices)")
+    return _contract(data, _tree_schedule(tree),
+                     f"plumbing(tree with {len(tree.vertices)} vertices)")
+
+
+def _ncf_runs(p: int, q: int) -> list[tuple[int, int]]:
+    """The negative continued fraction of p/q as maximal (framing, count) runs.
+
+    A step of the ceiling recursion a = ceil(p/q), (p, q) -> (q, a q - p)
+    with a = 2 keeps d = p - q and lowers p and q by d, so it repeats while
+    q >= d: q // d twos are taken in one jump. Any other step has a >= 3, so
+    p > 2q and the next p = q is below half of p. That makes O(log p) runs.
+    """
+    if p < 1 or q < 1:
+        raise PreconditionError("continued fraction requires positive p, q")
+    runs = []
+    while q > 0:
+        a = -(-p // q)
+        if a == 2:
+            d = p - q
+            count = q // d
+            p, q = p - count * d, q - count * d
+        else:
+            count = 1
+            p, q = q, a * q - p
+        if runs and runs[-1][0] == a:
+            runs[-1] = (a, runs[-1][1] + count)
+        else:
+            runs.append((a, count))
+    return runs
 
 
 def negative_continued_fraction(p: int, q: int) -> list[int]:
     """Coefficients [a1, ..., am], all >= 2 except possibly a1, with
-    p/q = a1 - 1/(a2 - 1/(...)), computed by the ceiling recursion."""
-    if p < 1 or q < 1:
-        raise PreconditionError("continued fraction requires positive p, q")
-    out = []
-    while q > 0:
-        a = -(-p // q)
-        out.append(a)
-        p, q = q, a * q - p
-    return out
+    p/q = a1 - 1/(a2 - 1/(...)): the expansion of :func:`_ncf_runs`."""
+    return [a for a, count in _ncf_runs(p, q) for _ in range(count)]
 
 
 def lens_general(data: ModularData, p: int, q: int) -> InvariantValue:
     """L(p, q) via the framed chain of the negative continued fraction of p/q.
 
     Requires gcd(p, q) = 1 and 0 < q < p (p = 1 gives the 3-sphere for any q).
+    The chain is contracted from its runs, in O(log p) steps, and refused
+    with :class:`CapacityError` above ``_SURGERY_CAP`` vertices.
     """
     if p < 1 or q < 1:
         raise PreconditionError("lens_general requires positive p, q")
     if math.gcd(p, q) != 1:
         raise PreconditionError(f"lens_general requires gcd(p, q) = 1, got ({p},{q})")
     if p == 1:
-        chain = [1]
+        runs = [(1, 1)]
     else:
         if q >= p:
             raise PreconditionError("lens_general requires q < p")
-        chain = negative_continued_fraction(p, q)
-    shown = f"chain={chain}" if len(chain) <= 8 else f"chain of {len(chain)} vertices"
-    return _contract(data, PlumbingTree.chain(chain), f"lens_general(p={p},q={q},{shown})")
+        runs = _ncf_runs(p, q)
+    n = sum(c for _, c in runs)
+    shown = (f"chain={[a for a, c in runs for _ in range(c)]}" if n <= 8
+             else f"chain of {n} vertices")
+    return _contract(data, _chain_schedule(runs), f"lens_general(p={p},q={q},{shown})")

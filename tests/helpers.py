@@ -87,6 +87,32 @@ def brieskorn_loops(S, T, p, q, r):
     return acc
 
 
+def negative_continued_fraction_loop(p, q):
+    """[a1, ..., am] with p/q = a1 - 1/(a2 - 1/(...)), one term per step of
+    the ceiling recursion a = ceil(p/q), (p, q) -> (q, a q - p)."""
+    out = []
+    while q > 0:
+        a = -(-p // q)
+        out.append(a)
+        p, q = q, a * q - p
+    return out
+
+
+def chain_surgery_loops(S, T, framings):
+    """The surgery sum of the framed chain ``framings``, one vertex at a time
+    from the first: the row vector w carries the sum over the colors of the
+    vertices passed, w_j = sum_i w_i S_ij times t_j^a at each vertex, and each
+    end vertex carries one factor S_0j (an interior vertex S_0j^0 = 1)."""
+    framings = list(framings)
+    s0 = np.array([S[j, 0] for j in range(S.shape[0])])
+    if len(framings) == 1:
+        return complex((T ** framings[0] * s0 * s0).sum())
+    w = T ** framings[0] * s0
+    for a in framings[1:]:
+        w = (w @ S) * T ** a
+    return complex((w * s0).sum())
+
+
 def abelian_double_loops(factors):
     """S and T of the untwisted double of the product of Z/n, n in ``factors``.
 

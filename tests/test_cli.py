@@ -103,6 +103,23 @@ def test_invariant_long_lens_chain_comment_is_short(capsys):
     assert "chain of 1999 vertices" in comments[0]
 
 
+def test_invariant_lens_chain_above_the_surgery_cap_exit2(capsys):
+    code, out, err = run(capsys, "invariant", "lens", "-p", "1000000000001",
+                         "-q", "1000000000000", "--data", "builtin:toric-code")
+    assert code == 2
+    assert err.startswith("error:") and "1000000000000 vertices" in err and "10000000" in err
+    assert "Traceback" not in err + out and out == ""
+
+
+@pytest.mark.parametrize("p, value", [(10**6 + 1, 0.5), (10**6, 1.0)])
+def test_invariant_lens_chain_of_a_million_vertices(capsys, p, value):
+    # gcd(p, 2) / 2 on the toric code; the roundoff of 10^6 vertices is ~3e-11
+    code, out, err = run(capsys, "invariant", "lens", "-p", str(p), "-q", str(p - 1),
+                         "--data", "builtin:toric-code")
+    assert code == 0, err
+    assert abs(machine_value(out) - value) <= 1e-9
+
+
 def test_invariant_lens_q2_is_the_general_chain(capsys):
     code, out, _ = run(capsys, "invariant", "lens", "-p", "7", "-q", "2",
                        "--data", "builtin:dw-z3")

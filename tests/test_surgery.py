@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import tvo
 from tvo import (
+    CapacityError,
     DegenerateDataError,
     FiniteAbelianGroup,
     PlumbingTree,
@@ -20,9 +21,15 @@ from tvo import (
     lens_p2,
     plumbing_invariant,
 )
-from tvo.surgery import negative_continued_fraction
+from tvo.surgery import _SURGERY_CAP, _ncf_runs, negative_continued_fraction
 
-from helpers import brieskorn_loops, lens_p1_loops, lens_p2_loops
+from helpers import (
+    brieskorn_loops,
+    chain_surgery_loops,
+    lens_p1_loops,
+    lens_p2_loops,
+    negative_continued_fraction_loop,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -417,3 +424,160 @@ def test_framings_below_the_order_keep_the_raw_power():
             if N is None or p < N:
                 raw = complex((d.T ** p * d.S[:, 0] ** 2).sum())
                 assert lens_p1(d, p).value == raw
+
+
+# ---------------------------------------------------------------------------
+# runs: the continued fraction by jumps, chains by transfer-matrix powers
+# ---------------------------------------------------------------------------
+
+def _expand(runs):
+    return [a for a, count in runs for _ in range(count)]
+
+
+def _runs_matrix(runs):
+    """prod over runs of [[a, -1], [1, 0]]^count, by exact integer powering;
+    its first column is (p, q) exactly when the runs expand to p/q."""
+    def mul(x, y):
+        return [[x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]],
+                [x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]]]
+    total = [[1, 0], [0, 1]]
+    for a, count in runs:
+        power, base = [[1, 0], [0, 1]], [[a, -1], [1, 0]]
+        while count:
+            if count & 1:
+                power = mul(power, base)
+            base = mul(base, base)
+            count >>= 1
+        total = mul(total, power)
+    return total
+
+
+def test_ncf_runs_expand_to_the_ceiling_recursion():
+    for p in range(2, 401):
+        for q in range(1, p):
+            if math.gcd(p, q) == 1:
+                runs = _ncf_runs(p, q)
+                assert _expand(runs) == negative_continued_fraction_loop(p, q), (p, q)
+                assert negative_continued_fraction(p, q) == _expand(runs)
+                # maximal runs: no two neighbours share a framing
+                assert all(x[0] != y[0] for x, y in zip(runs, runs[1:]))
+
+
+def test_ncf_runs_are_logarithmic_at_1e18():
+    p = 10**18
+    rng = np.random.default_rng(12)
+    qs = [p - 1, 1, 3, p // 2 + 1, p - 3] + [int(x) for x in rng.integers(2, p - 1, size=20)]
+    for q in qs:
+        if math.gcd(p, q) != 1:
+            continue
+        runs = _ncf_runs(p, q)
+        assert len(runs) <= 2 * p.bit_length() + 1, (q, len(runs))
+        assert all(a >= 2 for a, _ in runs) and all(c >= 1 for _, c in runs)
+        M = _runs_matrix(runs)
+        assert (M[0][0], M[1][0]) == (p, q)
+    runs = _ncf_runs(p, p - 1)
+    assert runs == [(2, p - 1)] and sum(c for _, c in runs) == p - 1
+
+
+ORACLE_DATA = [
+    ("fibonacci", tvo.fibonacci),
+    ("su2_8", lambda: tvo.su2_level_k(8)),
+    ("double_su2_5", lambda: double_data(tvo.su2_level_k(5))),
+    ("twisted_5_2", lambda: tvo.twisted_double_cyclic(5, 2)),
+]
+
+
+@pytest.mark.parametrize("name,maker", ORACLE_DATA)
+def test_lens_general_matches_the_chain_loop_oracle(name, maker):
+    d = maker()
+    cases = [(p, q) for p in range(2, 30) for q in range(1, p) if math.gcd(p, q) == 1]
+    # long runs of 2s, of 3s and of 4s, alone and mixed, up to 2e4 vertices
+    for runs in ([(2, 499)], [(2, 19999)], [(3, 40)], [(5, 1), (2, 3000), (7, 1), (2, 4000)],
+                 [(4, 25), (2, 9000), (3, 1), (2, 50)], [(2, 6000), (3, 30), (2, 7)]):
+        M = _runs_matrix(runs)
+        cases.append((M[0][0], M[1][0]))
+    powered = 0
+    for p, q in cases:
+        chain = negative_continued_fraction_loop(p, q)
+        got = lens_general(d, p, q)
+        assert abs(got.value - chain_surgery_loops(d.S, d.T, chain)) <= 1e-11, (p, q)
+        powered += got.stats["powered_runs"]
+    assert powered >= 4
+
+
+@pytest.mark.parametrize("maker", [lambda: double_data(tvo.su2_level_k(5)),
+                                   lambda: tvo.twisted_double_cyclic(5, 2),
+                                   lambda: tvo.quantum_double_abelian(FiniteAbelianGroup((3, 3)))])
+def test_orientation_reversal_on_long_chains(maker):
+    # L(p, p - 1) is L(p, 1) with the opposite orientation
+    d = maker()
+    for k in range(1, 8):
+        p = 10**k + 1
+        assert abs(lens_general(d, p, p - 1).value - lens_p1(d, p).value.conjugate()) <= 1e-9, p
+
+
+def test_long_chains_on_the_z3xz3_double_give_the_exact_count():
+    G = FiniteAbelianGroup((3, 3))
+    d = tvo.quantum_double_abelian(G)
+    rng = np.random.default_rng(7)
+    for p in (3**14, 10**7 - 1, 10**7, 10**7 + 1, 2**23 + 1):
+        want = float(dw_lens_oracle(G, p))  # prod gcd(p, n_i) / |G|
+        qs = [p - 1, 2 if p % 2 else 3] + [int(x) for x in rng.integers(2, p - 1, size=3)]
+        for q in qs:
+            if math.gcd(p, q) == 1:
+                # roundoff grows by up to ~2.7e-16 per vertex where 3 | p, in the
+                # mat-vec loop (2.0e-16) and in powering alike
+                assert abs(lens_general(d, p, q).value - want) <= 4e-16 * p, (p, q)
+
+
+def test_contraction_counters_on_a_long_chain(toric_code):
+    got = lens_general(toric_code, 2000, 1999)
+    # root and leaf alone, the 1997 interior 2s as one powered run; 2 = 0 mod ord(T)
+    assert got.stats == {"vertices": 1999, "entries": 3, "bases": 2, "powered_runs": 1,
+                         "matmuls": (1997).bit_length() - 1, "framing_reduced": True}
+    # on rank 2 a run of 20 stays on the mat-vec loop
+    assert lens_general(tvo.fibonacci(), 23, 22).stats["powered_runs"] == 0
+    assert lens_general(tvo.fibonacci(), 24, 23).stats["powered_runs"] == 1
+
+
+def test_contraction_counters_on_a_tree(toric_code):
+    tree = PlumbingTree(((5, 3), (2, -1), (9, 2), (4, 1), (7, 2)),
+                        ((5, 2), (5, 9), (9, 4), (9, 7)))
+    d = double_data(tvo.su2_level_k(8))
+    got = plumbing_invariant(d, tree)
+    assert got.stats == {"vertices": 5, "entries": 5, "bases": 5, "powered_runs": 0,
+                         "matmuls": 0, "framing_reduced": False}
+    # stats take no part in equality
+    assert got == tvo.InvariantValue(got.value, got.method, got.warnings)
+    assert plumbing_invariant(toric_code, tree).stats["framing_reduced"] is True
+
+
+# ---------------------------------------------------------------------------
+# the surgery cap
+# ---------------------------------------------------------------------------
+
+def test_chains_above_the_cap_are_refused(toric_code):
+    assert _SURGERY_CAP == 10**7
+    p = _SURGERY_CAP + 1  # the chain of L(p, p - 1) has p - 1 vertices
+    assert abs(lens_general(toric_code, p, p - 1).value - 0.5) <= 1e-9
+    with pytest.raises(CapacityError, match=r"10000001 vertices.*10000000"):
+        lens_general(toric_code, p + 1, p)
+
+
+def _rotated_fibonacci():
+    fib = tvo.fibonacci()
+    return tvo.ModularData(fib.S, fib.T * np.exp(1j * math.sqrt(2) * 1e-3))
+
+
+def test_framings_above_the_cap_are_refused_without_an_order():
+    d = _rotated_fibonacci()
+    assert d._t_order is None
+    assert abs(lens_p1(d, _SURGERY_CAP).value) <= 1
+    for framing in (_SURGERY_CAP + 1, 10**20):
+        with pytest.raises(CapacityError, match=f"framing {framing} .*10000000"):
+            lens_p1(d, framing)
+    with pytest.raises(CapacityError, match="framing -10000001"):
+        plumbing_invariant(d, PlumbingTree.chain([2, -(_SURGERY_CAP + 1), 3]))
+    # with an order the framing is reduced, however large
+    fib = tvo.fibonacci()
+    assert lens_p1(fib, 10**20).value == lens_p1(fib, 0).value
