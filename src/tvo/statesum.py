@@ -35,13 +35,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from time import perf_counter
 
 import numpy as np
 
 from .catalog import cyclic_cocycle
 from .errors import StructureError, UnsupportedFeatureError
 from .surgery import InvariantValue
-from .triangulation import TET_EDGES, _EDGE_INDEX, Triangulation, _UnionFind, _perm_sign
+from .triangulation import _RANK, TET_EDGES, Triangulation, _components
 
 
 @dataclass(eq=False)
@@ -232,38 +233,21 @@ def _layout(sixj: SixJData, tri: Triangulation) -> _Evaluation:
     if orient is None:
         raise UnsupportedFeatureError("triangulation is not orientable")
 
-    faces = []
-    for (t, f) in tri.face_classes:
-        slots = sorted((v for v in range(4) if v != f), key=lambda v: vclass[t][v])
-        x, y, z = slots
-        e1 = eclass[t][_EDGE_INDEX[tuple(sorted((x, y)))]]
-        e2 = eclass[t][_EDGE_INDEX[tuple(sorted((y, z)))]]
-        e3 = eclass[t][_EDGE_INDEX[tuple(sorted((x, z)))]]
-        faces.append((e1, e2, e3))
-
-    tets = []
-    for t in range(tri.num_tets):
-        rs = sorted(range(4), key=lambda v: vclass[t][v])
-        key = tuple(
-            eclass[t][_EDGE_INDEX[tuple(sorted((rs[i], rs[j])))]]
-            for i in range(4)
-            for j in range(i + 1, 4)
-        )
-        eps = orient[t] * _perm_sign(rs)
-        tets.append((key, eps < 0))
-
-    # spanning forest of the 1-skeleton, edges taken in index order
+    # one pass over the tetrahedra through the rank table; each face class
+    # then reads its representative's face slots
     E = tri.num_edges
     ends = [None] * E
-    for t in range(tri.num_tets):
-        for i, (a, b) in enumerate(TET_EDGES):
-            ends[eclass[t][i]] = (vclass[t][a], vclass[t][b])
-    components = _UnionFind(tri.num_vertices)
-    forest = []
-    for e, (u, v) in enumerate(ends):
-        if components.find(u) != components.find(v):
-            components.union(u, v)
-            forest.append(e)
+    tets = []
+    face_slots = []
+    for t, (vrow, erow) in enumerate(zip(vclass, eclass)):
+        edges, sign, by_face = _RANK[tuple(sorted(range(4), key=vrow.__getitem__))]
+        tets.append((edges(erow), orient[t] * sign < 0))
+        face_slots.append(by_face)
+        for e, (a, b) in zip(erow, TET_EDGES):
+            ends[e] = (vrow[a], vrow[b])
+    faces = [face_slots[t][f](eclass[t]) for t, f in tri.face_classes]
+    # spanning forest of the 1-skeleton, edges taken in index order
+    forest = _components(tri.num_vertices, ends)[2]
 
     # static schedule: the forest edges first, then force an edge from a face
     # whenever two of its three edges are known, otherwise branch on the
@@ -320,15 +304,21 @@ def tv_evaluate(sixj: SixJData, tri: Triangulation) -> InvariantValue:
     ``stats`` on the result counts the enumeration: ``visited`` edge
     assignments, ``pruned`` assignments that broke a face constraint,
     ``leaves`` complete admissible colorings, and whether the sum was
-    ``gauge_fixed``.
+    ``gauge_fixed``; it also holds the seconds of the stages, ``layout_s``
+    (classes, orientation and schedule), ``gate_s`` (the pointed and gauge
+    checks) and ``sum_s`` (the enumeration).
     """
+    gate_start = perf_counter()
     if not sixj.pointed:
         raise UnsupportedFeatureError(
             "state-sum evaluation supports pointed (multiplicity-free, "
             "dimension-one) 6j data only"
         )
+    layout_start = perf_counter()
     layout = _layout(sixj, tri)
+    gauge_start = perf_counter()
     gauge_fixed = _gauge_fixable(sixj)
+    sum_start = perf_counter()
     n = sixj.num_labels
     chan = sixj._channel
     ldiv = sixj._left_div
@@ -412,7 +402,10 @@ def tv_evaluate(sixj: SixJData, tri: Triangulation) -> InvariantValue:
         value = complex(total) * float(n) ** (-layout.num_components)
     else:
         value = complex(total) * sixj.global_index ** (-V)
-    stats = {"leaves": leaves, "visited": visited, "pruned": pruned, "gauge_fixed": gauge_fixed}
+    stats = {"leaves": leaves, "visited": visited, "pruned": pruned, "gauge_fixed": gauge_fixed,
+             "layout_s": gauge_start - layout_start,
+             "gate_s": layout_start - gate_start + sum_start - gauge_start,
+             "sum_s": perf_counter() - sum_start}
     return InvariantValue(
         value, f"statesum({sixj.name or 'sixj'}, {tri.num_tets} tets)", stats=stats
     )

@@ -10,7 +10,9 @@ never glued to itself.
 
 Vertex, edge and face classes are the equivalence classes generated by the
 gluings; they are computed once and cached (instances are immutable by
-convention). The constructor validates every gluing.
+convention). The constructor validates every gluing. The classes and the
+orientation read a gluing table, keyed by (face, permutation), and the state
+sum reads a rank table, keyed by vertex-class order; both are built at import.
 
 Both moves are bistellar flips on five vertices, written as token tuples:
 each removed and each new tetrahedron names the vertex token in each of its
@@ -25,13 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations, permutations
+from operator import itemgetter
 
 from .errors import PreconditionError, StructureError
 
 #: the six local edges of a tetrahedron in a fixed order
 TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_EDGE_INDEX = {pair: i for i, pair in enumerate(TET_EDGES)}
 
 
 def inverse_perm(perm):
@@ -41,40 +43,69 @@ def inverse_perm(perm):
     return tuple(inv)
 
 
-def _perm_sign(seq) -> int:
-    """Sign of the permutation sorting a sequence of distinct numbers."""
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+def _tables():
+    """The gluing table, keyed by ``(f, perm)``, and the rank table, keyed by
+    a tetrahedron's slots in increasing vertex-class order.
+
+    A gluing entry holds the three corner pairs and the three local-edge pairs
+    it identifies, and o(t2) / o(t), which the sign rule of ``orientation``
+    makes -sign(perm): perm has f + f2 inversions through slot f, mod 2. A
+    rank entry holds a getter of the six edge slots in rank order, the
+    order's sign, and per face a getter of its (low-mid, mid-high, low-high)
+    edge slots.
+    """
+    perms = list(permutations(range(4)))
+    sign = {p: (-1) ** sum(x > y for x, y in combinations(p, 2)) for p in perms}
+
+    def edge(a, b):
+        return TET_EDGES.index((min(a, b), max(a, b)))
+
+    gluing, rank = {}, {}
+    for perm in perms:
+        for f in range(4):
+            face = [v for v in range(4) if v != f]
+            gluing[f, perm] = (
+                tuple((v, perm[v]) for v in face),
+                tuple((edge(a, b), edge(perm[a], perm[b])) for a, b in combinations(face, 2)),
+                -sign[perm],
+            )
+        faces = ([v for v in perm if v != f] for f in range(4))
+        rank[perm] = (
+            itemgetter(*(edge(a, b) for a, b in combinations(perm, 2))),
+            sign[perm],
+            tuple(itemgetter(edge(x, y), edge(y, z), edge(x, z)) for x, y, z in faces),
+        )
+    return gluing, rank
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+_GLUING, _RANK = _tables()
 
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def classes(self):
-        roots = {}
-        out = []
-        for x in range(len(self.parent)):
-            r = self.find(x)
-            if r not in roots:
-                roots[r] = len(roots)
-            out.append(roots[r])
-        return out, len(roots)
+def _components(size, pairs):
+    """Component ids of the slots 0..size-1 joined by ``pairs``, numbered by
+    first appearance, their count, and the indices of the pairs that joined
+    two components (a spanning forest). Unions link to the smaller root, so
+    no parent exceeds its slot and one forward pass numbers the slots.
+    """
+    parent = list(range(size))
+    joined = []
+    for i, (a, b) in enumerate(pairs):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a > b:
+            a, b = b, a
+        if a < b:
+            parent[b] = a
+            joined.append(i)
+    ids, roots = [], 0
+    for x, p in enumerate(parent):
+        ids.append(roots if p == x else ids[p])
+        roots += p == x
+    return ids, roots, joined
 
 
 def _check_gluing(gluings: dict, num_tets: int, key):
@@ -102,7 +133,7 @@ def _check_gluing(gluings: dict, num_tets: int, key):
 def _by_first_appearance(rows):
     """Class ids renumbered by first appearance in row order, and their count.
 
-    This is the numbering ``_UnionFind.classes`` gives over the same slots.
+    This is the numbering ``_components`` gives over the same slots.
     The rows before the first appearance of the first id that changes keep
     only unchanged ids and are returned as they are.
     """
@@ -133,7 +164,7 @@ class Triangulation:
         if self.num_tets < 1:
             raise StructureError("need at least one tetrahedron")
         self.gluings = {
-            (t, f): (t2, tuple(int(x) for x in perm))
+            (t, f): (t2, tuple(map(int, perm)))
             for (t, f), (t2, perm) in self.gluings.items()
         }
         for key in self.gluings:
@@ -155,30 +186,27 @@ class Triangulation:
             ]
             raise StructureError(f"triangulation has unglued faces, e.g. {unglued[:3]}")
 
+    def _classes(self, width, part):
+        """Rows of class ids of the ``width`` slots per tetrahedron and their
+        count, joining entry ``part`` of the gluing table once per face pair."""
+        flat, count, _ = _components(width * self.num_tets, [
+            (width * t + x, width * t2 + y)
+            for (t, f), (t2, perm) in self.gluings.items() if (t, f) < (t2, perm[f])
+            for x, y in _GLUING[f, perm][part]
+        ])
+        return [flat[width * t : width * t + width] for t in range(self.num_tets)], count
+
     @cached_property
     def vertex_class(self):
         """vertex_class[t][v] = id of the vertex equivalence class of corner (t, v)."""
-        uf = _UnionFind(4 * self.num_tets)
-        for (t, f), (t2, perm) in self.gluings.items():
-            for v in range(4):
-                if v != f:
-                    uf.union(4 * t + v, 4 * t2 + perm[v])
-        flat, self._num_vertices = uf.classes()
-        return [flat[4 * t : 4 * t + 4] for t in range(self.num_tets)]
+        rows, self._num_vertices = self._classes(4, 0)
+        return rows
 
     @cached_property
     def edge_class(self):
         """edge_class[t][e] = class id of local edge TET_EDGES[e] of tet t."""
-        uf = _UnionFind(6 * self.num_tets)
-        for (t, f), (t2, perm) in self.gluings.items():
-            for a, b in TET_EDGES:
-                if f in (a, b):
-                    continue
-                ia, ib = perm[a], perm[b]
-                pair = (ia, ib) if ia < ib else (ib, ia)
-                uf.union(6 * t + _EDGE_INDEX[(a, b)], 6 * t2 + _EDGE_INDEX[pair])
-        flat, self._num_edges = uf.classes()
-        return [flat[6 * t : 6 * t + 6] for t in range(self.num_tets)]
+        rows, self._num_edges = self._classes(6, 1)
+        return rows
 
     @property
     def num_vertices(self) -> int:
@@ -201,17 +229,10 @@ class Triangulation:
 
     @cached_property
     def face_classes(self):
-        """One representative (t, f) per face class of a closed complex."""
+        """One representative (t, f) per face class of a closed complex: the
+        smaller key of each glued pair, in increasing order."""
         self.require_closed()
-        reps = []
-        seen = set()
-        for (t, f), (t2, perm) in sorted(self.gluings.items()):
-            if (t, f) in seen:
-                continue
-            seen.add((t, f))
-            seen.add((t2, perm[f]))
-            reps.append((t, f))
-        return reps
+        return sorted([key for key, (t2, perm) in self.gluings.items() if key < (t2, perm[key[1]])])
 
     @cached_property
     def orientation(self):
@@ -220,7 +241,7 @@ class Triangulation:
         Seeded at tetrahedron 0 with +1. Returns None for non-orientable
         complexes. The sign rule for a gluing (t,f) -> (t2,f2) with slot map
         perm is o(t2) = -o(t) * (-1)^(f+f2) * sign(sort(images of the sorted
-        face vertices)).
+        face vertices)), which the gluing table holds as one factor.
         """
         self.require_closed()
         signs = [0] * self.num_tets
@@ -232,11 +253,8 @@ class Triangulation:
             while stack:
                 t = stack.pop()
                 for f in range(4):
-                    t2, perm = self.gluings[(t, f)]
-                    f2 = perm[f]
-                    face = [v for v in range(4) if v != f]
-                    s = _perm_sign([perm[v] for v in face])
-                    needed = -signs[t] * ((-1) ** (f + f2)) * s
+                    t2, perm = self.gluings[t, f]
+                    needed = signs[t] * _GLUING[f, perm][2]
                     if signs[t2] == 0:
                         signs[t2] = needed
                         stack.append(t2)

@@ -8,11 +8,12 @@ library is meaningful.
 import cmath
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
-from tvo.triangulation import TET_EDGES, Triangulation
+from tvo.triangulation import Triangulation
 # the random walk is library code, re-exported under the name the tests use
 from tvo.triangulation import random_pachner_walk as random_pachner_sequence  # noqa: F401
 
@@ -206,21 +207,95 @@ def surgery_hom_count(L, factors):
     return Fraction(count, len(group))
 
 
+#: the six local edges of a tetrahedron, in the order the library numbers them
+LOCAL_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def _flood(slots, neighbours):
+    """Class of each slot: a breadth-first flood from each unlabelled slot in
+    turn, so classes are numbered by their first slot."""
+    label = {}
+    count = 0
+    for start in slots:
+        if start in label:
+            continue
+        label[start] = count
+        queue = deque([start])
+        while queue:
+            for other in neighbours.get(queue.popleft(), []):
+                if other not in label:
+                    label[other] = count
+                    queue.append(other)
+        count += 1
+    return label
+
+
+def classes_by_flood_fill(num_tets, gluings):
+    """Vertex classes, edge classes and orientation of a gluing complex.
+
+    Corner (t, v) meets corner (t2, perm[v]) across each gluing of face
+    (t, f), and local edge {a, b} meets {perm[a], perm[b]}; classes are
+    flooded breadth-first and numbered by first appearance in (t, slot)
+    order. The orientation is flooded from each unsigned tetrahedron in turn
+    with sign +1 by o(t2) = -o(t) (-1)^(f+f2) sign(images of the sorted face
+    vertices), and is None when two gluings ask for different signs.
+    Returns (vertex_class, edge_class, orientation) with one row per
+    tetrahedron.
+    """
+    corner_nbrs, edge_nbrs, signed_nbrs = {}, {}, {}
+    for (t, f), (t2, perm) in gluings.items():
+        face = [v for v in range(4) if v != f]
+        for v in face:
+            corner_nbrs.setdefault((t, v), []).append((t2, perm[v]))
+        for a, b in LOCAL_EDGES:
+            if f not in (a, b):
+                image = tuple(sorted((perm[a], perm[b])))
+                edge_nbrs.setdefault((t, (a, b)), []).append((t2, image))
+        images = [perm[v] for v in face]
+        inversions = sum(
+            1 for i in range(3) for j in range(i + 1, 3) if images[i] > images[j]
+        )
+        sign = -((-1) ** (f + perm[f])) * (-1) ** inversions
+        signed_nbrs.setdefault(t, []).append((t2, sign))
+
+    corner = _flood([(t, v) for t in range(num_tets) for v in range(4)], corner_nbrs)
+    edge = _flood([(t, pair) for t in range(num_tets) for pair in LOCAL_EDGES], edge_nbrs)
+    vertex_class = [[corner[(t, v)] for v in range(4)] for t in range(num_tets)]
+    edge_class = [[edge[(t, pair)] for pair in LOCAL_EDGES] for t in range(num_tets)]
+
+    orientation = [0] * num_tets
+    for start in range(num_tets):
+        if orientation[start]:
+            continue
+        orientation[start] = 1
+        queue = deque([start])
+        while queue:
+            t = queue.popleft()
+            for t2, sign in signed_nbrs.get(t, []):
+                needed = orientation[t] * sign
+                if orientation[t2] == 0:
+                    orientation[t2] = needed
+                    queue.append(t2)
+                elif orientation[t2] != needed:
+                    return vertex_class, edge_class, None
+    return vertex_class, edge_class, orientation
+
+
 def tv_bruteforce(sixj, tri: Triangulation):
     """Full enumeration of all edge colorings, no pruning or forcing.
 
-    Re-derives the rank orders, face constraints and orientation handling
-    from the triangulation's class data independently of the evaluator's
-    schedule machinery.
+    Re-derives the classes and orientation (``classes_by_flood_fill``), the
+    rank orders and the face constraints from the gluings, independently of
+    the library's class data and the evaluator's schedule machinery.
     """
-    tri.validate_closed_manifold()
-    vclass = tri.vertex_class
-    eclass = tri.edge_class
-    orient = tri.orientation
+    vclass, eclass, orient = classes_by_flood_fill(tri.num_tets, tri.gluings)
+    V = len({c for row in vclass for c in row})
+    E = len({c for row in eclass for c in row})
+    # a closed complex with Euler characteristic V - E + F - T = 0, F = 2T
+    assert len(tri.gluings) == 4 * tri.num_tets and V - E + tri.num_tets == 0
     assert orient is not None
     n = sixj.num_labels
-    E = tri.num_edges
-    edge_idx = {pair: i for i, pair in enumerate(TET_EDGES)}
+    edge_idx = {pair: i for i, pair in enumerate(LOCAL_EDGES)}
 
     def parity(seq):
         inv = sum(
@@ -263,7 +338,7 @@ def tv_bruteforce(sixj, tri: Triangulation):
             val = sixj.weights[tuple(colors[e] for e in key)]
             w *= val if eps > 0 else np.conj(val)
         total += w
-    return total * sixj.global_index ** (-tri.num_vertices)
+    return total * sixj.global_index ** (-V)
 
 
 def two_tet_sphere() -> Triangulation:

@@ -233,6 +233,15 @@ def test_sphere_reaches_one_leaf(n, s3_triangulation):
         assert stats["visited"] >= s3_triangulation.num_edges
 
 
+def test_stats_pin_counters_and_stage_times(s3_triangulation):
+    stats = tv_evaluate(pointed_sixj(3, 1), s3_triangulation).stats
+    assert set(stats) == {
+        "leaves", "visited", "pruned", "gauge_fixed", "layout_s", "gate_s", "sum_s",
+    }
+    for key in ("layout_s", "gate_s", "sum_s"):
+        assert isinstance(stats[key], float) and stats[key] >= 0.0
+
+
 def test_stats_take_no_part_in_equality(s3_triangulation):
     z = tv_evaluate(pointed_sixj(2, 1), s3_triangulation)
     bare = InvariantValue(z.value, z.method)

@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from tvo import PreconditionError, StructureError, Triangulation, pointed_sixj, tv_evaluate
-from tvo.triangulation import boundary_4_simplex, inverse_perm, pachner_14, pachner_23
+from tvo.triangulation import _GLUING, boundary_4_simplex, inverse_perm, pachner_14, pachner_23
 
-from helpers import random_pachner_sequence, two_tet_sphere
+from helpers import classes_by_flood_fill, random_pachner_sequence, two_tet_sphere
 
 
 def counts(tri):
     return (tri.num_tets, tri.num_vertices, tri.num_edges, tri.num_faces)
+
+
+def assert_matches_oracle(tri):
+    oracle = classes_by_flood_fill(tri.num_tets, tri.gluings)
+    assert (tri.vertex_class, tri.edge_class, tri.orientation) == oracle
 
 
 def test_boundary_4_simplex_counts(s3_triangulation):
@@ -23,6 +28,22 @@ def test_boundary_4_simplex_orientable(s3_triangulation):
     signs = s3_triangulation.orientation
     assert signs is not None
     assert set(signs) <= {-1, 1}
+    assert_matches_oracle(Triangulation(5, s3_triangulation.gluings))
+
+
+def test_reflected_face_pair_is_not_orientable(s3_triangulation):
+    # compose the gluing of face (0, 0) with the transposition of its slots 1
+    # and 2, and its reverse gluing with the same transposition on the other
+    # side: the face pair is reflected, and the cycles of the dual graph
+    # through it ask tetrahedron 0 for both signs
+    gluings = dict(s3_triangulation.gluings)
+    t2, perm = gluings[(0, 0)]
+    reflected = (perm[0], perm[2], perm[1], perm[3])
+    gluings[(0, 0)] = (t2, reflected)
+    gluings[(t2, perm[0])] = (0, inverse_perm(reflected))
+    tri = Triangulation(5, gluings)
+    assert tri.orientation is None
+    assert_matches_oracle(tri)
 
 
 def test_two_tet_sphere_counts():
@@ -30,6 +51,7 @@ def test_two_tet_sphere_counts():
     assert counts(tri) == (2, 4, 6, 4)
     assert tri.euler_characteristic == 0
     assert tri.orientation is not None
+    assert_matches_oracle(tri)
 
 
 def test_involution_validation():
@@ -227,6 +249,8 @@ def test_carried_classes_match_recomputation_along_a_walk():
         kinds.add(tri.num_tets - before)
         fresh = Triangulation(tri.num_tets, tri.gluings)
         assert classes(tri) == classes(fresh), step
+        if step % 10 == 0:
+            assert_matches_oracle(fresh)
         if step in (50, 150, 300):
             for sixj in sixjs:
                 assert tv_evaluate(sixj, tri).value == tv_evaluate(sixj, fresh).value
@@ -244,6 +268,8 @@ def test_carried_classes_match_recomputation_on_degenerate_flips():
             fresh = Triangulation(tri.num_tets, tri.gluings)
             assert classes(tri) == classes(fresh), (chain, step)
             assert tri.euler_characteristic == 0
+            if step % 5 == 4:
+                assert_matches_oracle(fresh)
 
 
 def test_flip_validates_the_faces_it_writes(s3_triangulation):
@@ -254,3 +280,37 @@ def test_flip_validates_the_faces_it_writes(s3_triangulation):
     tri.gluings[(0, 1)] = (t2, (0, 0, 2, 3))
     with pytest.raises(StructureError, match="not a permutation"):
         pachner_14(tri, 0)
+
+
+def relabelled(tri, rng):
+    """``tri`` with the slots of each tetrahedron t renamed by a random
+    permutation sigma_t: slot v becomes sigma_t[v], so the gluing
+    (t, f) -> (t2, perm) becomes (t, sigma_t[f]) -> (t2, sigma_t2 perm sigma_t^-1)."""
+    sigma = [tuple(int(v) for v in rng.permutation(4)) for _ in range(tri.num_tets)]
+    gluings = {}
+    for (t, f), (t2, perm) in tri.gluings.items():
+        image = [0] * 4
+        for v in range(4):
+            image[sigma[t][v]] = sigma[t2][perm[v]]
+        gluings[(t, sigma[t][f])] = (t2, tuple(image))
+    return Triangulation(tri.num_tets, gluings)
+
+
+def test_relabelled_walks_reach_every_gluing_table_entry(s3_triangulation):
+    # walks keep the slot conventions of the moves and reach 76 of the 96
+    # (face, permutation) entries; random slot names reach them all
+    rng = np.random.default_rng(37)
+    sixjs = [pointed_sixj(2, 1), pointed_sixj(3, 1)]
+    tri = s3_triangulation
+    seen = set()
+    for _ in range(6):
+        tri, _ = random_pachner_sequence(tri, 4, rng, max_new_vertices=2)
+        moved = relabelled(tri, rng)
+        seen |= {(f, perm) for (_, f), (_, perm) in moved.gluings.items()}
+        assert (moved.num_vertices, moved.num_edges) == (tri.num_vertices, tri.num_edges)
+        assert_matches_oracle(moved)
+        for sixj in sixjs:
+            z = tv_evaluate(sixj, moved).value
+            assert abs(z - 1 / sixj.num_labels) < 1e-9
+    assert seen == set(_GLUING)
+    assert len(seen) == 96
