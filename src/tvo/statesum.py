@@ -40,7 +40,7 @@ from time import perf_counter
 import numpy as np
 
 from .catalog import cyclic_cocycle
-from .errors import StructureError, UnsupportedFeatureError
+from .errors import CapacityError, StructureError, UnsupportedFeatureError
 from .surgery import InvariantValue
 from .triangulation import _RANK, TET_EDGES, Triangulation, _components
 
@@ -54,7 +54,7 @@ class SixJData:
     and ``weights`` maps the six edge labels of a tetrahedron, ordered
     (e01, e02, e03, e12, e13, e23) by the tetrahedron's vertex order, to its
     weight. General data is accepted; evaluation and the pentagon check
-    require single-channel (pointed) fusion.
+    require pointed data: a Latin-square fusion table and unit dimensions.
     """
 
     num_labels: int
@@ -69,6 +69,10 @@ class SixJData:
             raise StructureError("qdim must be positive, one entry per label")
         if abs(q[0] - 1.0) > 1e-12:
             raise StructureError("the vacuum label must have [X] = 1")
+        n = self.num_labels
+        bad = next((t for t in self.admissible if not all(0 <= x < n for x in t)), None)
+        if bad is not None:
+            raise StructureError(f"admissible triple {bad} names a label outside 0..{n - 1}")
         self.qdim = q
 
     @property
@@ -76,35 +80,23 @@ class SixJData:
         return float(self.qdim.sum())
 
     @cached_property
-    def _channel(self):
-        """(a, b) -> c maps when fusion is single-channel, else None."""
-        chan: dict = {}
+    def _group(self):
+        """(mul, ldiv, mdiv) as n x n lists when the fusion table is a Latin
+        square, so (a, b, c) is admissible exactly when mul[a][b] = c,
+        ldiv[b][c] = a and mdiv[a][c] = b; otherwise None."""
+        n = self.num_labels
+        mul, ldiv, mdiv = ([[None] * n for _ in range(n)] for _ in range(3))
         for a, b, c in self.admissible:
-            if (a, b) in chan and chan[(a, b)] != c:
+            if mul[a][b] is not None or ldiv[b][c] is not None or mdiv[a][c] is not None:
                 return None
-            chan[(a, b)] = c
-        return chan
+            mul[a][b], ldiv[b][c], mdiv[a][c] = c, a, b
+        return (mul, ldiv, mdiv) if len(self.admissible) == n * n else None
 
     @property
     def pointed(self) -> bool:
-        """Single fusion channel per pair, unit dimensions, invertible divisions."""
-        chan = self._channel
-        if chan is None or np.abs(self.qdim - 1.0).max() > 1e-12:
-            return False
-        left = {(b, c) for _, b, c in self.admissible}
-        right = {(a, c) for a, _, c in self.admissible}
-        n = self.num_labels
-        return len(chan) == n * n and len(left) == n * n and len(right) == n * n
-
-    @cached_property
-    def _left_div(self):
-        # (b, c) -> the a with (a, b, c) admissible
-        return {(b, c): a for a, b, c in self.admissible}
-
-    @cached_property
-    def _mid_div(self):
-        # (a, c) -> the b with (a, b, c) admissible
-        return {(a, c): b for a, b, c in self.admissible}
+        """A Latin-square fusion table (one channel per pair, total divisions)
+        and unit dimensions."""
+        return self._group is not None and bool(np.abs(self.qdim - 1.0).max() <= 1e-12)
 
     def tet_weight(self, key) -> complex:
         try:
@@ -113,22 +105,32 @@ class SixJData:
             raise StructureError(f"no 6j weight for edge labels {key}") from None
 
     def key_from_triple(self, a: int, b: int, c: int):
-        """The 6-tuple weight key of the tetrahedron with consecutive labels a, b, c."""
-        chan = self._channel
-        ab = chan[(a, b)]
-        bc = chan[(b, c)]
-        abc = chan[(ab, c)]
-        return (a, ab, abc, b, bc, c)
+        """The 6-tuple weight key of the tetrahedron with consecutive labels a, b, c
+        (Latin-square fusion only)."""
+        mul = self._group[0]
+        ab = mul[a][b]
+        bc = mul[b][c]
+        return (a, ab, mul[ab][c], b, bc, c)
+
+
+#: largest label count of ``pointed_sixj``: n^3 weights, and the pentagon
+#: check every evaluation runs is n^4 products (3.3 s at n = 48 on a 2-core
+#: Xeon, so about 10 s at the cap)
+_POINTED_LABEL_CAP = 64
 
 
 def pointed_sixj(n: int, k: int) -> SixJData:
     """Pointed 6j data on Z/n with the cyclic degree-3 cocycle of parameter k.
 
     All dimensions are 1, (a, b) fuses to a+b mod n, and the tetrahedron
-    weight is omega_k(a, b, c) on the three consecutive edge labels.
+    weight is omega_k(a, b, c) on the three consecutive edge labels. Raises
+    :class:`CapacityError` above ``_POINTED_LABEL_CAP`` labels.
     """
     if n < 1:
         raise StructureError("pointed_sixj requires n >= 1")
+    if n > _POINTED_LABEL_CAP:
+        raise CapacityError(f"pointed 6j data on Z/{n} is above the cap of "
+                            f"{_POINTED_LABEL_CAP} labels")
     omega = cyclic_cocycle(n, k)
     admissible = frozenset((a, b, (a + b) % n) for a in range(n) for b in range(n))
     weights = {}
@@ -153,73 +155,76 @@ class PentagonReport:
     checked: int
 
 
+def _weight_table(sixj: SixJData):
+    """w[a][b][c]: the weight of the tetrahedron with consecutive labels a, b, c."""
+    r = range(sixj.num_labels)
+    return [[[sixj.tet_weight(sixj.key_from_triple(a, b, c)) for c in r] for b in r] for a in r]
+
+
+def _pentagon_residual(mul, w) -> float:
+    """max |W(b,c,d) W(a,bc,d) W(a,b,c) - W(ab,c,d) W(a,b,cd)| over label 4-tuples."""
+    r = range(len(mul))
+    worst = 0.0
+    for a in r:
+        for b in r:
+            ab = mul[a][b]
+            for c in r:
+                bc = mul[b][c]
+                w_abc = w[a][b][c]
+                for d in r:
+                    lhs = w[b][c][d] * w[a][bc][d] * w_abc
+                    rhs = w[ab][c][d] * w[a][b][mul[c][d]]
+                    worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
 def verify_pentagon(sixj: SixJData, tol: float = 1e-9) -> PentagonReport:
-    """Check the pentagon identity on all label 4-tuples of single-channel data.
+    """Check the pentagon identity on all label 4-tuples of Latin-square fusion.
 
     For weight tables of cocycle type this is exactly the degree-3 cocycle
     condition W(b,c,d) W(a,bc,d) W(a,b,c) = W(ab,c,d) W(a,b,cd).
     """
-    chan = sixj._channel
-    if chan is None:
-        raise UnsupportedFeatureError("pentagon check implemented for single-channel data only")
-    n = sixj.num_labels
-    # w[a][b][c]: weight of the tetrahedron with consecutive labels a, b, c
-    r = range(n)
-    w = [[[sixj.tet_weight(sixj.key_from_triple(a, b, c)) for c in r] for b in r] for a in r]
-    worst = 0.0
-    for a in r:
-        for b in r:
-            ab = chan[(a, b)]
-            for c in r:
-                bc = chan[(b, c)]
-                w_abc = w[a][b][c]
-                for d in r:
-                    lhs = w[b][c][d] * w[a][bc][d] * w_abc
-                    rhs = w[ab][c][d] * w[a][b][chan[(c, d)]]
-                    worst = max(worst, abs(lhs - rhs))
-    return PentagonReport(worst <= tol, worst, n**4)
+    if sixj._group is None:
+        raise UnsupportedFeatureError("pentagon check implemented for Latin-square fusion only")
+    worst = _pentagon_residual(sixj._group[0], _weight_table(sixj))
+    return PentagonReport(worst <= tol, worst, sixj.num_labels**4)
 
 
-def _gauge_fixable(sixj: SixJData) -> bool:
+def _gauge_fixable(mul, w) -> bool:
     """Whether the weight of a coloring is constant on its gauge orbit.
 
     A gauge transformation g in G^V recolors edge (u, v) from x to
-    g_u^-1 x g_v. When the labels form a group under fusion with unit 0 and
-    the weights are a unit-modulus 3-cocycle on it (the pentagon identity),
-    the weight changes by a coboundary, which integrates to 1 over a closed
-    oriented complex (Dijkgraaf-Witten, CMP 1990); unit modulus makes the
-    conjugate on negatively oriented tetrahedra the inverse. The pentagon is
-    checked on every call, since ``weights`` is a mutable dict.
+    g_u^-1 x g_v. When the labels form a group under ``mul`` with unit 0 and
+    the weights ``w`` are a unit-modulus 3-cocycle on it (the pentagon
+    identity), the weight changes by a coboundary, which integrates to 1 over
+    a closed oriented complex (Dijkgraaf-Witten, CMP 1990); unit modulus
+    makes the conjugate on negatively oriented tetrahedra the inverse. The
+    caller builds ``w`` on every evaluation, since ``weights`` is a mutable
+    dict.
     """
-    passed = verify_pentagon(sixj).passed
-    chan = sixj._channel
-    labels = range(sixj.num_labels)
+    labels = range(len(mul))
     return (
-        passed
-        and all(chan[(0, a)] == a == chan[(a, 0)] for a in labels)
-        and all(
-            chan[(chan[(a, b)], c)] == chan[(a, chan[(b, c)])]
-            for a in labels
-            for b in labels
-            for c in labels
-        )
-        and all(abs(abs(w) - 1.0) <= 1e-9 for w in sixj.weights.values())
+        _pentagon_residual(mul, w) <= 1e-9
+        and all(mul[0][a] == a == mul[a][0] for a in labels)
+        and all(mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                for a in labels for b in labels for c in labels)
+        and all(abs(abs(x) - 1.0) <= 1e-9 for plane in w for row in plane for x in row)
     )
 
 
 @dataclass
 class _Evaluation:
-    """Precomputed combinatorial layout for one (sixj, triangulation) pair."""
+    """Precomputed combinatorial layout of one triangulation."""
 
     num_edges: int
     num_forest: int  # spanning-forest edges, the first entries of the schedule
     num_components: int  # connected components of the 1-skeleton
     faces: list  # (e_lowmid, e_midhigh, e_lowhigh) per face class
-    tets: list  # (edge class 6-tuple in rank order, conjugate flag)
+    tets: list  # (classes of the rank-order edges 01, 12, 23, conjugate flag)
     schedule: list  # (edge, forcing face index or -1, slot, faces to check)
 
 
-def _layout(sixj: SixJData, tri: Triangulation) -> _Evaluation:
+def _layout(tri: Triangulation) -> _Evaluation:
     tri.validate_closed_manifold()
     vclass = tri.vertex_class
     eclass = tri.edge_class
@@ -299,14 +304,15 @@ def _layout(sixj: SixJData, tri: Triangulation) -> _Evaluation:
 def tv_evaluate(sixj: SixJData, tri: Triangulation) -> InvariantValue:
     """Evaluate the state sum of ``sixj`` over ``tri``.
 
-    Requires pointed (single-channel, dimension-one) 6j data; the inner
+    Requires pointed (Latin-square fusion, dimension-one) 6j data; the inner
     face-coloring sum is then a single product per admissible edge coloring.
     ``stats`` on the result counts the enumeration: ``visited`` edge
     assignments, ``pruned`` assignments that broke a face constraint,
     ``leaves`` complete admissible colorings, and whether the sum was
     ``gauge_fixed``; it also holds the seconds of the stages, ``layout_s``
-    (classes, orientation and schedule), ``gate_s`` (the pointed and gauge
-    checks) and ``sum_s`` (the enumeration).
+    (classes, orientation and schedule), ``gate_s`` (the pointed check, the
+    n^3 weight table and the gauge checks on it) and ``sum_s`` (the
+    enumeration).
     """
     gate_start = perf_counter()
     if not sixj.pointed:
@@ -315,19 +321,16 @@ def tv_evaluate(sixj: SixJData, tri: Triangulation) -> InvariantValue:
             "dimension-one) 6j data only"
         )
     layout_start = perf_counter()
-    layout = _layout(sixj, tri)
+    layout = _layout(tri)
     gauge_start = perf_counter()
-    gauge_fixed = _gauge_fixable(sixj)
+    mul, ldiv, mdiv = sixj._group
+    wpos = _weight_table(sixj)
+    gauge_fixed = _gauge_fixable(mul, wpos)
     sum_start = perf_counter()
     n = sixj.num_labels
-    chan = sixj._channel
-    ldiv = sixj._left_div
-    mdiv = sixj._mid_div
-    adm = sixj.admissible
     faces = layout.faces
     schedule = layout.schedule
-    wpos = dict(sixj.weights)
-    wneg = {k: v.conjugate() for k, v in wpos.items()}
+    wneg = [[[x.conjugate() for x in row] for row in plane] for plane in wpos]
 
     colors = [0] * layout.num_edges
     tet_terms = [(key, wneg if conj else wpos) for key, conj in layout.tets]
@@ -340,12 +343,10 @@ def tv_evaluate(sixj: SixJData, tri: Triangulation) -> InvariantValue:
             return forest_labels if pos < layout.num_forest else all_labels
         a, b, c = faces[fi]
         if slot == 0:
-            val = ldiv.get((colors[b], colors[c]))
-        elif slot == 1:
-            val = mdiv.get((colors[a], colors[c]))
-        else:
-            val = chan.get((colors[a], colors[b]))
-        return () if val is None else (val,)
+            return (ldiv[colors[b]][colors[c]],)
+        if slot == 1:
+            return (mdiv[colors[a]][colors[c]],)
+        return (mul[colors[a]][colors[b]],)
 
     # depth-first over the schedule with an explicit stack: options[pos] are
     # the labels for schedule[pos], next_option[pos] the next one to try
@@ -359,17 +360,8 @@ def tv_evaluate(sixj: SixJData, tri: Triangulation) -> InvariantValue:
     while pos >= 0:
         if pos == depth:
             w = 1.0 + 0.0j
-            for key, table in tet_terms:
-                w *= table[
-                    (
-                        colors[key[0]],
-                        colors[key[1]],
-                        colors[key[2]],
-                        colors[key[3]],
-                        colors[key[4]],
-                        colors[key[5]],
-                    )
-                ]
+            for (x, y, z), table in tet_terms:
+                w *= table[colors[x]][colors[y]][colors[z]]
             total += w
             leaves += 1
             pos -= 1
@@ -384,7 +376,7 @@ def tv_evaluate(sixj: SixJData, tri: Triangulation) -> InvariantValue:
         visited += 1
         for fi in checks:
             a, b, c = faces[fi]
-            if (colors[a], colors[b], colors[c]) not in adm:
+            if mul[colors[a]][colors[b]] != colors[c]:
                 pruned += 1
                 break
         else:
@@ -393,15 +385,12 @@ def tv_evaluate(sixj: SixJData, tri: Triangulation) -> InvariantValue:
                 options[pos] = candidates(pos)
                 next_option[pos] = 0
 
-    V = tri.num_vertices
-    # prod_E [X]^(1/2) is identically 1 for pointed data. Each gauge orbit
-    # holds n^(V-c) colorings and lambda = n, so lambda^(-V) n^(V-c) = n^(-c);
+    # prod_E [X]^(1/2) is identically 1 and lambda = n for pointed data. Each
+    # gauge orbit holds n^(V-c) colorings, so lambda^(-V) n^(V-c) = n^(-c);
     # folding them keeps large V from overflowing n^(V-c) or underflowing
     # lambda^(-V).
-    if gauge_fixed:
-        value = complex(total) * float(n) ** (-layout.num_components)
-    else:
-        value = complex(total) * sixj.global_index ** (-V)
+    power = layout.num_components if gauge_fixed else tri.num_vertices
+    value = complex(total) * float(n) ** (-power)
     stats = {"leaves": leaves, "visited": visited, "pruned": pruned, "gauge_fixed": gauge_fixed,
              "layout_s": gauge_start - layout_start,
              "gate_s": layout_start - gate_start + sum_start - gauge_start,

@@ -50,9 +50,9 @@ def _tables():
     A gluing entry holds the three corner pairs and the three local-edge pairs
     it identifies, and o(t2) / o(t), which the sign rule of ``orientation``
     makes -sign(perm): perm has f + f2 inversions through slot f, mod 2. A
-    rank entry holds a getter of the six edge slots in rank order, the
-    order's sign, and per face a getter of its (low-mid, mid-high, low-high)
-    edge slots.
+    rank entry holds a getter of the three edge slots between consecutive
+    ranks (01, 12, 23), the order's sign, and per face a getter of its
+    (low-mid, mid-high, low-high) edge slots.
     """
     perms = list(permutations(range(4)))
     sign = {p: (-1) ** sum(x > y for x, y in combinations(p, 2)) for p in perms}
@@ -71,7 +71,7 @@ def _tables():
             )
         faces = ([v for v in perm if v != f] for f in range(4))
         rank[perm] = (
-            itemgetter(*(edge(a, b) for a, b in combinations(perm, 2))),
+            itemgetter(*(edge(a, b) for a, b in zip(perm, perm[1:]))),
             sign[perm],
             tuple(itemgetter(edge(x, y), edge(y, z), edge(x, z)) for x, y, z in faces),
         )

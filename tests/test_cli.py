@@ -210,6 +210,14 @@ def test_statesum_corrupt_triangulation_exit2(capsys, tmp_path):
     assert "involution" in err
 
 
+def test_statesum_labels_above_the_cap_exit2(capsys):
+    # refused before the n^3 weight table is built
+    code, out, err = run(capsys, "statesum", "--sixj", "builtin:vec-z400", "--tri", "builtin:s3")
+    assert code == 2
+    assert err.startswith("error:") and "Z/400" in err and "cap of 64 labels" in err
+    assert "Traceback" not in err + out and out == ""
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tvo import (
+    CapacityError,
     InvariantValue,
     StructureError,
     Triangulation,
@@ -10,7 +11,7 @@ from tvo import (
     tv_evaluate,
     verify_pentagon,
 )
-from tvo.statesum import SixJData
+from tvo.statesum import _POINTED_LABEL_CAP, SixJData
 from tvo.triangulation import pachner_14, pachner_23
 
 from helpers import random_pachner_sequence, tv_bruteforce, two_tet_sphere
@@ -330,3 +331,58 @@ def test_data_without_gauge_invariance_matches_bruteforce(
     z = tv_evaluate(sj, tri)
     assert not z.stats["gauge_fixed"]
     assert abs(z.value - tv_bruteforce(sj, tri)) < 1e-12
+
+
+# a unit-0 Latin square of order 5 that is not associative: (1 1) 2 = 2 but
+# 1 (1 2) = 4, so its labels form a loop and not a group
+_LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+def _latin_all_ones(n, op):
+    adm = frozenset((a, b, op(a, b)) for a in range(n) for b in range(n))
+    sj = SixJData(num_labels=n, qdim=np.ones(n), admissible=adm, weights={})
+    sj.weights = {sj.key_from_triple(a, b, c): 1.0 + 0.0j
+                  for a in range(n) for b in range(n) for c in range(n)}
+    return sj
+
+
+@pytest.mark.parametrize("op,n,unit,associative,value", [
+    # Z/3 written with unit 2: a o b = a + b + 1; only the unit clause fails
+    (lambda a, b: (a + b + 1) % 3, 3, 2, True, 1 / 3),
+    # unit 0, not associative; a gauge-fixed sum would give 0.2
+    (lambda a, b: _LOOP5[a][b], 5, 0, False, 89 / 625),
+], ids=["z3-unit-2", "loop-5"])
+def test_each_gauge_gate_clause_matches_bruteforce(op, n, unit, associative, value):
+    sj = _latin_all_ones(n, op)
+    labels = range(n)
+    assert sj.pointed and verify_pentagon(sj).passed
+    assert all(op(unit, a) == a == op(a, unit) for a in labels)
+    assert associative == all(
+        op(op(a, b), c) == op(a, op(b, c)) for a in labels for b in labels for c in labels)
+    tri = two_tet_sphere()
+    z = tv_evaluate(sj, tri)
+    assert not z.stats["gauge_fixed"]
+    assert abs(z.value - tv_bruteforce(sj, tri)) < 1e-12
+    assert abs(z.value - value) < 1e-12
+
+
+def test_admissible_label_out_of_range_is_structure_error():
+    adm = frozenset([(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 5)])
+    with pytest.raises(StructureError, match=r"\(1, 1, 5\).*outside 0\.\.1"):
+        SixJData(num_labels=2, qdim=np.ones(2), admissible=adm, weights={})
+
+
+def test_pentagon_on_a_pair_without_channel_is_unsupported():
+    # Z/2 fusion with the (1, 1) channel dropped
+    adm = frozenset([(0, 0, 0), (0, 1, 1), (1, 0, 1)])
+    sj = SixJData(num_labels=2, qdim=np.ones(2), admissible=adm,
+                  weights=dict(pointed_sixj(2, 0).weights))
+    assert not sj.pointed
+    with pytest.raises(UnsupportedFeatureError, match="Latin-square"):
+        verify_pentagon(sj)
+
+
+def test_pointed_sixj_above_the_label_cap_is_capacity_error():
+    with pytest.raises(CapacityError, match=f"Z/{_POINTED_LABEL_CAP + 1} .* cap of "
+                                            f"{_POINTED_LABEL_CAP} labels"):
+        pointed_sixj(_POINTED_LABEL_CAP + 1, 0)
