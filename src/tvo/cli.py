@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import catalog, dataio, statesum, surgery, tube
-from .errors import TvoError
+from .errors import CapacityError, TvoError
 from .modular import ModularData, conjugate_equivalent, double_data, verify_verlinde
 from .triangulation import boundary_4_simplex
 
@@ -45,62 +45,74 @@ class CommandResult:
 # ---------------------------------------------------------------------------
 # builtin registries
 # ---------------------------------------------------------------------------
+# One row per builtin name: (pattern, usage, description, factory). A name
+# resolves by the first row whose pattern matches it whole, calling the factory
+# on the match groups; ``list_builtins`` prints the usage and description.
 
-_BUILTIN_DOCS = [
-    ("trivial", "rank-1 data"),
-    ("fibonacci", "rank-2 golden-ratio data"),
-    ("ising", "rank-3 data (1, sigma, psi)"),
-    ("su2-<k>", "SU(2) level k, rank k+1"),
-    ("pointed-z<n>", "pointed cyclic data, canonical non-degenerate form"),
-    ("pointed-z<n>-<q>", "pointed cyclic data with form parameter q (mod 2n)"),
-    ("toric-code", "alias for dw-z2"),
-    ("dw-z<n1>[x<n2>...]", "quantum double of an abelian group, e.g. dw-z2, dw-z2x2"),
-    ("twisted-z<n>-<k>", "twisted double of Z/n with cocycle parameter k"),
-    ("double-<name>", "product of a builtin with its conjugate, e.g. double-fibonacci"),
-    ("tube-z<n>-<k>", "modular data from the tube-algebra center for (n, k)"),
-]
+#: the most ``double-`` prefixes one builtin name may nest. Each doubling
+#: squares the rank and doubles the label length, so every builtin of rank
+#: >= 2 meets the 1 GiB array cap by its fourth; only rank-1 data goes deeper.
+_DOUBLE_CAP = 8
 
-_SIXJ_DOCS = [
-    ("vec-z<n>", "pointed 6j data on Z/n, trivial cocycle"),
-    ("vec-z<n>-<k>", "pointed 6j data on Z/n, cocycle parameter k"),
-]
 
-_TRI_DOCS = [
-    ("s3", "boundary of the 4-simplex (5-tetrahedron 3-sphere)"),
-]
+def _on_ints(make):
+    """A factory that calls ``make`` on its match groups read as integers."""
+    return lambda *groups: make(*map(int, groups))
+
+
+def _doubled(prefixes: str, name: str) -> ModularData:
+    """``double_data`` applied once per peeled ``double-`` prefix to builtin ``name``."""
+    depth = len(prefixes) // len("double-")
+    if depth > _DOUBLE_CAP:
+        raise CapacityError(f"{depth} nested double- prefixes are above the cap of {_DOUBLE_CAP}")
+    data = resolve_builtin_data(name)
+    for _ in range(depth):
+        data = double_data(data)
+    return data
+
+
+_DATA = (
+    ("trivial", "trivial", "rank-1 data", catalog.trivial_data),
+    ("fibonacci", "fibonacci", "rank-2 golden-ratio data", catalog.fibonacci),
+    ("ising", "ising", "rank-3 data (1, sigma, psi)", catalog.ising),
+    (r"su2-(\d+)", "su2-<k>", "SU(2) level k, rank k+1", _on_ints(catalog.su2_level_k)),
+    (r"pointed-z(\d+)", "pointed-z<n>", "pointed cyclic data, canonical non-degenerate form",
+     _on_ints(lambda n: catalog.pointed_cyclic(n, catalog.standard_pointed_form(n)))),
+    (r"pointed-z(\d+)-(\d+)", "pointed-z<n>-<q>",
+     "pointed cyclic data with form parameter q (mod 2n)", _on_ints(catalog.pointed_cyclic)),
+    ("toric-code", "toric-code", "alias for dw-z2", lambda: resolve_builtin_data("dw-z2")),
+    (r"dw-z(\d+(?:x\d+)*)", "dw-z<n1>[x<n2>...]",
+     "quantum double of an abelian group, e.g. dw-z2, dw-z2x2",
+     lambda f: catalog.quantum_double_abelian(
+         catalog.FiniteAbelianGroup(tuple(map(int, f.split("x")))))),
+    (r"twisted-z(\d+)-(\d+)", "twisted-z<n>-<k>", "twisted double of Z/n with cocycle parameter k",
+     _on_ints(catalog.twisted_double_cyclic)),
+    (r"((?:double-)+)(.+)", "double-<name>",
+     "product of a builtin with its conjugate, e.g. double-fibonacci", _doubled),
+    (r"tube-z(\d+)-(\d+)", "tube-z<n>-<k>", "modular data from the tube-algebra center for (n, k)",
+     _on_ints(lambda n, k: tube.tube_modular_data(tube.tube_pointed(n, k)))),
+)
+
+_SIXJ = (
+    (r"vec-z(\d+)", "vec-z<n>", "pointed 6j data on Z/n, trivial cocycle",
+     _on_ints(lambda n: statesum.pointed_sixj(n, 0))),
+    (r"vec-z(\d+)-(\d+)", "vec-z<n>-<k>", "pointed 6j data on Z/n, cocycle parameter k",
+     _on_ints(statesum.pointed_sixj)),
+)
+
+_TRI = (("s3", "s3", "boundary of the 4-simplex (5-tetrahedron 3-sphere)", boundary_4_simplex),)
+
+
+def _make(rows, name: str, unknown: str):
+    for pattern, _, _, make in rows:
+        m = re.fullmatch(pattern, name)
+        if m:
+            return make(*m.groups())
+    raise TvoError(unknown)
 
 
 def resolve_builtin_data(name: str) -> ModularData:
-    if name == "trivial":
-        return catalog.trivial_data()
-    if name == "fibonacci":
-        return catalog.fibonacci()
-    if name == "ising":
-        return catalog.ising()
-    if name == "toric-code":
-        return catalog.quantum_double_abelian(catalog.FiniteAbelianGroup((2,)))
-    m = re.fullmatch(r"su2-(\d+)", name)
-    if m:
-        return catalog.su2_level_k(int(m.group(1)))
-    m = re.fullmatch(r"pointed-z(\d+)(?:-(\d+))?", name)
-    if m:
-        n = int(m.group(1))
-        q = int(m.group(2)) if m.group(2) is not None else catalog.standard_pointed_form(n)
-        return catalog.pointed_cyclic(n, q)
-    m = re.fullmatch(r"dw-z(\d+(?:x\d+)*)", name)
-    if m:
-        factors = tuple(int(x) for x in m.group(1).split("x"))
-        return catalog.quantum_double_abelian(catalog.FiniteAbelianGroup(factors))
-    m = re.fullmatch(r"twisted-z(\d+)-(\d+)", name)
-    if m:
-        return catalog.twisted_double_cyclic(int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"tube-z(\d+)-(\d+)", name)
-    if m:
-        return tube.tube_modular_data(tube.tube_pointed(int(m.group(1)), int(m.group(2))))
-    m = re.fullmatch(r"double-(.+)", name)
-    if m:
-        return double_data(resolve_builtin_data(m.group(1)))
-    raise TvoError(f"unknown builtin data set {name!r} (see --list-builtins)")
+    return _make(_DATA, name, f"unknown builtin data set {name!r} (see --list-builtins)")
 
 
 def _load(loader, path, what):
@@ -117,31 +129,24 @@ def resolve_data_source(source: str) -> ModularData:
 
 
 def resolve_sixj(source: str) -> statesum.SixJData:
-    name = source.removeprefix("builtin:")
-    m = re.fullmatch(r"vec-z(\d+)(?:-(\d+))?", name)
-    if m:
-        n = int(m.group(1))
-        k = int(m.group(2)) if m.group(2) is not None else 0
-        return statesum.pointed_sixj(n, k)
-    raise TvoError(f"unknown 6j data {source!r} (see --list-builtins)")
+    return _make(_SIXJ, source.removeprefix("builtin:"),
+                 f"unknown 6j data {source!r} (see --list-builtins)")
 
 
 def resolve_triangulation(source: str):
     if source.startswith("builtin:"):
         name = source[len("builtin:") :]
-        if name == "s3":
-            return boundary_4_simplex()
-        raise TvoError(f"unknown builtin triangulation {name!r}")
+        return _make(_TRI, name, f"unknown builtin triangulation {name!r}")
     return _load(dataio.load_triangulation, source, "triangulation")
 
 
 def list_builtins() -> list[str]:
-    out = ["modular data builtins (use as builtin:NAME):"]
-    out += [f"  {name:<22} {doc}" for name, doc in _BUILTIN_DOCS]
-    out.append("6j data builtins (statesum --sixj):")
-    out += [f"  {name:<22} {doc}" for name, doc in _SIXJ_DOCS]
-    out.append("triangulation builtins (statesum --tri):")
-    out += [f"  {name:<22} {doc}" for name, doc in _TRI_DOCS]
+    out = []
+    for title, rows in (("modular data builtins (use as builtin:NAME):", _DATA),
+                        ("6j data builtins (statesum --sixj):", _SIXJ),
+                        ("triangulation builtins (statesum --tri):", _TRI)):
+        out.append(title)
+        out += [f"  {usage:<22} {doc}" for _, usage, doc, _ in rows]
     return out
 
 
@@ -156,19 +161,26 @@ def cmd_verify(args) -> CommandResult:
     return CommandResult(0 if report.strict_pass else 1, lines)
 
 
+def _surgery(data: ModularData, manifold: tuple):
+    """Name and value of ``("lens", p, q)`` or ``("brieskorn", p, q, r)``; L(p,1)
+    by ``lens_p1``, which alone also takes p = 0 (S^1 x S^2)."""
+    if manifold[0] == "lens":
+        _, p, q = manifold
+        return f"L({p},{q})", surgery.lens_p1(data, p) if q == 1 else surgery.lens_general(data, p, q)
+    _, p, q, r = manifold
+    return f"M({p},{q},{r})", surgery.brieskorn(data, p, q, r)
+
+
 def cmd_invariant(args) -> CommandResult:
     data = resolve_data_source(args.data)
     if args.manifold == "lens":
         if args.p is None or args.q is None:
             raise TvoError("lens requires -p and -q")
-        if args.q == 1:  # lens_p1 alone also takes p = 0 (S^1 x S^2)
-            result = surgery.lens_p1(data, args.p)
-        else:
-            result = surgery.lens_general(data, args.p, args.q)
+        _, result = _surgery(data, ("lens", args.p, args.q))
     elif args.manifold == "brieskorn":
         if None in (args.p, args.q, args.r):
             raise TvoError("brieskorn requires -p, -q and -r")
-        result = surgery.brieskorn(data, args.p, args.q, args.r)
+        _, result = _surgery(data, ("brieskorn", args.p, args.q, args.r))
     elif args.manifold == "plumbing":
         if args.tree is None:
             raise TvoError("plumbing requires --tree FILE")
@@ -207,71 +219,48 @@ def cmd_compare(args) -> CommandResult:
     )
 
 
+def _checks(rows) -> CommandResult:
+    """One ``head residual r  pass|FAIL`` line per (head, residual, tolerance)
+    row; exit code 1 if any residual is above its tolerance."""
+    lines, failures = [], 0
+    for head, diff, tol in rows:
+        failures += diff > tol
+        lines.append(f"{head} residual {diff:.3e}  {'FAIL' if diff > tol else 'pass'}")
+    return CommandResult(1 if failures else 0, lines)
+
+
 def cmd_golden(args) -> CommandResult:
     if args.data is None:
         if args.source == "e6":
             return _e6_self_consistency()
         raise TvoError(f"golden --source {args.source} requires --data FILE")
     data = resolve_data_source(args.data)
-    fixtures = catalog.golden_fixtures(args.source)
-    lines = []
-    failures = 0
-    for fx in fixtures:
-        if fx.manifold[0] == "lens":
-            _, p, q = fx.manifold
-            got = surgery.lens_general(data, p, q).value
-            name = f"L({p},{q})"
-        else:
-            _, p, q, r = fx.manifold
-            got = surgery.brieskorn(data, p, q, r).value
-            name = f"M({p},{q},{r})"
-        diff = abs(got - fx.value)
-        ok = diff <= GOLDEN_TOLERANCE
-        failures += 0 if ok else 1
-        lines.append(f"{fx.source} {name:<10} expected {fmt_value(fx.value)}  got {fmt_value(got)}  "
-                     f"residual {diff:.3e}  {'pass' if ok else 'FAIL'}")
-    if args.source == "e6":
-        more, extra_failures = _e6_lens_against_data(data)
-        lines += more
-        failures += extra_failures
-    return CommandResult(1 if failures else 0, lines)
+    # (line head around the manifold's name, manifold, expected value)
+    cases = [(f"{fx.source} {{:<10}}", fx.manifold, fx.value)
+             for fx in catalog.golden_fixtures(args.source)]
+    if args.source == "e6":  # the closed form's lens spaces L(p, 1), p <= 12, and L(p, 2), odd p
+        cases += [("e6 {} ", ("lens", p, q), catalog.e6_lens_reference(p, q))
+                  for p in range(1, 13) for q in (1, 2) if q == 1 or p % 2]
+    rows = []
+    for head, manifold, want in cases:
+        name, result = _surgery(data, manifold)
+        got = result.value
+        rows.append((f"{head.format(name)} expected {fmt_value(want)}  got {fmt_value(got)} ",
+                     abs(got - want), GOLDEN_TOLERANCE))
+    return _checks(rows)
 
 
 def _e6_self_consistency() -> CommandResult:
     """Closed-form checks that need no data file."""
+    ref = catalog.e6_lens_reference
     checks = [
-        ("L(1,1) = L(1,2) (both the 3-sphere)",
-         catalog.e6_lens_reference(1, 1), catalog.e6_lens_reference(1, 2)),
-        ("L(3,2) = conj(L(3,1))",
-         catalog.e6_lens_reference(3, 2), catalog.e6_lens_reference(3, 1).conjugate()),
-        ("L(2,1) = 1/2", catalog.e6_lens_reference(2, 1), 0.5 + 0j),
-        ("L(3,1) = (1-i)/4", catalog.e6_lens_reference(3, 1), (1 - 1j) / 4),
+        ("L(1,1) = L(1,2) (both the 3-sphere)", ref(1, 1), ref(1, 2)),
+        ("L(3,2) = conj(L(3,1))", ref(3, 2), ref(3, 1).conjugate()),
+        ("L(2,1) = 1/2", ref(2, 1), 0.5 + 0j),
+        ("L(3,1) = (1-i)/4", ref(3, 1), (1 - 1j) / 4),
     ]
-    lines = []
-    bad = 0
-    for name, got, want in checks:
-        diff = abs(got - want)
-        ok = diff <= 1e-12
-        bad += 0 if ok else 1
-        lines.append(f"e6 closed form {name:<34} residual {diff:.3e}  {'pass' if ok else 'FAIL'}")
-    return CommandResult(1 if bad else 0, lines)
-
-
-def _e6_lens_against_data(data: ModularData):
-    lines = []
-    failures = 0
-    for p in range(1, 13):
-        for q in (1, 2):
-            if q == 2 and p % 2 == 0:
-                continue
-            want = catalog.e6_lens_reference(p, q)
-            got = surgery.lens_general(data, p, q).value
-            diff = abs(got - want)
-            ok = diff <= GOLDEN_TOLERANCE
-            failures += 0 if ok else 1
-            lines.append(f"e6 L({p},{q})  expected {fmt_value(want)}  got {fmt_value(got)}  "
-                         f"residual {diff:.3e}  {'pass' if ok else 'FAIL'}")
-    return lines, failures
+    return _checks((f"e6 closed form {name:<34}", abs(got - want), 1e-12)
+                   for name, got, want in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("verify", help="run the Verlinde axiom suite on a data set")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--data", required=True, help="file path or builtin:NAME")
 
     p = sub.add_parser("invariant", help="evaluate a surgery formula")
+    p.set_defaults(run=cmd_invariant)
     p.add_argument("manifold", choices=["lens", "brieskorn", "plumbing"])
     p.add_argument("-p", type=int, default=None)
     p.add_argument("-q", type=int, default=None)
@@ -299,28 +290,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
 
     p = sub.add_parser("statesum", help="evaluate the triangulation state sum")
+    p.set_defaults(run=cmd_statesum)
     p.add_argument("--sixj", required=True, help="builtin:vec-zN or builtin:vec-zN-k")
     p.add_argument("--tri", required=True, help="triangulation file or builtin:s3")
 
     p = sub.add_parser("compare", help="search for a relabeling between two data sets")
+    p.set_defaults(run=cmd_compare)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--conjugate", action="store_true",
                    help="match against the entrywise conjugate of --b")
 
     p = sub.add_parser("golden", help="compare a data file against published values")
+    p.set_defaults(run=cmd_golden)
     p.add_argument("--data", default=None)
     p.add_argument("--source", required=True, choices=list(catalog.fixture_sources()))
     return parser
-
-
-_COMMANDS = {
-    "verify": cmd_verify,
-    "invariant": cmd_invariant,
-    "statesum": cmd_statesum,
-    "compare": cmd_compare,
-    "golden": cmd_golden,
-}
 
 
 def main(argv=None) -> int:
@@ -338,7 +323,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        result = _COMMANDS[args.command](args)
+        result = args.run(args)
     except TvoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

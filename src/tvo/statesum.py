@@ -65,8 +65,8 @@ class SixJData:
 
     def __post_init__(self):
         q = np.array(self.qdim, dtype=float)
-        if q.shape != (self.num_labels,) or (q <= 0).any():
-            raise StructureError("qdim must be positive, one entry per label")
+        if q.shape != (self.num_labels,) or not (q > 0).all() or not np.isfinite(q).all():
+            raise StructureError("qdim must be positive and finite, one entry per label")
         if abs(q[0] - 1.0) > 1e-12:
             raise StructureError("the vacuum label must have [X] = 1")
         n = self.num_labels
@@ -161,6 +161,10 @@ def _weight_table(sixj: SixJData):
     return [[[sixj.tet_weight(sixj.key_from_triple(a, b, c)) for c in r] for b in r] for a in r]
 
 
+#: the largest pentagon residual ``verify_pentagon`` and the gauge gate accept
+_PENTAGON_TOL = 1e-9
+
+
 def _pentagon_residual(mul, w) -> float:
     """max |W(b,c,d) W(a,bc,d) W(a,b,c) - W(ab,c,d) W(a,b,cd)| over label 4-tuples."""
     r = range(len(mul))
@@ -178,7 +182,7 @@ def _pentagon_residual(mul, w) -> float:
     return worst
 
 
-def verify_pentagon(sixj: SixJData, tol: float = 1e-9) -> PentagonReport:
+def verify_pentagon(sixj: SixJData) -> PentagonReport:
     """Check the pentagon identity on all label 4-tuples of Latin-square fusion.
 
     For weight tables of cocycle type this is exactly the degree-3 cocycle
@@ -187,7 +191,7 @@ def verify_pentagon(sixj: SixJData, tol: float = 1e-9) -> PentagonReport:
     if sixj._group is None:
         raise UnsupportedFeatureError("pentagon check implemented for Latin-square fusion only")
     worst = _pentagon_residual(sixj._group[0], _weight_table(sixj))
-    return PentagonReport(worst <= tol, worst, sixj.num_labels**4)
+    return PentagonReport(worst <= _PENTAGON_TOL, worst, sixj.num_labels**4)
 
 
 def _gauge_fixable(mul, w) -> bool:
@@ -204,7 +208,7 @@ def _gauge_fixable(mul, w) -> bool:
     """
     labels = range(len(mul))
     return (
-        _pentagon_residual(mul, w) <= 1e-9
+        _pentagon_residual(mul, w) <= _PENTAGON_TOL
         and all(mul[0][a] == a == mul[a][0] for a in labels)
         and all(mul[mul[a][b]][c] == mul[a][mul[b][c]]
                 for a in labels for b in labels for c in labels)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, islice, permutations
 from operator import itemgetter
 
 from .errors import PreconditionError, StructureError
@@ -178,13 +178,9 @@ class Triangulation:
 
     def require_closed(self):
         if not self.is_closed:
-            unglued = [
-                (t, f)
-                for t in range(self.num_tets)
-                for f in range(4)
-                if (t, f) not in self.gluings
-            ]
-            raise StructureError(f"triangulation has unglued faces, e.g. {unglued[:3]}")
+            unglued = ((t, f) for t in range(self.num_tets) for f in range(4)
+                       if (t, f) not in self.gluings)
+            raise StructureError(f"triangulation has unglued faces, e.g. {list(islice(unglued, 3))}")
 
     def _classes(self, width, part):
         """Rows of class ids of the ``width`` slots per tetrahedron and their
@@ -276,21 +272,34 @@ def boundary_4_simplex() -> Triangulation:
     Tetrahedron i spans the global vertices {0..4} minus {i}, in increasing
     order; tets i and j are glued along the face omitting both.
     """
-    verts = [[g for g in range(5) if g != i] for i in range(5)]
     gluings = {}
-    for i in range(5):
-        for j in range(5):
-            if i == j:
-                continue
-            f_i = verts[i].index(j)  # face of tet i opposite global vertex j
-            f_j = verts[j].index(i)
-            perm = [0, 0, 0, 0]
-            perm[f_i] = f_j
-            for v in range(4):
-                if v != f_i:
-                    perm[v] = verts[j].index(verts[i][v])
-            gluings[(i, f_i)] = (j, tuple(perm))
+    _glue_by_tokens(gluings, 0, [tuple(g for g in range(5) if g != i) for i in range(5)])
     return Triangulation(5, gluings)
+
+
+def _face(tokens, g):
+    return frozenset(tokens) - {tokens[g]}
+
+
+def _slot_map(src, g, dst, h):
+    """Slots of ``src`` onto ``dst`` by token, face slot g onto face slot h."""
+    return tuple(h if v == g else dst.index(src[v]) for v in range(4))
+
+
+def _glue_by_tokens(gluings: dict, base: int, tets: list) -> dict:
+    """Glue tetrahedra ``base + i``, with the slot tokens ``tets[i]``, to each
+    other wherever two faces have the same token set, writing ``gluings`` by
+    (tetrahedron, face). Returns each face token set's list of (i, face)."""
+    spans = {}
+    for i, tokens in enumerate(tets):
+        for g in range(4):
+            spans.setdefault(_face(tokens, g), []).append((i, g))
+    for i, tokens in enumerate(tets):
+        for g in range(4):
+            for j, h in spans[_face(tokens, g)]:
+                if j != i:
+                    gluings[(base + i, g)] = (base + j, _slot_map(tokens, g, tets[j], h))
+    return spans
 
 
 def _flip(tri: Triangulation, old: dict, new: list) -> Triangulation:
@@ -315,34 +324,17 @@ def _flip(tri: Triangulation, old: dict, new: list) -> Triangulation:
         for (s, g), (s2, perm) in tri.gluings.items()
         if s in remap and s2 in remap
     }
-
-    def face(tokens, g):
-        return frozenset(tokens) - {tokens[g]}
-
-    def slot_map(src, g, dst, h):
-        """Slots of ``src`` onto ``dst`` by token, face slot g onto face slot h."""
-        return tuple(h if v == g else dst.index(src[v]) for v in range(4))
-
-    spans = {}
-    for i, tokens in enumerate(new):
-        for g in range(4):
-            spans.setdefault(face(tokens, g), []).append((i, g))
-
-    for i, tokens in enumerate(new):
-        for g in range(4):
-            for j, h in spans[face(tokens, g)]:
-                if j != i:
-                    gluings[(base + i, g)] = (base + j, slot_map(tokens, g, new[j], h))
+    spans = _glue_by_tokens(gluings, base, new)
 
     outer = {}  # old face -> (new tet, new face, new-slot -> old-slot map)
     rewritten = []  # reverse gluings written on surviving tetrahedra
     for i, tokens in enumerate(new):
         for s, old_tokens in old.items():
             for g in range(4):
-                span = face(tokens, g)
+                span = _face(tokens, g)
                 if len(spans[span]) == 1 and span <= set(old_tokens):
                     f = next(v for v in range(4) if old_tokens[v] not in span)
-                    outer[(s, f)] = (base + i, g, slot_map(tokens, g, old_tokens, f))
+                    outer[(s, f)] = (base + i, g, _slot_map(tokens, g, old_tokens, f))
 
     for (s, f), (i, g, sigma) in outer.items():
         s2, rho = tri.gluings[(s, f)]

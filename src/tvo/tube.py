@@ -127,13 +127,18 @@ class CenterBasis:
     flux: tuple  # the flux sector g of each row
 
 
+#: the residual bound of the center extraction; idempotent, completeness and
+#: character checks allow 1e3 times it
+_TOL = 1e-9
+
+
 def _charge_phase(P: np.ndarray) -> np.ndarray:
     """Phase in [0, 2 pi) of conj(p_1 / p_0) for each row p of sector idempotents (0 if n = 1)."""
     ang = np.angle((P[:, 1 % P.shape[1]] / P[:, 0]).conj()) % (2 * math.pi)
     return np.where(ang > 2 * math.pi - 1e-8, 0.0, ang)
 
 
-def center_idempotents(alg: TubeAlgebra, tol: float = 1e-9) -> CenterBasis:
+def center_idempotents(alg: TubeAlgebra) -> CenterBasis:
     """Extract the minimal central idempotents of ``alg`` numerically.
 
     Every flux sector must be commutative. In sector g the eigenvectors of
@@ -145,10 +150,10 @@ def center_idempotents(alg: TubeAlgebra, tol: float = 1e-9) -> CenterBasis:
     or if residuals exceed tolerance.
     """
     res = alg.associativity_residual()
-    if res > tol:
+    if res > _TOL:
         raise DecompositionError(f"structure constants not associative (residual {res:.3e})")
     res = float(np.abs(alg.mult - alg.mult.swapaxes(1, 2)).max())
-    if res > tol:
+    if res > _TOL:
         raise DecompositionError(f"structure constants not commutative (residual {res:.3e})")
     n = alg.n
     idempotents = np.zeros((alg.dim, alg.dim), dtype=complex)
@@ -162,14 +167,14 @@ def center_idempotents(alg: TubeAlgebra, tol: float = 1e-9) -> CenterBasis:
         Q = evecs.T
         mu = np.einsum("jz,jz->j", Q.conj(), np.einsum("jx,jy,xyz->jz", Q, Q, m))
         mu /= np.einsum("jz,jz->j", Q.conj(), Q)
-        if np.abs(mu).min() < tol:
+        if np.abs(mu).min() < _TOL:
             raise DecompositionError("nilpotent direction in the center")
         P = Q / mu[:, None]
         worst = max(worst, float(np.abs(np.einsum("jx,jy,xyz->jz", P, P, m) - P).max()))
-        if worst > 1e3 * tol:
+        if worst > 1e3 * _TOL:
             raise DecompositionError(f"idempotent residual {worst:.3e} above tolerance")
         completeness = max(completeness, float(np.abs(P.sum(axis=0) - alg.identity[sector]).max()))
-        if completeness > 1e3 * tol:
+        if completeness > 1e3 * _TOL:
             raise DecompositionError(f"idempotents do not sum to the identity ({completeness:.3e})")
         # deterministic order inside the sector: by the phase of the character at 1
         idempotents[sector, sector] = P[np.argsort(_charge_phase(P), kind="stable")]
@@ -177,7 +182,7 @@ def center_idempotents(alg: TubeAlgebra, tol: float = 1e-9) -> CenterBasis:
     return CenterBasis(idempotents, worst, completeness, flux)
 
 
-def tube_modular_data(alg: TubeAlgebra, tol: float = 1e-9) -> ModularData:
+def tube_modular_data(alg: TubeAlgebra) -> ModularData:
     """Modular data on the center idempotents of a pointed tube algebra.
 
     Each idempotent p lives in one flux sector g and reads off a projective
@@ -186,15 +191,15 @@ def tube_modular_data(alg: TubeAlgebra, tol: float = 1e-9) -> ModularData:
     the output coincides with the twisted-double generator for the same
     (n, k) rather than merely being equivalent to it.
     """
-    cb = center_idempotents(alg, tol)
+    cb = center_idempotents(alg)
     n = alg.n
     chars = []
     for g, row in zip(cb.flux, cb.idempotents):
         c0 = row[g * n]
-        if abs(c0 - 1.0 / n) > 1e3 * tol:
+        if abs(c0 - 1.0 / n) > 1e3 * _TOL:
             raise DecompositionError(f"vacuum coefficient {c0} of sector {g} is not 1/n")
         psi = (row[g * n : g * n + n] / c0).conj()
-        if np.abs(np.abs(psi) - 1.0).max() > 1e3 * tol:
+        if np.abs(np.abs(psi) - 1.0).max() > 1e3 * _TOL:
             raise DecompositionError("projective character is not unimodular")
         # charge index j from psi(1) = exp(2 pi i (k g / n + j) / n); psi(1) = psi(0) if n = 1
         ang = cmath.phase(psi[1 % n]) / (2 * math.pi) * n - alg.twist * g / n

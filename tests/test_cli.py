@@ -338,6 +338,33 @@ def test_double_builtin_matches_library():
     assert np.array_equal(d.S, ref.S)
 
 
+def test_double_double_is_double_data_twice():
+    import numpy as np
+
+    d = resolve_builtin_data("double-double-fibonacci")
+    ref = tvo.double_data(tvo.double_data(tvo.fibonacci()))
+    assert np.array_equal(d.S, ref.S) and np.array_equal(d.T, ref.T)
+    assert d.labels == ref.labels
+
+
+def test_double_nesting_up_to_the_cap_resolves():
+    from tvo.cli import _DOUBLE_CAP
+
+    d = resolve_builtin_data("double-" * _DOUBLE_CAP + "trivial")
+    assert d.rank == 1 and len(d.labels[0]) == 5 * 2**_DOUBLE_CAP - 4
+
+
+@pytest.mark.parametrize("depth", [9, 1200])
+def test_double_nesting_above_the_cap_exit2(capsys, depth):
+    from tvo.cli import _DOUBLE_CAP
+
+    assert depth > _DOUBLE_CAP
+    code, out, err = run(capsys, "verify", "--data", "builtin:" + "double-" * depth + "trivial")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"{depth} nested double- prefixes are above the cap of {_DOUBLE_CAP}" in err
+
+
 def test_command_result_contract():
     import argparse
 

@@ -204,6 +204,23 @@ def test_tets_line_has_exact_fields(tmp_path):
         load_triangulation(path)
 
 
+def test_unglued_faces_named_in_constant_memory(tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "open.tri"
+    path.write_text("tets 100000\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            load_triangulation(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (
+        "invalid triangulation: triangulation has unglued faces, e.g. [(0, 0), (0, 1), (0, 2)]")
+    assert peak < 2**20
+
+
 def test_bad_image_triple(tmp_path):
     path = tmp_path / "bad.tri"
     path.write_text("tets 2\nglue 0 0 1 0 1 2 2\n")

@@ -48,3 +48,10 @@ def test_lens_table_rows():
     l31 = complex(float(p3[2]), float(p3[3]))
     l32 = complex(float(p3[5]), float(p3[6]))
     assert abs(l32 - l31.conjugate()) < 1e-12 and abs(l31.imag) > 0.5
+
+
+def test_fixture_table_matches_the_source():
+    import runpy
+
+    render = runpy.run_path(str(ROOT / "scripts" / "export_fixtures.py"))["render"]
+    assert (ROOT / "docs" / "golden_fixtures.txt").read_text(encoding="utf-8") == render()

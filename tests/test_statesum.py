@@ -372,6 +372,12 @@ def test_admissible_label_out_of_range_is_structure_error():
         SixJData(num_labels=2, qdim=np.ones(2), admissible=adm, weights={})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_nonpositive_or_nonfinite_dimension_is_structure_error(bad):
+    with pytest.raises(StructureError, match="qdim must be positive and finite"):
+        SixJData(num_labels=2, qdim=np.array([1.0, bad]), admissible=frozenset(), weights={})
+
+
 def test_pentagon_on_a_pair_without_channel_is_unsupported():
     # Z/2 fusion with the (1, 1) channel dropped
     adm = frozenset([(0, 0, 0), (0, 1, 1), (1, 0, 1)])
