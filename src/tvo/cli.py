@@ -55,9 +55,21 @@ class CommandResult:
 _DOUBLE_CAP = 8
 
 
+def _int(digits: str) -> int:
+    """A builtin's integer parameter; refuses digit strings past Python's
+    integer-conversion limit instead of raising ``ValueError``."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise CapacityError(
+            f"a builtin parameter of {len(digits)} digits is above the limit of "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def _on_ints(make):
     """A factory that calls ``make`` on its match groups read as integers."""
-    return lambda *groups: make(*map(int, groups))
+    return lambda *groups: make(*map(_int, groups))
 
 
 def _doubled(prefixes: str, name: str) -> ModularData:
@@ -84,7 +96,7 @@ _DATA = (
     (r"dw-z(\d+(?:x\d+)*)", "dw-z<n1>[x<n2>...]",
      "quantum double of an abelian group, e.g. dw-z2, dw-z2x2",
      lambda f: catalog.quantum_double_abelian(
-         catalog.FiniteAbelianGroup(tuple(map(int, f.split("x")))))),
+         catalog.FiniteAbelianGroup(tuple(map(_int, f.split("x")))))),
     (r"twisted-z(\d+)-(\d+)", "twisted-z<n>-<k>", "twisted double of Z/n with cocycle parameter k",
      _on_ints(catalog.twisted_double_cyclic)),
     (r"((?:double-)+)(.+)", "double-<name>",

@@ -168,6 +168,19 @@ def test_verify_huge_generator_exit2(capsys, name, rank):
     assert "Traceback" not in err + out
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--data", "builtin:su2-" + "1" * 5000),
+    ("verify", "--data", "builtin:dw-z2x" + "1" * 5000),
+    ("statesum", "--sixj", "builtin:vec-z" + "1" * 5000, "--tri", "builtin:s3"),
+])
+def test_builtin_parameter_past_the_digit_limit_exit2(capsys, argv):
+    # int() refuses strings of more than 4300 digits; the name is refused, not a traceback
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "5000 digits is above the limit of 4300 digits" in err
+    assert "Traceback" not in err + out and out == ""
+
+
 def test_invariant_anomalous_data_warns_on_stderr(capsys):
     code, out, err = run(capsys, "invariant", "lens", "-p", "3", "-q", "1",
                          "--data", "builtin:fibonacci")

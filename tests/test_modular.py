@@ -22,6 +22,8 @@ from tvo import (
     verify_verlinde,
 )
 
+from tvo.modular import _associativity_bound, _round_verlinde, _verlinde_tensor
+
 from helpers import fusion_associative_loops, verlinde_loops
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -89,8 +91,10 @@ def test_anomaly_phase_unimodular_when_proportional(maker):
 
 def test_report_stats_time_every_stage():
     rep = verify_verlinde(tvo.su2_level_k(3))
-    assert set(rep.stats) == {"rank", "tensor_s", "rounding_s", "ring_s", "sl2_s"}
+    assert set(rep.stats) == {"rank", "tensor_s", "rounding_s", "ring_s", "sl2_s",
+                              "ring_bound", "ring_exact"}
     assert rep.stats["rank"] == 4
+    assert rep.stats["ring_bound"] < 0.5 and rep.stats["ring_exact"] is False
     assert all(v >= 0 for v in rep.stats.values())
     # the stats take no part in equality or in the printed lines
     again = verify_verlinde(tvo.su2_level_k(3))
@@ -110,6 +114,128 @@ def test_rank_81_double_passes_strictly_with_the_group_law():
             k = sum((i // 3**e + j // 3**e) % 3 * 3**e for e in range(4))
             expected[i, j, k] = 1
     assert np.array_equal(fusion_from_S(d).N, expected)
+
+
+# ---------------------------------------------------------------------------
+# the fusion-ring certificate and its exact fallback
+# ---------------------------------------------------------------------------
+
+def _rounded_table(d):
+    """The clipped integer table verify_verlinde checks, its residual and its bad entries."""
+    Nr, int_res, bad = _round_verlinde(_verlinde_tensor(d))
+    return tvo.FusionTable(np.maximum(Nr, 0).astype(np.int64)), int_res, bad
+
+
+def _ring_passed(rep):
+    return next(c.passed for c in rep.checks if c.name == "fusion ring consistency")
+
+
+def _abelian(*factors):
+    return lambda: tvo.quantum_double_abelian(tvo.FiniteAbelianGroup(factors))
+
+
+# every catalog family, up to rank 81
+_CATALOG_TO_81 = {
+    "trivial": tvo.trivial_data,
+    "fibonacci": tvo.fibonacci,
+    "ising": tvo.ising,
+    **{f"su2-{k}": (lambda k=k: tvo.su2_level_k(k)) for k in (1, 2, 5, 10, 40, 80)},
+    "pointed-z5-2": lambda: tvo.pointed_cyclic(5, 2),
+    "pointed-z12": lambda: tvo.pointed_cyclic(12, tvo.standard_pointed_form(12)),
+    "dw-z2": _abelian(2),
+    "dw-z3": _abelian(3),
+    "dw-z2x2x2": _abelian(2, 2, 2),
+    "dw-z3x3": _abelian(3, 3),
+    **{f"twisted-z{n}-{k}": (lambda n=n, k=k: tvo.twisted_double_cyclic(n, k))
+       for n, k in ((2, 1), (3, 1), (4, 1), (7, 3))},
+    **{f"double-{name}": (lambda make=make: tvo.double_data(make()))
+       for name, make in (("fibonacci", tvo.fibonacci), ("ising", tvo.ising),
+                          ("su2-3", lambda: tvo.su2_level_k(3)),
+                          ("su2-8", lambda: tvo.su2_level_k(8)))},
+    "tube-z3-1": lambda: tvo.tube_modular_data(tvo.tube_pointed(3, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CATALOG_TO_81))
+def test_certified_ring_verdict_equals_the_exact_check(name):
+    d = _CATALOG_TO_81[name]()
+    assert d.rank <= 81
+    rep = verify_verlinde(d)
+    table, int_res, bad = _rounded_table(d)
+    exact = table.unit_ok() and table.commutative_ok() and table.associative_ok()
+    assert _ring_passed(rep) == exact
+    if d.rank <= 16:
+        assert exact == fusion_associative_loops(table.N)
+    # certified, with room to spare, and the exact products did not run
+    assert not bad.any()
+    assert rep.stats["ring_bound"] == _associativity_bound(d.S, int_res, table) < 1e-6
+    assert rep.stats["ring_exact"] is False
+
+
+_NOISY = [tvo.ising, lambda: tvo.su2_level_k(5), lambda: tvo.su2_level_k(20), _abelian(2, 2),
+          lambda: tvo.twisted_double_cyclic(3, 1), lambda: tvo.double_data(tvo.fibonacci())]
+
+
+@given(st.sampled_from(range(len(_NOISY))), st.floats(-12.0, -3.0), st.integers(0, 2**32 - 1))
+def test_a_certified_ring_under_noise_passes_the_exact_check(which, exponent, seed):
+    d = _NOISY[which]()
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(d.S.shape) + 1j * rng.standard_normal(d.S.shape)
+    noisy = ModularData(d.S + 10.0**exponent * noise, d.T)
+    rep = verify_verlinde(noisy)
+    table, _, _ = _rounded_table(noisy)
+    assert _ring_passed(rep) == (table.unit_ok() and table.commutative_ok() and table.associative_ok())
+    if rep.stats["ring_bound"] < 0.5:
+        assert not rep.stats["ring_exact"] and table.associative_ok()
+    else:
+        assert rep.stats["ring_exact"] or not (table.unit_ok() and table.commutative_ok())
+
+
+def test_ring_check_without_a_bound_takes_the_exact_path():
+    # su2-3 with S_01 = S_10 raised by 0.2: the Verlinde sums are far from
+    # integers, so no bound is formed, and the rounded table is unital and
+    # commutative but not associative
+    d = tvo.su2_level_k(3)
+    bump = np.zeros((4, 4))
+    bump[0, 1] = bump[1, 0] = 0.2
+    noisy = ModularData(d.S + bump, d.T)
+    table, _, bad = _rounded_table(noisy)
+    assert bad.any() and table.unit_ok() and table.commutative_ok()
+    assert not table.associative_ok() and not fusion_associative_loops(table.N)
+    rep = verify_verlinde(noisy)
+    assert rep.stats["ring_bound"] == float("inf") and rep.stats["ring_exact"] is True
+    assert not _ring_passed(rep)
+
+
+def test_a_bound_of_one_half_takes_the_exact_path(monkeypatch):
+    d = tvo.ising()
+    table, int_res, _ = _rounded_table(d)
+    # a table 0.4 from its sums cannot be certified
+    assert _associativity_bound(d.S, 0.4, table) >= 0.5 > _associativity_bound(d.S, int_res, table)
+    plain = verify_verlinde(d)
+    ran = []
+    exact = tvo.FusionTable.associative_ok
+    monkeypatch.setattr(tvo.FusionTable, "associative_ok", lambda self: ran.append(1) or exact(self))
+    monkeypatch.setattr(tvo.modular, "_associativity_bound", lambda *args: 0.5)
+    rep = verify_verlinde(d)
+    assert ran == [1]
+    assert rep.stats["ring_bound"] == 0.5 and rep.stats["ring_exact"] is True
+    assert rep == plain and rep.lines() == plain.lines()
+
+
+def test_rank_121_passes_without_the_exact_products(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the exact associativity products ran")
+
+    monkeypatch.setattr(tvo.FusionTable, "associative_ok", refuse)
+    # su2-120 is anomalous (c = 360/122), so its pass is on the axioms; the
+    # rank-121 double of su2-10 passes strictly
+    rep = verify_verlinde(tvo.su2_level_k(120))
+    assert rep.axioms_pass
+    assert rep.stats["ring_bound"] < 1e-5 and rep.stats["ring_exact"] is False
+    rep = verify_verlinde(tvo.double_data(tvo.su2_level_k(10)))
+    assert rep.stats["rank"] == 121 and rep.strict_pass
+    assert rep.stats["ring_bound"] < 1e-5 and rep.stats["ring_exact"] is False
 
 
 def test_report_flags_broken_unitarity():
