@@ -12,10 +12,13 @@ explicit stack, so the depth is not bounded by the recursion limit) and
 contribute exactly zero.
 
 Gauge fixing: when the labels form a group with unit 0 and the weights are
-a unit-modulus 3-cocycle on it (the pentagon identity, checked on every
-evaluation), the weight of a coloring is invariant under the gauge group
-G^V acting at the vertices (Dijkgraaf-Witten, "Topological gauge theories
-and group cohomology", CMP 1990). Each orbit then holds n^(V-c) colorings
+a unit-modulus 3-cocycle on it, the weight of a coloring is invariant under
+the gauge group G^V acting at the vertices (Dijkgraaf-Witten, "Topological
+gauge theories and group cohomology", CMP 1990). That condition (the
+pentagon identity, the group axioms and unit modulus) depends on the data
+alone, so it is checked once per data set and reused until the data
+changes; a state sum on a data set already checked pays only for its
+layout and enumeration. Each orbit then holds n^(V-c) colorings
 and exactly one of them colors a fixed spanning forest of the 1-skeleton
 with 0, where c counts the forest's trees. The forest edges take the single
 label 0 and, with lambda = n, the normalisation n^(V-c) lambda^(-V) folds
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from time import perf_counter
 
 import numpy as np
@@ -43,6 +46,42 @@ from .catalog import cyclic_cocycle
 from .errors import CapacityError, StructureError, UnsupportedFeatureError
 from .surgery import InvariantValue
 from .triangulation import _RANK, TET_EDGES, Triangulation, _components
+
+
+def _checked_qdim(qdim, num_labels: int) -> np.ndarray:
+    """``qdim`` as a float array, refused unless it has one positive finite
+    entry per label and [X] = 1 on the vacuum."""
+    q = np.array(qdim, dtype=float)
+    if q.shape != (num_labels,) or not (q > 0).all() or not np.isfinite(q).all():
+        raise StructureError("qdim must be positive and finite, one entry per label")
+    if abs(q[0] - 1.0) > 1e-12:
+        raise StructureError("the vacuum label must have [X] = 1")
+    return q
+
+
+def _bumping(method):
+    @wraps(method)
+    def bump(self, *args, **kwargs):
+        self.version += 1
+        return method(self, *args, **kwargs)
+
+    return bump
+
+
+class _CountingDict(dict):
+    """A dict whose ``version`` moves on every mutation, so a verdict computed
+    from its contents can be keyed on the version."""
+
+    version = 0
+
+    __setitem__ = _bumping(dict.__setitem__)
+    __delitem__ = _bumping(dict.__delitem__)
+    __ior__ = _bumping(dict.__ior__)
+    clear = _bumping(dict.clear)
+    pop = _bumping(dict.pop)
+    popitem = _bumping(dict.popitem)
+    setdefault = _bumping(dict.setdefault)
+    update = _bumping(dict.update)
 
 
 @dataclass(eq=False)
@@ -55,6 +94,14 @@ class SixJData:
     (e01, e02, e03, e12, e13, e23) by the tetrahedron's vertex order, to its
     weight. General data is accepted; evaluation and the pentagon check
     require pointed data: a Latin-square fusion table and unit dimensions.
+
+    ``weights`` is stored as a dict that counts its mutations (a copy of a
+    plain dict that is passed in), so the gate that ``tv_evaluate`` and
+    ``verify_pentagon`` read (the weight table, the pentagon residual and
+    the gauge verdict) is computed once and reused until the weights change.
+    Assigning ``qdim`` checks it as the constructor does, and assigning
+    ``num_labels``, ``admissible`` or ``weights`` drops the cached group
+    table and gate.
     """
 
     num_labels: int
@@ -63,17 +110,23 @@ class SixJData:
     weights: dict
     name: str = ""
 
+    def __setattr__(self, name, value):
+        if name == "qdim":
+            value = _checked_qdim(value, self.num_labels)
+        elif name == "weights":
+            if not isinstance(value, _CountingDict):
+                value = _CountingDict(value)
+            self.__dict__.pop("_verdict", None)
+        elif name in ("num_labels", "admissible"):
+            self.__dict__.pop("_group", None)
+            self.__dict__.pop("_verdict", None)
+        super().__setattr__(name, value)
+
     def __post_init__(self):
-        q = np.array(self.qdim, dtype=float)
-        if q.shape != (self.num_labels,) or not (q > 0).all() or not np.isfinite(q).all():
-            raise StructureError("qdim must be positive and finite, one entry per label")
-        if abs(q[0] - 1.0) > 1e-12:
-            raise StructureError("the vacuum label must have [X] = 1")
         n = self.num_labels
         bad = next((t for t in self.admissible if not all(0 <= x < n for x in t)), None)
         if bad is not None:
             raise StructureError(f"admissible triple {bad} names a label outside 0..{n - 1}")
-        self.qdim = q
 
     @property
     def global_index(self) -> float:
@@ -112,10 +165,25 @@ class SixJData:
         bc = mul[b][c]
         return (a, ab, mul[ab][c], b, bc, c)
 
+    def _gate(self):
+        """(w, conjugate of w, pentagon residual, gauge-fixable) of Latin-square
+        data, where w is ``_weight_table``. Cached on the weights' version
+        until they change; a missing weight raises and caches nothing."""
+        cached = self.__dict__.get("_verdict")
+        if cached is not None and cached[0] == self.weights.version:
+            return cached[1]
+        mul = self._group[0]
+        w = _weight_table(self)
+        residual = _pentagon_residual(mul, w)
+        wneg = [[[x.conjugate() for x in row] for row in plane] for plane in w]
+        verdict = (w, wneg, residual, _gauge_fixable(mul, w, residual))
+        self._verdict = (self.weights.version, verdict)
+        return verdict
+
 
 #: largest label count of ``pointed_sixj``: n^3 weights, and the pentagon
-#: check every evaluation runs is n^4 products (3.3 s at n = 48 on a 2-core
-#: Xeon, so about 10 s at the cap)
+#: check, run once per data set before its first evaluation, is n^4 products
+#: (3.3 s at n = 48 on a 2-core Xeon, so about 10 s at the cap)
 _POINTED_LABEL_CAP = 64
 
 
@@ -190,25 +258,25 @@ def verify_pentagon(sixj: SixJData) -> PentagonReport:
     """
     if sixj._group is None:
         raise UnsupportedFeatureError("pentagon check implemented for Latin-square fusion only")
-    worst = _pentagon_residual(sixj._group[0], _weight_table(sixj))
+    worst = sixj._gate()[2]
     return PentagonReport(worst <= _PENTAGON_TOL, worst, sixj.num_labels**4)
 
 
-def _gauge_fixable(mul, w) -> bool:
+def _gauge_fixable(mul, w, residual: float) -> bool:
     """Whether the weight of a coloring is constant on its gauge orbit.
 
     A gauge transformation g in G^V recolors edge (u, v) from x to
     g_u^-1 x g_v. When the labels form a group under ``mul`` with unit 0 and
     the weights ``w`` are a unit-modulus 3-cocycle on it (the pentagon
-    identity), the weight changes by a coboundary, which integrates to 1 over
-    a closed oriented complex (Dijkgraaf-Witten, CMP 1990); unit modulus
-    makes the conjugate on negatively oriented tetrahedra the inverse. The
-    caller builds ``w`` on every evaluation, since ``weights`` is a mutable
-    dict.
+    identity, whose ``residual`` the caller passes), the weight changes by a
+    coboundary, which integrates to 1 over a closed oriented complex
+    (Dijkgraaf-Witten, CMP 1990); unit modulus makes the conjugate on
+    negatively oriented tetrahedra the inverse. ``SixJData._gate`` calls it
+    once per version of the weights.
     """
     labels = range(len(mul))
     return (
-        _pentagon_residual(mul, w) <= _PENTAGON_TOL
+        residual <= _PENTAGON_TOL
         and all(mul[0][a] == a == mul[a][0] for a in labels)
         and all(mul[mul[a][b]][c] == mul[a][mul[b][c]]
                 for a in labels for b in labels for c in labels)
@@ -314,9 +382,10 @@ def tv_evaluate(sixj: SixJData, tri: Triangulation) -> InvariantValue:
     assignments, ``pruned`` assignments that broke a face constraint,
     ``leaves`` complete admissible colorings, and whether the sum was
     ``gauge_fixed``; it also holds the seconds of the stages, ``layout_s``
-    (classes, orientation and schedule), ``gate_s`` (the pointed check, the
-    n^3 weight table and the gauge checks on it) and ``sum_s`` (the
-    enumeration).
+    (classes, orientation and schedule), ``gate_s`` (the pointed check and
+    ``SixJData._gate``: the n^3 weight table and the gauge checks on it on the
+    first call for a data set, a cache lookup after that while the weights
+    are unchanged) and ``sum_s`` (the enumeration).
     """
     gate_start = perf_counter()
     if not sixj.pointed:
@@ -328,13 +397,11 @@ def tv_evaluate(sixj: SixJData, tri: Triangulation) -> InvariantValue:
     layout = _layout(tri)
     gauge_start = perf_counter()
     mul, ldiv, mdiv = sixj._group
-    wpos = _weight_table(sixj)
-    gauge_fixed = _gauge_fixable(mul, wpos)
+    wpos, wneg, _, gauge_fixed = sixj._gate()
     sum_start = perf_counter()
     n = sixj.num_labels
     faces = layout.faces
     schedule = layout.schedule
-    wneg = [[[x.conjugate() for x in row] for row in plane] for plane in wpos]
 
     colors = [0] * layout.num_edges
     tet_terms = [(key, wneg if conj else wpos) for key, conj in layout.tets]

@@ -80,6 +80,9 @@ def _tables():
 
 _GLUING, _RANK = _tables()
 
+#: each permutation of 0..3 mapped to its inverse; a missing key is not a permutation
+_INVERSE = {perm: inverse_perm(perm) for perm in permutations(range(4))}
+
 
 def _components(size, pairs):
     """Component ids of the slots 0..size-1 joined by ``pairs``, numbered by
@@ -110,20 +113,22 @@ def _components(size, pairs):
 
 def _check_gluing(gluings: dict, num_tets: int, key):
     """Raise unless gluing ``key`` is in range, glues by a permutation of
-    0..3, does not glue a face to itself and is stored with its reverse."""
+    0..3 (a key of ``_INVERSE``), does not glue a face to itself and is stored
+    with its reverse."""
     t, f = key
     t2, perm = gluings[key]
     if not (0 <= t < num_tets and 0 <= t2 < num_tets):
         raise StructureError(f"gluing {key} -> {(t2, perm)}: tetrahedron index out of range")
     if not (0 <= f < 4):
         raise StructureError(f"gluing {key}: face index out of range")
-    if sorted(perm) != [0, 1, 2, 3]:
+    inverse = _INVERSE.get(perm)
+    if inverse is None:
         raise StructureError(f"gluing {key}: {perm} is not a permutation of 0..3")
     f2 = perm[f]
     if (t2, f2) == key:
         raise StructureError(f"face ({t},{f}) glued to itself")
     back = gluings.get((t2, f2))
-    if back is None or back != (t, inverse_perm(perm)):
+    if back is None or back != (t, inverse):
         raise StructureError(
             f"gluing involution broken at tet {t} face {f} "
             f"(reverse gluing of tet {t2} face {f2} missing or inconsistent)"

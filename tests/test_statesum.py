@@ -392,3 +392,179 @@ def test_pointed_sixj_above_the_label_cap_is_capacity_error():
     with pytest.raises(CapacityError, match=f"Z/{_POINTED_LABEL_CAP + 1} .* cap of "
                                             f"{_POINTED_LABEL_CAP} labels"):
         pointed_sixj(_POINTED_LABEL_CAP + 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the gate is computed once per data set and redone after every mutation
+# ---------------------------------------------------------------------------
+
+def _outcomes(sj, tri):
+    """What ``verify_pentagon`` and ``tv_evaluate`` give on ``sj``, or the
+    type and message of what they raise."""
+    def pentagon():
+        rep = verify_pentagon(sj)
+        return repr(rep.max_residual), rep.passed, rep.checked
+
+    def evaluate():
+        z = tv_evaluate(sj, tri)
+        return (repr(z.value), z.method, z.stats["gauge_fixed"],
+                z.stats["leaves"], z.stats["visited"], z.stats["pruned"])
+
+    out = []
+    for call in (pentagon, evaluate):
+        try:
+            out.append(call())
+        except (StructureError, UnsupportedFeatureError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def _rebuilt(sj):
+    return SixJData(num_labels=sj.num_labels, qdim=sj.qdim, admissible=sj.admissible,
+                    weights=dict(sj.weights), name=sj.name)
+
+
+_KEY = (1, 0, 2, 2, 1, 2)  # a, b, c = 1, 2, 2 on Z/3
+
+
+def _negate_item(sj):
+    sj.weights[_KEY] = -sj.weights[_KEY]
+
+
+def _scale_item(sj):
+    sj.weights[_KEY] *= 1j
+
+
+def _del_item(sj):
+    del sj.weights[_KEY]
+
+
+def _update(sj):
+    sj.weights.update({_KEY: -sj.weights[_KEY]})
+
+
+def _setdefault(sj):
+    # setdefault writes only a missing key, and no evaluation caches a verdict
+    # while one is missing, so only the version check can see a lost bump
+    sj.weights.setdefault(_KEY, -1.0)
+
+
+def _pop(sj):
+    sj.weights.pop(_KEY)
+
+
+def _popitem(sj):
+    sj.weights.popitem()
+
+
+def _clear(sj):
+    sj.weights.clear()
+
+
+def _ior(sj):
+    w = sj.weights  # through a local, so no attribute assignment follows
+    w |= {_KEY: -w[_KEY]}
+
+
+def _reassign_weights(sj):
+    sj.weights = {**sj.weights, _KEY: -sj.weights[_KEY]}
+
+
+def _reassign_admissible(sj):
+    # Z/3 written with unit 2; the weights hold the keys of both tables
+    sj.admissible = frozenset((a, b, (a + b + 1) % 3) for a in range(3) for b in range(3))
+
+
+def _reassign_num_labels(sj):
+    sj.num_labels = 4
+    sj.qdim = np.ones(4)
+
+
+def _both_z3_tables():
+    sj = _latin_all_ones(3, lambda a, b: (a + b) % 3)
+    sj.weights.update(_latin_all_ones(3, lambda a, b: (a + b + 1) % 3).weights)
+    return sj
+
+
+_ROUTES = [
+    (_negate_item, True), (_scale_item, True), (_del_item, True), (_update, True),
+    (_setdefault, True), (_pop, True), (_popitem, True), (_clear, True), (_ior, True),
+    (_reassign_weights, False), (_reassign_admissible, False), (_reassign_num_labels, False),
+]
+
+
+@pytest.mark.parametrize("mutate,in_place", _ROUTES, ids=[f.__name__[1:] for f, _ in _ROUTES])
+def test_every_mutation_route_redoes_the_gate(mutate, in_place, s3_triangulation):
+    tri = pachner_14(s3_triangulation, 2)
+    if mutate is _reassign_admissible:
+        sj = _both_z3_tables()
+    else:
+        sj = pointed_sixj(3, 1)
+    if mutate is _setdefault:
+        del sj.weights[_KEY]
+    before = _outcomes(sj, tri)
+    version = sj.weights.version
+    mutate(sj)
+    if in_place:
+        assert sj.weights.version != version
+    after = _outcomes(sj, tri)
+    assert after == _outcomes(_rebuilt(sj), tri)
+    assert after != before
+
+
+def test_the_gate_is_reused_while_the_data_is_unchanged(monkeypatch, s3_triangulation):
+    import tvo.statesum as statesum
+
+    sj = pointed_sixj(4, 3)
+    first = _outcomes(sj, s3_triangulation)
+
+    def refuse(*args):
+        raise AssertionError("the gate was recomputed")
+
+    monkeypatch.setattr(statesum, "_pentagon_residual", refuse)
+    monkeypatch.setattr(statesum, "_weight_table", refuse)
+    assert _outcomes(sj, s3_triangulation) == first
+    moved = pachner_23(s3_triangulation, 0, 1)
+    assert abs(tv_evaluate(sj, moved).value - 0.25) < 1e-9
+
+
+def test_a_missing_weight_is_refused_on_every_call_until_restored(s3_triangulation):
+    sj = pointed_sixj(3, 2)
+    first = _outcomes(sj, s3_triangulation)
+    value = sj.weights.pop(_KEY)
+    for _ in range(2):
+        with pytest.raises(StructureError, match="no 6j weight"):
+            verify_pentagon(sj)
+        with pytest.raises(StructureError, match="no 6j weight"):
+            tv_evaluate(sj, s3_triangulation)
+    sj.weights[_KEY] = value
+    assert _outcomes(sj, s3_triangulation) == first
+
+
+def test_weights_are_a_counting_copy_of_the_given_dict():
+    given = dict(pointed_sixj(2, 1).weights)
+    sj = SixJData(num_labels=2, qdim=np.ones(2),
+                  admissible=pointed_sixj(2, 1).admissible, weights=given)
+    assert sj.weights == given and sj.weights is not given
+    given.clear()
+    assert len(sj.weights) == 8 and verify_pentagon(sj).passed
+
+
+def test_reassigned_admissible_drops_the_group_table(s3_triangulation):
+    sj = pointed_sixj(2, 0)
+    assert sj.pointed
+    assert abs(tv_evaluate(sj, s3_triangulation).value - 0.5) < 1e-12
+    sj.admissible = frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 1)})
+    assert not sj.pointed
+    with pytest.raises(UnsupportedFeatureError, match="pointed"):
+        tv_evaluate(sj, s3_triangulation)
+
+
+def test_reassigned_qdim_is_checked_as_in_the_constructor():
+    sj = pointed_sixj(2, 0)
+    sj.qdim = [1.0, 1.0]
+    assert isinstance(sj.qdim, np.ndarray) and sj.pointed
+    for bad in (np.array([1.0, -3.0]), [1.0, np.nan], [1.0], [2.0, 1.0]):
+        with pytest.raises(StructureError, match="qdim|vacuum"):
+            sj.qdim = bad
+    assert sj.qdim.tolist() == [1.0, 1.0] and sj.pointed

@@ -79,6 +79,34 @@ def test_index_validation():
         Triangulation(2, {(0, 0): (1, (0, 0, 2, 3))})
 
 
+_IDENT = (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("num_tets,gluings,message", [
+    (1, {(2, 0): (0, _IDENT)},
+     "gluing (2, 0) -> (0, (0, 1, 2, 3)): tetrahedron index out of range"),
+    (1, {(0, 0): (3, _IDENT)},
+     "gluing (0, 0) -> (3, (0, 1, 2, 3)): tetrahedron index out of range"),
+    (1, {(0, 5): (0, _IDENT)}, "gluing (0, 5): face index out of range"),
+    (2, {(0, 0): (1, (0, 1, 2))}, "gluing (0, 0): (0, 1, 2) is not a permutation of 0..3"),
+    (2, {(0, 0): (1, (0, 1, 2, 3, 4))},
+     "gluing (0, 0): (0, 1, 2, 3, 4) is not a permutation of 0..3"),
+    (2, {(0, 0): (1, (3, 1, 2, 3))}, "gluing (0, 0): (3, 1, 2, 3) is not a permutation of 0..3"),
+    (1, {(0, 0): (0, _IDENT)}, "face (0,0) glued to itself"),
+    (2, {(0, 0): (1, _IDENT)},
+     "gluing involution broken at tet 0 face 0 "
+     "(reverse gluing of tet 1 face 0 missing or inconsistent)"),
+    (2, {(0, 0): (1, (1, 0, 2, 3)), (1, 1): (0, (1, 0, 3, 2))},
+     "gluing involution broken at tet 0 face 0 "
+     "(reverse gluing of tet 1 face 1 missing or inconsistent)"),
+], ids=["tet", "partner-tet", "face", "short", "long", "repeat", "self", "one-sided",
+        "wrong-inverse"])
+def test_each_gluing_error_message(num_tets, gluings, message):
+    with pytest.raises(StructureError) as info:
+        Triangulation(num_tets, gluings)
+    assert str(info.value) == message
+
+
 def test_inverse_perm():
     assert inverse_perm((2, 0, 1, 3)) == (1, 2, 0, 3)
     assert inverse_perm((0, 1, 2, 3)) == (0, 1, 2, 3)
