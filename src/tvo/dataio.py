@@ -31,6 +31,8 @@ digits so a round trip reproduces every double exactly.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import ParseError, StructureError
@@ -139,8 +141,8 @@ def load_modular_file(path) -> ModularData:
                          f"the file has {len(T)}")
 
     S_arr = np.empty((rank, rank), dtype=complex)
-    for (i, j), z in S.items():
-        S_arr[i, j] = z
+    ij = np.fromiter(itertools.chain.from_iterable(S), dtype=np.intp, count=2 * len(S))
+    S_arr[ij[0::2], ij[1::2]] = np.fromiter(S.values(), dtype=complex, count=len(S))
     T_arr = np.array([T[i] for i in range(rank)], dtype=complex)
     label_tuple = None
     if labels:

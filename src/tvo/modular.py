@@ -37,8 +37,9 @@ _BLOCK_CAP = 16
 _NODE_BUDGET = 500_000
 # largest order of T that ModularData._t_order looks for
 _T_ORDER_CAP = 10_000
-# largest complex array built, in bytes: the Verlinde tensor (rank^3 entries,
-# rank <= 406) and the generators' S matrices (rank^2 entries, rank <= 8192)
+# largest complex array built, in bytes: the generators' S matrices (rank^2
+# entries, rank <= 8192); the Verlinde sums, though streamed, keep this cap on
+# their rank^3 complex entries (rank <= 406)
 _VERLINDE_CAP_BYTES = 2**30
 
 
@@ -61,7 +62,11 @@ class ModularData:
 
     Construction only checks shapes; run :func:`verify_verlinde` for the
     axioms. Instances are immutable by convention (arrays are marked
-    read-only) and safe to share between threads.
+    read-only) and safe to share between threads. The first
+    :func:`verify_verlinde` or :func:`fusion_from_S` call streams the
+    Verlinde sums once, and the instance keeps their rounded table,
+    rank^3 int64 entries (535 MB at rank 406), about 1/8 of the transient
+    peak of rounding the whole complex tensor at once; later calls read it.
     """
 
     S: np.ndarray
@@ -144,6 +149,12 @@ class ModularData:
         residual = float(np.abs(M3 - u * S2).max())
         return M3, S2, complex(u), residual
 
+    @cached_property
+    def _verlinde(self) -> "_VerlindePass":
+        # the one Verlinde pass verify_verlinde and fusion_from_S both read;
+        # a CapacityError is raised on every access, never cached
+        return _verlinde_pass(self)
+
     @property
     def anomaly_phase(self) -> complex:
         """Scalar u with (ST)^3 = u * S^2; meaningful when the residual is small."""
@@ -157,12 +168,20 @@ class ModularData:
 
 @dataclass(eq=False)
 class FusionTable:
-    """Non-negative integer structure constants N_ij^k of the fusion algebra."""
+    """Non-negative integer structure constants N_ij^k of the fusion algebra.
+
+    ``N`` is copied into a read-only int64 array, except that an int64
+    array already read-only and owning its memory is kept as it is, so
+    tables over one such array share it.
+    """
 
     N: np.ndarray  # (rank, rank, rank) integer array
 
     def __post_init__(self):
-        N = np.array(self.N, dtype=np.int64)
+        N = self.N
+        if not (isinstance(N, np.ndarray) and N.dtype == np.int64
+                and not N.flags.writeable and N.flags.owndata):
+            N = np.array(N, dtype=np.int64)
         if N.ndim != 3 or len(set(N.shape)) != 1:
             raise StructureError(f"fusion tensor must be cubic, got {N.shape}")
         if (N < 0).any():
@@ -224,10 +243,11 @@ class VerificationReport:
     ``anomaly_phase`` is the scalar u in (ST)^3 = u S^2 (u = 1 means the
     torus representation is honest, i.e. strictly anomaly-free).
     ``stats`` records what the run did: ``rank`` and the seconds of its
-    stages, ``tensor_s`` (Verlinde sums), ``rounding_s`` (integrality and
-    unit), ``ring_s`` (unit, commutativity, associativity) and ``sl2_s``
-    (S^4 and (ST)^3); a stage that did not run reads 0. ``ring_bound`` is
-    the certified bound on the associativity defect of the rounded fusion
+    stages in this call, ``tensor_s`` (Verlinde sums), ``rounding_s``
+    (integrality and unit), ``ring_s`` (unit, commutativity, associativity)
+    and ``sl2_s`` (S^4 and (ST)^3); a stage that did not run in this call,
+    such as the sums of a data set already verified or fused, reads 0.
+    ``ring_bound`` is the certified bound on the associativity defect of the rounded fusion
     table (``inf`` when none was computed: some Verlinde sum was not near
     an integer, or the unit or commutativity check failed first), and
     ``ring_exact`` is True when the exact :meth:`FusionTable.associative_ok`
@@ -286,35 +306,79 @@ def _require_capacity(entries: int, what: str):
         )
 
 
-def _verlinde_tensor(data: ModularData) -> np.ndarray:
-    """Raw complex Verlinde sums N_ij^k = sum_l S_il S_jl conj(S_lk) / S_0l.
+@dataclass(frozen=True)
+class _VerlindePass:
+    """What one streamed pass over the Verlinde sums keeps.
 
-    Row i is one complex GEMM, (S_i * S) @ (conj(S) / S_0), written straight
-    into the preallocated (rank, rank, rank) output, so the output is the
-    only rank^3 array. Raises :class:`CapacityError` before allocating when
-    it would exceed ``_VERLINDE_CAP_BYTES`` (1 GiB, i.e. rank > 406).
+    ``table`` is the read-only int64 table of the sums rounded to integers
+    and clipped at 0, or None when some sum was not finite (``int_res`` and
+    ``unit_res`` then mean nothing); ``int_res`` the worst distance of a
+    sum's real or imaginary part from that integer; ``first_bad`` the first
+    (i, j, k, sum) in C order whose distance exceeds the integer tolerance,
+    whose rounded value is negative or which is not finite, else None;
+    ``unit_res`` max |N_0 - I|, from slab 0; ``tensor_s`` and
+    ``rounding_s`` the seconds of the GEMMs and of the rounding.
+    """
+
+    table: np.ndarray | None
+    int_res: float
+    first_bad: tuple | None
+    unit_res: float
+    tensor_s: float
+    rounding_s: float
+
+
+def _verlinde_pass(data: ModularData) -> _VerlindePass:
+    """Stream the Verlinde sums N_ij^k = sum_l S_il S_jl conj(S_lk) / S_0l one
+    slab N_i at a time into a rounded int64 table.
+
+    Slab i is one complex GEMM, (S_i * S) @ (conj(S) / S_0), into an r x r
+    buffer, rounded in place with r^2 buffers allocated once, so the table
+    is the only rank^3 array. The pass stops at the first slab holding a
+    sum that is not finite. Raises :class:`CapacityError` before allocating
+    when the rank^3 complex sums would exceed ``_VERLINDE_CAP_BYTES``
+    (1 GiB, i.e. rank > 406). :attr:`ModularData._verlinde` caches it.
     """
     r = data.rank
     _require_capacity(r**3, f"the Verlinde tensor of rank {r}")
-    S = data.S
-    out = np.empty((r, r, r), dtype=complex)
-    # a zero in S row 0 gives inf and nan entries, which the callers test for
+    S, tol = data.S, INTEGER_TOLERANCE
+    table = np.empty((r, r, r), dtype=np.int64)
+    row = np.empty((r, r), dtype=complex)
+    slab = np.empty((r, r), dtype=complex)
+    rounded = np.empty((r, r))
+    dev = np.empty((r, r))
+    int_res, first_bad, unit_res = 0.0, None, float("inf")
+    tensor_s = rounding_s = 0.0
+    # a zero in S row 0 gives inf and nan sums, which end the pass
     with np.errstate(divide="ignore", invalid="ignore"):
         weighted = S.conj() / S[0][:, np.newaxis]
         for i in range(r):
-            np.matmul(S[i] * S, weighted, out=out[i])
-    return out
-
-
-def _round_verlinde(Nc: np.ndarray):
-    """Verlinde sums rounded to integers, the worst distance from them, and
-    the entries whose real or imaginary distance exceeds the integer
-    tolerance or whose rounded value is negative."""
-    Nr = np.round(Nc.real)
-    dev_re = np.abs(Nc.real - Nr)
-    dev_im = np.abs(Nc.imag)
-    bad = (dev_re > INTEGER_TOLERANCE) | (dev_im > INTEGER_TOLERANCE) | (Nr < 0)
-    return Nr, max(float(dev_re.max()), float(dev_im.max())), bad
+            start = perf_counter()
+            np.multiply(S[i], S, out=row)
+            np.matmul(row, weighted, out=slab)
+            mid = perf_counter()
+            tensor_s += mid - start
+            np.round(slab.real, out=rounded)
+            np.abs(np.subtract(slab.real, rounded, out=dev), out=dev)
+            dev_re = float(dev.max())
+            dev_im = float(np.abs(slab.imag, out=dev).max())
+            # NaN maxima fail the comparisons, so a non-finite sum is bad
+            if first_bad is None and not (dev_re <= tol and dev_im <= tol and rounded.min() >= 0):
+                bad = (~(np.abs(slab.real - rounded) <= tol) | ~(np.abs(slab.imag) <= tol)
+                       | (rounded < 0))
+                j, k = np.unravel_index(np.argmax(bad), bad.shape)
+                first_bad = (i, int(j), int(k), complex(slab[j, k]))
+            if not (math.isfinite(dev_re) and math.isfinite(dev_im)):
+                table = None
+                break
+            int_res = max(int_res, dev_re, dev_im)
+            if i == 0:
+                unit_res = float(np.abs(slab - np.eye(r)).max())
+            table[i] = np.maximum(rounded, 0, out=rounded)
+            rounding_s += perf_counter() - mid
+    if table is not None:
+        table.setflags(write=False)
+    return _VerlindePass(table, int_res, first_bad, unit_res, tensor_s, rounding_s)
 
 
 def _gamma(n: int) -> float:
@@ -327,7 +391,7 @@ def _associativity_bound(S: np.ndarray, int_res: float, table: FusionTable) -> f
     """An upper bound on every entry of M_ij = N_j N_i - sum_x N_ij^x N_x.
 
     Here N_i is the matrix (N_i)_jk = N_ij^k of the integer ``table`` that
-    ``_round_verlinde`` gave, with no bad entry (so no entry is negative and
+    ``_verlinde_pass`` gave, with no bad entry (so no entry is negative and
     clipping left it as it was), from the Verlinde sums of ``S``, and
     ``int_res`` is its worst distance from them. M_ij = 0 for all
     i, j is the statement :meth:`FusionTable.associative_ok` checks
@@ -366,7 +430,7 @@ def _associativity_bound(S: np.ndarray, int_res: float, table: FusionTable) -> f
 
     * w: the computed W^ = fl(fl(Y S) - I) gives |W| <= |W^| / (1 - u)
       + sqrt(2) gamma_2r r s^2 entrywise;
-    * eps: ``_verlinde_tensor`` forms sum_l fl(S_il S_jl) fl(conj(S_lk) / S_0l)
+    * eps: ``_verlinde_pass`` forms sum_l fl(S_il S_jl) fl(conj(S_lk) / S_0l)
       by one GEMM, so its entry is within 2 gamma_(2r+9) sum_l |S_il S_jl S_lk / S_0l|
       <= 2 gamma_(2r+9) r s^2 L of A_i[j, k] (the first-order terms are
       sqrt(2)(2r + 2) u + 14 u, and the factor 2 over sqrt(2) covers the
@@ -406,7 +470,13 @@ def verify_verlinde(data: ModularData) -> VerificationReport:
     non-negative integer, and checked exactly by
     :meth:`FusionTable.associative_ok` when it is not or the bound is not
     below 1/2; either way the verdict is the exact one. The run costs
-    O(rank^4), the Verlinde tensor, unless the exact check runs (O(rank^5)).
+    O(rank^4), the Verlinde sums, unless the exact check runs (O(rank^5)).
+
+    The sums come from one streamed pass cached on ``data``
+    (:func:`_verlinde_pass`), shared with :func:`fusion_from_S`. Each
+    ``*_s`` stat is the time spent in this call, so when an earlier verify
+    or fusion call already ran the pass, ``tensor_s`` and ``rounding_s``
+    read 0.0.
     """
     S, T = data.S, data.T
     tol = data.tolerance
@@ -435,23 +505,22 @@ def verify_verlinde(data: ModularData) -> VerificationReport:
     min_s0 = float(np.abs(S[0]).min())
     add("S row 0 nonzero", 0.0 if min_s0 > tol else tol - min_s0, min_s0 > tol)
 
-    start = perf_counter()
-    Nc = _verlinde_tensor(data)
-    finite = np.isfinite(Nc).all()
-    rep.stats["tensor_s"] = perf_counter() - start
-    if finite:
-        start = perf_counter()
-        Nr, int_res, bad = _round_verlinde(Nc)
-        add("fusion integrality", int_res, not bad.any())
+    # the pass's own seconds count only in the call that ran it
+    fresh = "_verlinde" not in data.__dict__
+    sums = data._verlinde
+    if fresh:
+        rep.stats.update(tensor_s=sums.tensor_s, rounding_s=sums.rounding_s)
+    if sums.table is not None:
+        integral = sums.first_bad is None
+        add("fusion integrality", sums.int_res, integral)
         # axiom (i): the vacuum is the unit of the fusion algebra
-        add("vacuum unit", np.abs(Nc[0] - eye).max(), np.abs(Nc[0] - eye).max() <= INTEGER_TOLERANCE)
-        table = FusionTable(np.maximum(Nr, 0).astype(np.int64))
-        rep.stats["rounding_s"] = perf_counter() - start
+        add("vacuum unit", sums.unit_res, sums.unit_res <= INTEGER_TOLERANCE)
         start = perf_counter()
+        table = FusionTable(sums.table)
         ring_ok = table.unit_ok() and table.commutative_ok()
         # a bound below 1/2 proves associativity; otherwise the exact products decide
-        if ring_ok and not bad.any():
-            rep.stats["ring_bound"] = _associativity_bound(S, int_res, table)
+        if ring_ok and integral:
+            rep.stats["ring_bound"] = _associativity_bound(S, sums.int_res, table)
         if ring_ok and not rep.stats["ring_bound"] < 0.5:
             rep.stats["ring_exact"] = True
             ring_ok = table.associative_ok()
@@ -478,17 +547,18 @@ def fusion_from_S(data: ModularData) -> FusionTable:
     """Fusion coefficients by the Verlinde formula, rounded to integers.
 
     Raises :class:`FusionIntegralityError` naming the first offending
-    (i, j, k) if any sum is farther than the integer tolerance from a
-    non-negative integer.
+    (i, j, k) if any sum is not finite or is farther than the integer
+    tolerance from a non-negative integer. The sums are the pass
+    :func:`verify_verlinde` reads, cached on ``data``, so after a verify
+    this call rounds nothing; each call returns its own :class:`FusionTable`
+    over the shared read-only array.
     """
     if float(np.abs(data.S[0]).min()) <= data.tolerance:
         raise DegenerateDataError("S row 0 has (near-)zero entries; Verlinde sums undefined")
-    Nc = _verlinde_tensor(data)
-    Nr, _, bad = _round_verlinde(Nc)
-    if bad.any():
-        i, j, k = np.argwhere(bad)[0]
-        raise FusionIntegralityError(int(i), int(j), int(k), complex(Nc[i, j, k]))
-    return FusionTable(Nr.astype(np.int64))
+    sums = data._verlinde
+    if sums.first_bad is not None:
+        raise FusionIntegralityError(*sums.first_bad)
+    return FusionTable(sums.table)
 
 
 def charge_conjugation(data: ModularData) -> np.ndarray:

@@ -32,6 +32,31 @@ def verlinde_loops(S):
     return N
 
 
+def verlinde_by_row_gemms(S):
+    """Verlinde sums as one complex GEMM per row, (S_i * S) @ (conj(S) / S_0).
+
+    The same products in the same order as the library's streamed pass, so
+    the sums, and the certificate bound read from them, agree bit for bit;
+    the rounding below is written out separately from the library's.
+    """
+    m = S.shape[0]
+    out = np.empty((m, m, m), dtype=complex)
+    weighted = S.conj() / S[0][:, np.newaxis]
+    for i in range(m):
+        np.matmul(S[i] * S, weighted, out=out[i])
+    return out
+
+
+def round_verlinde_sums(Nc, tol):
+    """Sums rounded to integers, the worst real or imaginary distance from
+    them, and the mask of entries farther than ``tol`` or rounded below 0."""
+    Nr = np.round(Nc.real)
+    dev_re = np.abs(Nc.real - Nr)
+    dev_im = np.abs(Nc.imag)
+    bad = (dev_re > tol) | (dev_im > tol) | (Nr < 0)
+    return Nr, max(float(dev_re.max()), float(dev_im.max())), bad
+
+
 def fusion_associative_loops(N):
     """sum_x N[i][j][x] N[x][k][l] == sum_y N[j][k][y] N[i][y][l] for every i, j, k, l,
     in exact Python integers."""

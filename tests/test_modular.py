@@ -1,5 +1,7 @@
 import cmath
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,9 +24,14 @@ from tvo import (
     verify_verlinde,
 )
 
-from tvo.modular import _associativity_bound, _round_verlinde, _verlinde_tensor
+from tvo.modular import INTEGER_TOLERANCE, _associativity_bound
 
-from helpers import fusion_associative_loops, verlinde_loops
+from helpers import (
+    fusion_associative_loops,
+    round_verlinde_sums,
+    verlinde_by_row_gemms,
+    verlinde_loops,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -122,7 +129,7 @@ def test_rank_81_double_passes_strictly_with_the_group_law():
 
 def _rounded_table(d):
     """The clipped integer table verify_verlinde checks, its residual and its bad entries."""
-    Nr, int_res, bad = _round_verlinde(_verlinde_tensor(d))
+    Nr, int_res, bad = round_verlinde_sums(verlinde_by_row_gemms(d.S), INTEGER_TOLERANCE)
     return tvo.FusionTable(np.maximum(Nr, 0).astype(np.int64)), int_res, bad
 
 
@@ -236,6 +243,90 @@ def test_rank_121_passes_without_the_exact_products(monkeypatch):
     rep = verify_verlinde(tvo.double_data(tvo.su2_level_k(10)))
     assert rep.stats["rank"] == 121 and rep.strict_pass
     assert rep.stats["ring_bound"] < 1e-5 and rep.stats["ring_exact"] is False
+
+
+# ---------------------------------------------------------------------------
+# the one Verlinde pass behind verify_verlinde and fusion_from_S
+# ---------------------------------------------------------------------------
+
+def _refuse_the_pass(monkeypatch):
+    def refuse(data):
+        raise AssertionError("the Verlinde sums were computed again")
+
+    monkeypatch.setattr(tvo.modular, "_verlinde_pass", refuse)
+
+
+def test_a_verified_data_set_fuses_and_verifies_without_a_second_pass(monkeypatch):
+    d = tvo.double_data(tvo.su2_level_k(3))
+    first = verify_verlinde(d)
+    assert first.stats["tensor_s"] > 0
+    _refuse_the_pass(monkeypatch)
+    table = fusion_from_S(d)
+    again = verify_verlinde(d)
+    assert again == first and again.lines() == first.lines()
+    assert again.stats["tensor_s"] == again.stats["rounding_s"] == 0.0
+    assert fusion_from_S(d) is not table and np.array_equal(fusion_from_S(d).N, table.N)
+
+
+@pytest.mark.parametrize("make", [tvo.ising, lambda: tvo.su2_level_k(40),
+                                  lambda: tvo.twisted_double_cyclic(7, 3)])
+def test_the_pass_is_the_same_whichever_call_runs_it(make):
+    a, b = make(), make()
+    rep_a, table_a = verify_verlinde(a), fusion_from_S(a)
+    table_b, rep_b = fusion_from_S(b), verify_verlinde(b)
+    assert rep_a == rep_b and rep_a.lines() == rep_b.lines()
+    assert rep_a.stats["ring_bound"] == rep_b.stats["ring_bound"]
+    assert np.array_equal(table_a.N, table_b.N)
+
+
+def test_errors_are_raised_on_every_call(monkeypatch):
+    big = tvo.su2_level_k(406)
+    for call in (verify_verlinde, fusion_from_S, verify_verlinde, fusion_from_S):
+        with pytest.raises(CapacityError, match="rank 407 .*cap 1 GiB"):
+            call(big)
+    d = tvo.su2_level_k(3)
+    S = d.S.copy()
+    S[0, 2] = 0.0
+    degenerate = ModularData(S, d.T)
+    for _ in range(2):
+        with pytest.raises(DegenerateDataError):
+            fusion_from_S(degenerate)
+    assert not verify_verlinde(degenerate)._get("fusion integrality").passed
+    _refuse_the_pass(monkeypatch)
+    with pytest.raises(DegenerateDataError):
+        fusion_from_S(degenerate)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf)])
+def test_non_finite_sums_name_their_first_index_without_warnings(bad):
+    d = tvo.su2_level_k(3)
+    S = d.S.copy()
+    S[1, 2] = bad
+    broken = ModularData(S, d.T)
+    with np.errstate(invalid="ignore"):
+        first = tuple(np.argwhere(~np.isfinite(verlinde_by_row_gemms(S)))[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FusionIntegralityError) as err:
+            fusion_from_S(broken)
+    assert err.value.indices == first
+    # the matrix checks of a NaN S warn on their own; the sums do not
+    with np.errstate(invalid="ignore"):
+        rep = verify_verlinde(broken)
+    assert rep._get("fusion integrality").residual == float("inf")
+
+
+@pytest.mark.parametrize("call", [verify_verlinde, fusion_from_S])
+def test_the_pass_peaks_near_its_integer_table(call):
+    # the rank-121 double of su2-10: the int64 table is r^3 * 8 bytes (14.2 MB)
+    d = tvo.double_data(tvo.su2_level_k(10))
+    tracemalloc.start()
+    try:
+        call(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * d.rank**3 * 8
 
 
 def test_report_flags_broken_unitarity():
