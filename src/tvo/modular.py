@@ -38,15 +38,16 @@ _NODE_BUDGET = 500_000
 # largest order of T that ModularData._t_order looks for
 _T_ORDER_CAP = 10_000
 # largest complex array built, in bytes: the generators' S matrices (rank^2
-# entries, rank <= 8192); the Verlinde sums, though streamed, keep this cap on
-# their rank^3 complex entries (rank <= 406)
+# entries, rank <= 8192). The Verlinde pass charges rank^3 complex entries
+# against it and so refuses ranks above 406; its largest array is the int64
+# table of rank^3 entries (535 MB at rank 406)
 _VERLINDE_CAP_BYTES = 2**30
 
 
-def close(a, b, tol=DEFAULT_TOLERANCE) -> bool:
+def close(a, b) -> bool:
     """Tolerance comparison of scalars: relative above magnitude 1, absolute below."""
     scale = max(1.0, abs(a), abs(b))
-    return abs(a - b) <= tol * scale
+    return abs(a - b) <= DEFAULT_TOLERANCE * scale
 
 
 @dataclass(eq=False)
@@ -58,21 +59,20 @@ class ModularData:
     S : (m+1, m+1) complex array, expected unitary and symmetric
     T : (m+1,) complex array of diagonal T entries t_i, expected unit modulus
     labels : optional display names, index 0 is the vacuum
-    tolerance : comparison tolerance used by the verifier and derived operations
 
     Construction only checks shapes; run :func:`verify_verlinde` for the
-    axioms. Instances are immutable by convention (arrays are marked
-    read-only) and safe to share between threads. The first
-    :func:`verify_verlinde` or :func:`fusion_from_S` call streams the
-    Verlinde sums once, and the instance keeps their rounded table,
-    rank^3 int64 entries (535 MB at rank 406), about 1/8 of the transient
-    peak of rounding the whole complex tensor at once; later calls read it.
+    axioms. Every comparison uses ``DEFAULT_TOLERANCE``, and the integer
+    checks ``INTEGER_TOLERANCE``. Instances are immutable by convention
+    (arrays are marked read-only) and safe to share between threads. The
+    first :func:`verify_verlinde` or :func:`fusion_from_S` call streams the
+    Verlinde sums once, and the instance keeps their rounded table, the
+    largest array the pass builds: rank^3 int64 entries (535 MB at rank
+    406; higher ranks are refused); later calls read it.
     """
 
     S: np.ndarray
     T: np.ndarray
     labels: tuple[str, ...] | None = None
-    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
         S = np.array(self.S, dtype=complex)
@@ -83,8 +83,6 @@ class ModularData:
             raise StructureError(
                 f"T length {T.shape[0]} does not match S rank {S.shape[0]}"
             )
-        if self.tolerance <= 0:
-            raise StructureError("tolerance must be positive")
         if self.labels is not None:
             self.labels = tuple(str(x) for x in self.labels)
             if len(self.labels) != S.shape[0]:
@@ -98,16 +96,14 @@ class ModularData:
     def rank(self) -> int:
         return self.S.shape[0]
 
-    def label(self, i: int) -> str:
-        return self.labels[i] if self.labels is not None else str(i)
-
     def conjugate(self) -> "ModularData":
         """Entrywise complex conjugate data set."""
-        return ModularData(self.S.conj(), self.T.conj(), self.labels, self.tolerance)
+        return ModularData(self.S.conj(), self.T.conj(), self.labels)
 
     @cached_property
     def _s_squared(self) -> np.ndarray:
-        return self.S @ self.S
+        with np.errstate(all="ignore"):  # a non-finite S gives a non-finite S^2
+            return self.S @ self.S
 
     @cached_property
     def _s_squared_permutation(self):
@@ -131,7 +127,7 @@ class ModularData:
             N = math.lcm(N, Fraction(turn).limit_denominator(_T_ORDER_CAP).denominator)
             if N > _T_ORDER_CAP:
                 return None
-        return N if float(np.abs(self.T ** N - 1.0).max()) <= self.tolerance else None
+        return N if float(np.abs(self.T ** N - 1.0).max()) <= DEFAULT_TOLERANCE else None
 
     @cached_property
     def _s0_min(self) -> float:
@@ -141,12 +137,13 @@ class ModularData:
     @cached_property
     def _st_cubed(self):
         # returns ((ST)^3, S^2, scalar u, proportionality residual)
-        M = self.S * self.T[np.newaxis, :]
-        M3 = M @ M @ M
         S2 = self._s_squared
-        idx = np.unravel_index(np.argmax(np.abs(S2)), S2.shape)
-        u = M3[idx] / S2[idx]
-        residual = float(np.abs(M3 - u * S2).max())
+        with np.errstate(all="ignore"):  # a non-finite S gives a non-finite u, quietly
+            M = self.S * self.T[np.newaxis, :]
+            M3 = M @ M @ M
+            idx = np.unravel_index(np.argmax(np.abs(S2)), S2.shape)
+            u = M3[idx] / S2[idx]
+            residual = float(np.abs(M3 - u * S2).max())
         return M3, S2, complex(u), residual
 
     @cached_property
@@ -163,7 +160,7 @@ class ModularData:
     @property
     def is_strictly_anomaly_free(self) -> bool:
         _, _, u, res = self._st_cubed
-        return res <= self.tolerance and close(u, 1.0, self.tolerance)
+        return res <= DEFAULT_TOLERANCE and close(u, 1.0)
 
 
 @dataclass(eq=False)
@@ -336,7 +333,7 @@ def _verlinde_pass(data: ModularData) -> _VerlindePass:
     buffer, rounded in place with r^2 buffers allocated once, so the table
     is the only rank^3 array. The pass stops at the first slab holding a
     sum that is not finite. Raises :class:`CapacityError` before allocating
-    when the rank^3 complex sums would exceed ``_VERLINDE_CAP_BYTES``
+    when rank^3 complex entries would exceed ``_VERLINDE_CAP_BYTES``
     (1 GiB, i.e. rank > 406). :attr:`ModularData._verlinde` caches it.
     """
     r = data.rank
@@ -349,8 +346,9 @@ def _verlinde_pass(data: ModularData) -> _VerlindePass:
     dev = np.empty((r, r))
     int_res, first_bad, unit_res = 0.0, None, float("inf")
     tensor_s = rounding_s = 0.0
-    # a zero in S row 0 gives inf and nan sums, which end the pass
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a zero in S row 0, or an S that is not finite or too large, gives inf
+    # and nan sums, which end the pass
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         weighted = S.conj() / S[0][:, np.newaxis]
         for i in range(r):
             start = perf_counter()
@@ -479,7 +477,6 @@ def verify_verlinde(data: ModularData) -> VerificationReport:
     read 0.0.
     """
     S, T = data.S, data.T
-    tol = data.tolerance
     r = data.rank
     eye = np.eye(r)
     rep = VerificationReport()
@@ -489,12 +486,13 @@ def verify_verlinde(data: ModularData) -> VerificationReport:
     def add(name, residual, passed=None):
         residual = float(residual)
         if passed is None:
-            passed = residual <= tol
+            passed = residual <= DEFAULT_TOLERANCE
         rep.checks.append(CheckResult(name, bool(passed), residual))
 
-    res_unitary = np.abs(S @ S.conj().T - eye).max()
-    add("S unitary", res_unitary)
-    add("S symmetric", np.abs(S - S.T).max())
+    # a non-finite S gives non-finite residuals, which fail their checks quietly
+    with np.errstate(all="ignore"):
+        add("S unitary", np.abs(S @ S.conj().T - eye).max())
+        add("S symmetric", np.abs(S - S.T).max())
     add("T unitary", np.abs(np.abs(T) - 1.0).max())
 
     S2 = data._s_squared
@@ -503,7 +501,8 @@ def verify_verlinde(data: ModularData) -> VerificationReport:
     add("S^2 fixes vacuum", np.abs(S2[0, 0] - 1.0))
 
     min_s0 = float(np.abs(S[0]).min())
-    add("S row 0 nonzero", 0.0 if min_s0 > tol else tol - min_s0, min_s0 > tol)
+    nonzero = min_s0 > DEFAULT_TOLERANCE
+    add("S row 0 nonzero", 0.0 if nonzero else DEFAULT_TOLERANCE - min_s0, nonzero)
 
     # the pass's own seconds count only in the call that ran it
     fresh = "_verlinde" not in data.__dict__
@@ -532,13 +531,13 @@ def verify_verlinde(data: ModularData) -> VerificationReport:
         add("fusion ring consistency", float("inf"), False)
 
     start = perf_counter()
-    add("S^4 identity", np.abs(S2 @ S2 - eye).max())
-
     M3, S2_, u, prop_res = data._st_cubed
+    with np.errstate(all="ignore"):
+        add("S^4 identity", np.abs(S2 @ S2 - eye).max())
+        add("(ST)^3 = S^2", np.abs(M3 - S2_).max())
     rep.anomaly_phase = u
     rep.st_proportionality_residual = prop_res
-    rep.st_proportional = prop_res <= tol
-    add("(ST)^3 = S^2", np.abs(M3 - S2_).max())
+    rep.st_proportional = prop_res <= DEFAULT_TOLERANCE
     rep.stats["sl2_s"] = perf_counter() - start
     return rep
 
@@ -553,7 +552,7 @@ def fusion_from_S(data: ModularData) -> FusionTable:
     this call rounds nothing; each call returns its own :class:`FusionTable`
     over the shared read-only array.
     """
-    if float(np.abs(data.S[0]).min()) <= data.tolerance:
+    if float(np.abs(data.S[0]).min()) <= DEFAULT_TOLERANCE:
         raise DegenerateDataError("S row 0 has (near-)zero entries; Verlinde sums undefined")
     sums = data._verlinde
     if sums.first_bad is not None:
@@ -570,7 +569,7 @@ def charge_conjugation(data: ModularData) -> np.ndarray:
     perm, res = data._s_squared_permutation
     if res is None:
         raise ConjugationError("S^2 rows do not select a bijection")
-    if res > data.tolerance:
+    if res > DEFAULT_TOLERANCE:
         raise ConjugationError(f"S^2 is not a permutation matrix (residual {res:.3e})")
     if perm[0] != 0:
         raise ConjugationError("S^2 does not fix the vacuum")
@@ -594,7 +593,7 @@ def double_data(data: ModularData) -> ModularData:
         labels = tuple(
             f"({a},{b}~)" for a, b in itertools.product(data.labels, data.labels)
         )
-    return ModularData(S2, T2, labels, data.tolerance)
+    return ModularData(S2, T2, labels)
 
 
 def global_index(data: ModularData) -> float:
@@ -603,20 +602,20 @@ def global_index(data: ModularData) -> float:
     Requires S_00 real and positive within tolerance.
     """
     s00 = data.S[0, 0]
-    if abs(s00.imag) > data.tolerance or s00.real <= data.tolerance:
+    if abs(s00.imag) > DEFAULT_TOLERANCE or s00.real <= DEFAULT_TOLERANCE:
         raise DegenerateDataError(f"S_00 = {s00} is not a positive real")
     return float(1.0 / s00.real**2)
 
 
-def _t_blocks(ta: np.ndarray, tb_conj: np.ndarray, tol: float):
+def _t_blocks(ta: np.ndarray, tb_conj: np.ndarray):
     """Cluster labels of `a` by T eigenvalue and match each cluster in `b`.
 
     Returns None if the multisets do not match; otherwise a list of candidate
     index lists, cand[i] = labels j of b with t^a_i ~ conj(t^b_j).
     """
-    match = np.abs(ta[:, None] - tb_conj[None, :]) <= tol
+    match = np.abs(ta[:, None] - tb_conj[None, :]) <= DEFAULT_TOLERANCE
     # multiset check: count of a-labels sharing a value must equal b-count
-    same_a = np.abs(ta[:, None] - ta[None, :]) <= tol
+    same_a = np.abs(ta[:, None] - ta[None, :]) <= DEFAULT_TOLERANCE
     if not match.any(axis=1).all() or (same_a.sum(axis=1) != match.sum(axis=1)).any():
         return None
     return [np.flatnonzero(row).tolist() for row in match]
@@ -634,10 +633,8 @@ def conjugate_equivalent(a: ModularData, b: ModularData) -> np.ndarray | None:
     if a.rank != b.rank:
         return None
     n = a.rank
-    tol = max(a.tolerance, b.tolerance)
     Sa, Sb = a.S, b.S.conj()
-    tb_conj = b.T.conj()
-    cand = _t_blocks(a.T, tb_conj, tol)
+    cand = _t_blocks(a.T, b.T.conj())
     if cand is None:
         return None
     if max(len(c) for c in cand) > _BLOCK_CAP:
@@ -645,11 +642,11 @@ def conjugate_equivalent(a: ModularData, b: ModularData) -> np.ndarray | None:
             f"a T-eigenvalue block has {max(len(c) for c in cand)} labels "
             f"(cap {_BLOCK_CAP}); refusing brute-force permutation search"
         )
-    if 0 not in cand[0] or abs(Sa[0, 0] - Sb[0, 0]) > tol:
+    if 0 not in cand[0] or abs(Sa[0, 0] - Sb[0, 0]) > DEFAULT_TOLERANCE:
         return None
     # row-0 pruning: pi(0) = 0 forces S^a_{0i} = conj(S^b_{0 pi(i)})
     cand = [
-        [j for j in js if abs(Sa[0, i] - Sb[0, j]) <= tol]
+        [j for j in js if abs(Sa[0, i] - Sb[0, j]) <= DEFAULT_TOLERANCE]
         for i, js in enumerate(cand)
     ]
     cand[0] = [0]
@@ -671,7 +668,8 @@ def conjugate_equivalent(a: ModularData, b: ModularData) -> np.ndarray | None:
             perm[i] = -1
         for j in cand[i][start:]:
             if not used[j] and not any(
-                abs(Sa[i, i2] - Sb[j, perm[i2] if i2 < i else j]) > tol for i2 in range(i + 1)
+                abs(Sa[i, i2] - Sb[j, perm[i2] if i2 < i else j]) > DEFAULT_TOLERANCE
+                for i2 in range(i + 1)
             ):
                 perm[i] = j
                 used[j] = True

@@ -48,7 +48,7 @@ from .errors import (
     StructureError,
     TvoError,
 )
-from .modular import ModularData
+from .modular import DEFAULT_TOLERANCE, ModularData
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ def _contract(data: ModularData, schedule, method: str) -> InvariantValue:
     if vertices > _SURGERY_CAP:
         raise CapacityError(f"surgery on {vertices} vertices is above the cap of "
                             f"{_SURGERY_CAP} vertices")
-    if any(entry[1] > 1 for entry in schedule) and data._s0_min <= data.tolerance:
+    if any(entry[1] > 1 for entry in schedule) and data._s0_min <= DEFAULT_TOLERANCE:
         raise DegenerateDataError("S column 0 has (near-)zero entries")
     S = data.S
     s0 = S[:, 0]

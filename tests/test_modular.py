@@ -47,6 +47,15 @@ def test_shape_mismatch_is_structural_error():
         ModularData(np.ones((2, 3)), np.ones(2))
 
 
+def test_modular_data_is_s_t_and_labels_only():
+    # every comparison uses DEFAULT_TOLERANCE; a data set carries no tolerance
+    d = tvo.fibonacci()
+    with pytest.raises(TypeError):
+        ModularData(d.S, d.T, d.labels, 1e-3)
+    with pytest.raises(TypeError):
+        ModularData(d.S, d.T, tolerance=1e-3)
+
+
 def test_arrays_are_read_only():
     d = tvo.fibonacci()
     with pytest.raises(ValueError):
@@ -309,11 +318,21 @@ def test_non_finite_sums_name_their_first_index_without_warnings(bad):
         warnings.simplefilter("error")
         with pytest.raises(FusionIntegralityError) as err:
             fusion_from_S(broken)
-    assert err.value.indices == first
-    # the matrix checks of a NaN S warn on their own; the sums do not
-    with np.errstate(invalid="ignore"):
+        # the matrix checks of a non-finite S fail on their residuals, quietly
         rep = verify_verlinde(broken)
+    assert err.value.indices == first
     assert rep._get("fusion integrality").residual == float("inf")
+
+
+def test_an_overflowing_s_fails_verify_without_warnings():
+    d = tvo.su2_level_k(3)
+    S = d.S.copy()
+    S[1, 2] = 1e200  # finite, but its Verlinde sums and S S^dagger overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_verlinde(ModularData(S, d.T))
+    assert not rep._get("fusion integrality").passed
+    assert not rep._get("S unitary").passed
 
 
 @pytest.mark.parametrize("call", [verify_verlinde, fusion_from_S])
