@@ -67,7 +67,12 @@ class ModularData:
     first :func:`verify_verlinde` or :func:`fusion_from_S` call streams the
     Verlinde sums once, and the instance keeps their rounded table, the
     largest array the pass builds: rank^3 int64 entries (535 MB at rank
-    406; higher ranks are refused); later calls read it.
+    406; higher ranks are refused); later calls read it. The surgery
+    evaluators keep each vertex base t^a * S_0^(2 - deg) they compute on
+    the instance, up to 2^20 complex entries (16 MiB), each base charged
+    its rank plus 16 for its key and header; past that bound a base is
+    computed per call. :meth:`conjugate` and a new instance over the same
+    arrays start with an empty table.
     """
 
     S: np.ndarray
@@ -151,6 +156,26 @@ class ModularData:
         # the one Verlinde pass verify_verlinde and fusion_from_S both read;
         # a CapacityError is raised on every access, never cached
         return _verlinde_pass(self)
+
+    @cached_property
+    def _vertex_bases(self) -> dict:
+        # the surgery vertex bases t^a * S_0^(2 - deg) by (a, deg), which
+        # tvo.surgery fills up to its _BASE_TABLE_CAP complex entries
+        return {}
+
+    @cached_property
+    def _surgery_warnings(self) -> tuple[str, ...]:
+        # the warning every surgery value on this data carries
+        if not self.is_strictly_anomaly_free:
+            return (f"data is not strictly anomaly-free (anomaly phase {self.anomaly_phase:.6f}); "
+                    "no framing correction applied",)
+        return ()
+
+    @cached_property
+    def _finite(self) -> bool:
+        # whether every entry of S and T is finite; the surgery sums run under
+        # np.errstate only on data that is not, to keep numpy's warnings quiet
+        return bool(np.isfinite(self.S).all() and np.isfinite(self.T).all())
 
     @property
     def anomaly_phase(self) -> complex:
@@ -613,9 +638,11 @@ def _t_blocks(ta: np.ndarray, tb_conj: np.ndarray):
     Returns None if the multisets do not match; otherwise a list of candidate
     index lists, cand[i] = labels j of b with t^a_i ~ conj(t^b_j).
     """
-    match = np.abs(ta[:, None] - tb_conj[None, :]) <= DEFAULT_TOLERANCE
-    # multiset check: count of a-labels sharing a value must equal b-count
-    same_a = np.abs(ta[:, None] - ta[None, :]) <= DEFAULT_TOLERANCE
+    # a non-finite t gives NaN differences, which match nothing, quietly
+    with np.errstate(all="ignore"):
+        match = np.abs(ta[:, None] - tb_conj[None, :]) <= DEFAULT_TOLERANCE
+        # multiset check: count of a-labels sharing a value must equal b-count
+        same_a = np.abs(ta[:, None] - ta[None, :]) <= DEFAULT_TOLERANCE
     if not match.any(axis=1).all() or (same_a.sum(axis=1) != match.sum(axis=1)).any():
         return None
     return [np.flatnonzero(row).tolist() for row in match]

@@ -30,6 +30,11 @@ O(log p) matrix products. Above 10^7 vertices, or a framing above 10^7 on
 data whose T has no verified finite order, the roundoff would swamp the
 value, and :class:`CapacityError` is raised instead.
 
+Each data set keeps the vertex bases t^a S_0^(2 - deg) it has been asked
+for, so a call on data seen before pays only for its mat-vecs. The table
+holds at most ``_BASE_TABLE_CAP`` (2^20) complex entries, 16 MiB; past
+that, a base is computed per call.
+
 Values for data whose anomaly phase differs from 1 are still computed but
 carry a warning tag (no framing-anomaly correction is attempted).
 """
@@ -37,6 +42,7 @@ carry a warning tag (no framing-anomaly correction is attempted).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,14 +75,6 @@ class InvariantValue:
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise TvoError(f"non-finite invariant value {v} from {self.method}")
         object.__setattr__(self, "value", v)
-
-
-def _warnings_for(data: ModularData) -> tuple[str, ...]:
-    if not data.is_strictly_anomaly_free:
-        u = data.anomaly_phase
-        return (f"data is not strictly anomaly-free (anomaly phase {u:.6f}); "
-                "no framing correction applied",)
-    return ()
 
 
 @dataclass(frozen=True)
@@ -156,6 +154,38 @@ class PlumbingTree:
 #: of noise; it is refused instead.
 _SURGERY_CAP = 10**7
 
+#: the most complex entries one data set's table of vertex bases holds, 16 MiB
+#: of values. A base of rank r is charged r + ``_BASE_OVERHEAD`` entries: its
+#: key, array header and dict slot take about 14 entries' bytes at any rank
+#: (by tracemalloc). Past the cap a base is computed per call.
+_BASE_TABLE_CAP = 2**20
+_BASE_OVERHEAD = 16
+# makes the cap check and the insert one step when threads share a data set
+_TABLE_LOCK = threading.Lock()
+
+
+def _vertex_base(data: ModularData, a: int, deg: int) -> np.ndarray:
+    """t^a S_0^(2 - deg) for a vertex of framing ``a`` and degree ``deg``.
+
+    Read from ``data``'s table when it is there, else computed (quietly, so
+    non-finite data gives non-finite entries without numpy warnings) and
+    kept while the table is under ``_BASE_TABLE_CAP``. The key is the
+    exponent itself: t^-1 and t^(N-1) differ in their last bits. Only a
+    Python int is a key, since numpy's power takes another route for a
+    numpy integer exponent of 2 or -1, with other bits.
+    """
+    table = data._vertex_bases
+    shared = type(a) is int
+    base = table.get((a, deg)) if shared else None
+    if base is None:
+        with np.errstate(all="ignore"):
+            base = data.T ** a * data.S[:, 0] ** (2 - deg)
+        if shared:
+            with _TABLE_LOCK:
+                if len(table) < _BASE_TABLE_CAP // (data.rank + _BASE_OVERHEAD):
+                    table[(a, deg)] = base
+    return base
+
 
 def _contract(data: ModularData, schedule, method: str) -> InvariantValue:
     """The surgery sum of the plumbing that ``schedule`` describes, leaf-first.
@@ -174,12 +204,18 @@ def _contract(data: ModularData, schedule, method: str) -> InvariantValue:
     more than that bound, m > 2 r bit_length(m). On rank >= 2 a run of up to
     20 vertices (all of L(p, q) for p <= 23) stays on the loop, bit for bit.
 
+    The bases come from :func:`_vertex_base`, so a call on data seen
+    before reads them from the data's table. Data holding a non-finite
+    entry is contracted under ``np.errstate``, so its non-finite value is
+    refused without numpy warnings; finite data skips that cost.
+
     Raises :class:`CapacityError` for more than ``_SURGERY_CAP`` vertices,
     and for a framing above it in absolute value when T has no verified
     finite order; with an order N, framings of N or more are reduced mod N,
     exactly. ``stats`` counts ``vertices`` (expanded), schedule ``entries``,
-    distinct (framing, degree) ``bases``, ``powered_runs``, ``matmuls`` (r x r
-    products) and whether any framing was reduced (``framing_reduced``).
+    distinct (framing, degree) ``bases`` of this call, ``powered_runs``,
+    ``matmuls`` (r x r products) and whether any framing was reduced
+    (``framing_reduced``).
     """
     vertices = sum(entry[3] for entry in schedule)
     if vertices > _SURGERY_CAP:
@@ -187,8 +223,15 @@ def _contract(data: ModularData, schedule, method: str) -> InvariantValue:
                             f"{_SURGERY_CAP} vertices")
     if any(entry[1] > 1 for entry in schedule) and data._s0_min <= DEFAULT_TOLERANCE:
         raise DegenerateDataError("S column 0 has (near-)zero entries")
+    if data._finite:
+        return _contract_loop(data, schedule, method, vertices)
+    with np.errstate(all="ignore"):
+        return _contract_loop(data, schedule, method, vertices)
+
+
+def _contract_loop(data: ModularData, schedule, method: str, vertices: int) -> InvariantValue:
+    # the leaf-first loop of _contract, after its checks
     S = data.S
-    s0 = S[:, 0]
     r = data.rank
     order = data._t_order
     bases = {}
@@ -206,7 +249,7 @@ def _contract(data: ModularData, schedule, method: str) -> InvariantValue:
                                 "no verified finite order to reduce it by")
         base = bases.get((a, deg))
         if base is None:
-            base = bases[(a, deg)] = data.T ** a * s0 ** (2 - deg)
+            base = bases[(a, deg)] = _vertex_base(data, a, deg)
         if m > 2 * r * m.bit_length():
             # M^m v as the product of M^(2^j) over the set bits j of m
             vec, M = messages[kids[0]], base[:, None] * S
@@ -230,7 +273,7 @@ def _contract(data: ModularData, schedule, method: str) -> InvariantValue:
         messages[k] = vec
     stats = {"vertices": vertices, "entries": len(schedule), "bases": len(bases),
              "powered_runs": powered, "matmuls": matmuls, "framing_reduced": reduced}
-    return InvariantValue(complex(messages[0].sum()), method, _warnings_for(data), stats)
+    return InvariantValue(complex(messages[0].sum()), method, data._surgery_warnings, stats)
 
 
 def _tree_schedule(tree: PlumbingTree) -> list:
@@ -282,8 +325,9 @@ def brieskorn(data: ModularData, p: int, q: int, r: int) -> InvariantValue:
     """
     if min(p, q, r) < 2:
         raise PreconditionError("brieskorn requires p, q, r >= 2")
-    return _contract(data, _tree_schedule(PlumbingTree.star(1, (p, q, r))),
-                     f"brieskorn(p={p},q={q},r={r})")
+    # the schedule of PlumbingTree.star(1, (p, q, r)), without building the tree
+    schedule = [(1, 3, (1, 2, 3), 1), (int(p), 1, (), 1), (int(q), 1, (), 1), (int(r), 1, (), 1)]
+    return _contract(data, schedule, f"brieskorn(p={p},q={q},r={r})")
 
 
 def plumbing_invariant(data: ModularData, tree: PlumbingTree) -> InvariantValue:

@@ -431,3 +431,18 @@ def test_invariant_nan_twist_exit2(capsys, tmp_path):
     code, _, err = run(capsys, "invariant", "lens", "-p", "3", "-q", "1", "--data", str(path))
     assert code == 2
     assert "non-finite invariant value" in err
+
+
+@pytest.mark.parametrize("entry,args", [("T 1 inf 0", ("lens", "-p", "5", "-q", "1")),
+                                        ("T 1 inf 0", ("brieskorn", "-p", "2", "-q", "3", "-r", "5")),
+                                        ("S 1 1 inf 0", ("lens", "-p", "5", "-q", "2"))])
+def test_invariant_infinite_entry_exit2_without_numpy_warnings(capsys, tmp_path, entry, args):
+    path = tmp_path / "inf.dat"
+    r = 0.7071067811865476
+    lines = {"S 0 0": f"S 0 0 {r} 0", "S 0 1": f"S 0 1 {r} 0", "S 1 0": f"S 1 0 {r} 0",
+             "S 1 1": f"S 1 1 {-r} 0", "T 0": "T 0 1 0", "T 1": "T 1 -1 0"}
+    lines[entry.rsplit(" ", 2)[0]] = entry
+    path.write_text("rank 2\n" + "\n".join(lines.values()) + "\n")
+    code, out, err = run(capsys, "invariant", *args, "--data", str(path))
+    assert code == 2 and out == ""
+    assert "non-finite invariant value" in err and "RuntimeWarning" not in err

@@ -584,6 +584,16 @@ def test_same_rank_different_s_rows_is_none():
     assert res is not None
 
 
+def test_non_finite_twist_is_not_equivalent_and_quiet():
+    fib = tvo.fibonacci()
+    a = ModularData(fib.S, np.array([1.0, np.inf]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "invalid value" warnings included
+        assert conjugate_equivalent(a, fib) is None
+        assert conjugate_equivalent(fib, a) is None
+        assert conjugate_equivalent(a, a) is None
+
+
 def test_capacity_error_for_large_flat_block():
     n = 17
     S = np.ones((n, n), dtype=complex)

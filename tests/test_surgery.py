@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +25,16 @@ from tvo import (
     lens_p2,
     plumbing_invariant,
 )
-from tvo.surgery import _SURGERY_CAP, _ncf_runs, negative_continued_fraction
+import tvo.surgery
+from tvo.surgery import (
+    _BASE_OVERHEAD,
+    _BASE_TABLE_CAP,
+    _SURGERY_CAP,
+    _ncf_runs,
+    _tree_schedule,
+    _vertex_base,
+    negative_continued_fraction,
+)
 
 from helpers import (
     brieskorn_loops,
@@ -581,3 +594,207 @@ def test_framings_above_the_cap_are_refused_without_an_order():
     # with an order the framing is reduced, however large
     fib = tvo.fibonacci()
     assert lens_p1(fib, 10**20).value == lens_p1(fib, 0).value
+
+
+# ---------------------------------------------------------------------------
+# the per-data table of vertex bases
+# ---------------------------------------------------------------------------
+
+def _fresh(d):
+    """The same S and T in new arrays: a data set with an empty table."""
+    return tvo.ModularData(np.array(d.S), np.array(d.T))
+
+
+def _table_cases(N):
+    """Calls whose framings sit at and above ord(T) = N, below zero, and on
+    trees with vertices of degree 3 and 4."""
+    tree = PlumbingTree(((5, N), (2, -1), (9, 2 * N + 1), (4, -(N + 2)), (7, 2), (3, 0), (8, -N)),
+                        ((5, 2), (5, 9), (5, 3), (9, 4), (9, 7), (9, 8)))
+    return [(lens_p1, (N,)), (lens_p1, (N + 1,)), (lens_p1, (3 * N + 2,)), (lens_p2, (2 * N + 1,)),
+            (lens_general, (N + 2, N + 1)), (lens_general, (2 * N + 1, 2)), (lens_general, (7, 3)),
+            (brieskorn, (2, 3, N)), (brieskorn, (N + 1, N + 2, 2 * N + 3)),
+            (lens_p1, (N - 1,)), (plumbing_invariant, (PlumbingTree.single(-1),)),
+            (plumbing_invariant, (tree,)),
+            (plumbing_invariant, (PlumbingTree.chain([-3, N + 4, -(N + 1), 2, 2, 2, N]),))]
+
+
+@pytest.mark.parametrize("name,maker", ORACLE_DATA)
+def test_table_gives_the_bits_and_stats_of_a_cold_call(name, maker):
+    d = maker()
+    N = d._t_order
+    assert N is not None
+    cases = _table_cases(N)
+    cold = [fn(_fresh(d), *args) for fn, args in cases]  # each on an empty table
+    for fn, args in cases:
+        fn(d, *args)
+    assert d._vertex_bases
+    warm = [fn(d, *args) for fn, args in cases]
+    copy = _fresh(d)
+    fresh = [fn(copy, *args) for fn, args in cases]
+    for c, w, f in zip(cold, warm, fresh):
+        assert repr(c.value) == repr(w.value) == repr(f.value), c.method
+        assert c.stats == w.stats == f.stats and c.method == w.method and c.warnings == w.warnings
+    assert any(c.stats["bases"] >= 5 for c in cold)
+
+
+@pytest.mark.parametrize("name,maker", ORACLE_DATA)
+def test_warm_values_match_the_chain_loop_oracle(name, maker):
+    d = maker()
+    N = d._t_order
+    chains = [[-3, N + 4, -(N + 1), 2, 2, 2, N], [N, N, N], [2 * N + 1, -1, -2, 5]]
+    for _ in range(2):  # cold, then warm
+        for framings in chains:
+            got = plumbing_invariant(d, PlumbingTree.chain(framings)).value
+            assert abs(got - chain_surgery_loops(d.S, d.T, framings)) <= 1e-11, framings
+        for p, q in ((N + 2, N + 1), (2 * N + 1, 2), (29, 12)):
+            want = chain_surgery_loops(d.S, d.T, negative_continued_fraction(p, q))
+            assert abs(lens_general(d, p, q).value - want) <= 1e-11, (p, q)
+        if d.rank <= 9:  # the quadruple loop is r^4
+            want = brieskorn_loops(d.S, d.T, 2, 3, N + 1)
+            assert abs(brieskorn(d, 2, 3, N + 1).value - want) <= 1e-11
+
+
+def test_conjugate_data_has_its_own_table():
+    d = tvo.fibonacci()
+    lens_p1(d, 3)
+    c = d.conjugate()
+    assert not c._vertex_bases and c._vertex_bases is not d._vertex_bases
+    assert repr(lens_p1(c, 3).value) == repr(lens_p1(_fresh(c), 3).value)
+    assert np.array_equal(c._vertex_bases[(3, 0)], c.T ** 3 * c.S[:, 0] ** 2)
+    assert not np.array_equal(c._vertex_bases[(3, 0)], d._vertex_bases[(3, 0)])
+
+
+def test_numpy_integer_framings_keep_their_own_bits():
+    # numpy's power takes another route for a numpy integer exponent of 2,
+    # with other bits, so such framings never share the table
+    d = tvo.fibonacci()
+    assert (d.T ** 2).tobytes() != (d.T ** np.int64(2)).tobytes()
+    numpy_first = lens_p1(d, np.int64(2)).value
+    assert repr(lens_p1(d, 2).value) == repr(lens_p1(_fresh(d), 2).value)
+    assert repr(numpy_first) == repr(lens_p1(d, np.int64(2)).value)
+    assert repr(numpy_first) == repr(lens_p1(_fresh(d), np.int64(2)).value)
+    assert list(d._vertex_bases) == [(2, 0)]
+
+
+def test_table_stays_within_its_bound(monkeypatch):
+    d = _rotated_fibonacci()
+    assert d._t_order is None
+    for a in range(10**4):  # 10^4 distinct framings, no order to reduce them by
+        lens_p1(d, a)
+    assert len(d._vertex_bases) == 10**4
+    assert len(d._vertex_bases) * (d.rank + _BASE_OVERHEAD) <= _BASE_TABLE_CAP
+    # at a bound of 2000 bases: the table stops there, and holds no more
+    # bytes than the entries it is charged
+    limit = 2000
+    monkeypatch.setattr(tvo.surgery, "_BASE_TABLE_CAP", limit * (d.rank + _BASE_OVERHEAD))
+    d = _rotated_fibonacci()
+    lens_p1(d, 0)  # the data's other cached values, before the count starts
+    d._vertex_bases.clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for a in range(limit + 1000):
+            _vertex_base(d, a, 0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(d._vertex_bases) == limit
+    assert held <= 16 * tvo.surgery._BASE_TABLE_CAP
+    # past the bound a base is computed per call, with the same bits
+    a = limit + 5000
+    assert repr(lens_p1(d, a).value) == repr(lens_p1(_fresh(d), a).value)
+    assert (a, 0) not in d._vertex_bases and len(d._vertex_bases) == limit
+
+
+def test_brieskorn_schedule_is_the_star_tree_schedule(monkeypatch):
+    seen = []
+    monkeypatch.setattr(tvo.surgery, "_contract",
+                        lambda data, schedule, method: seen.append(schedule))
+    for p in range(2, 8):
+        for q in range(p, 8):
+            for r in range(q, 8):
+                brieskorn(tvo.fibonacci(), p, q, r)
+                assert seen.pop() == _tree_schedule(PlumbingTree.star(1, (p, q, r)))
+    brieskorn(tvo.fibonacci(), np.int64(2), 3.0, 5)  # normalised as the tree normalises
+    schedule = seen.pop()
+    assert schedule == _tree_schedule(PlumbingTree.star(1, (2, 3, 5)))
+    assert all(type(entry[0]) is int for entry in schedule)
+
+
+def test_threads_sharing_one_data_set_get_the_single_thread_bits(monkeypatch):
+    # no verified order of T, so each framing of lens_p1 is a key of its own
+    double = double_data(tvo.su2_level_k(3))
+    base = tvo.ModularData(double.S, double.T * np.exp(1j * math.sqrt(2) * 1e-3))
+    assert base._t_order is None
+    cases = (_table_cases(7) + [(lens_p1, (p,)) for p in range(400)]
+             + [(lens_general, (p, q)) for p in range(2, 30) for q in range(1, p)
+                if math.gcd(p, q) == 1])
+    single = _fresh(base)
+    want = [repr(fn(single, *args).value) for fn, args in cases]
+    # a bound below the distinct keys, so the threads race on the cap check too
+    limit = len(single._vertex_bases) // 2
+    monkeypatch.setattr(tvo.surgery, "_BASE_TABLE_CAP", limit * (base.rank + _BASE_OVERHEAD))
+    start = threading.Barrier(4, timeout=60)
+
+    def work(k, shared, got):
+        start.wait()
+        n = len(cases)
+        # every fourth case from the thread's own offset first, so that the
+        # four threads miss the table at once, then the rest, twice
+        order = list(range(k, n, 4)) + [i for i in range(n) if i % 4 != k]
+        out = [None] * n
+        for _ in range(2):
+            for i in order:
+                fn, args = cases[i]
+                out[i] = repr(fn(shared, *args).value)
+        got[k] = out
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):  # three fresh data sets, three races to the bound
+            shared, got = _fresh(base), [None] * 4
+            threads = [threading.Thread(target=work, args=(k, shared, got)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+            assert got == [want] * 4
+            assert len(shared._vertex_bases) == limit
+            for key, value in shared._vertex_bases.items():
+                assert value.tobytes() == single._vertex_bases[key].tobytes()
+    finally:
+        sys.setswitchinterval(old)
+
+
+# ---------------------------------------------------------------------------
+# non-finite data
+# ---------------------------------------------------------------------------
+
+def _inf_data(where):
+    fib = tvo.fibonacci()
+    S, T = np.array(fib.S), np.array(fib.T)
+    if where == "T":
+        T[1] = np.inf
+    else:
+        S[1, 1] = np.inf
+    return tvo.ModularData(S, T)
+
+
+@pytest.mark.parametrize("where", ["T", "S"])
+def test_non_finite_data_is_refused_without_numpy_warnings(where):
+    calls = [lambda d: lens_general(d, 5, 2), lambda d: brieskorn(d, 2, 3, 5)]
+    if where == "T":
+        calls.append(lambda d: lens_p1(d, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            d = _inf_data(where)
+            assert not d._finite
+            for _ in range(2):  # cold, then from the table
+                with pytest.raises(tvo.TvoError, match="non-finite invariant value"):
+                    call(d)
+        if where == "S":
+            # a single vertex reads only S column 0, which is finite here
+            assert lens_p1(_inf_data("S"), 5).value == lens_p1(tvo.fibonacci(), 5).value
