@@ -50,7 +50,7 @@ def close(a, b) -> bool:
     return abs(a - b) <= DEFAULT_TOLERANCE * scale
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ModularData:
     """Labels plus the (S, t) tables of a torus representation.
 
@@ -62,9 +62,10 @@ class ModularData:
 
     Construction only checks shapes; run :func:`verify_verlinde` for the
     axioms. Every comparison uses ``DEFAULT_TOLERANCE``, and the integer
-    checks ``INTEGER_TOLERANCE``. Instances are immutable by convention
-    (arrays are marked read-only) and safe to share between threads. The
-    first :func:`verify_verlinde` or :func:`fusion_from_S` call streams the
+    checks ``INTEGER_TOLERANCE``. Instances are frozen (no attribute can be
+    reassigned and the arrays are read-only), so what they cache never goes
+    stale, and they are safe to share between threads. The first
+    :func:`verify_verlinde` or :func:`fusion_from_S` call streams the
     Verlinde sums once, and the instance keeps their rounded table, the
     largest array the pass builds: rank^3 int64 entries (535 MB at rank
     406; higher ranks are refused); later calls read it. The surgery
@@ -88,14 +89,16 @@ class ModularData:
             raise StructureError(
                 f"T length {T.shape[0]} does not match S rank {S.shape[0]}"
             )
-        if self.labels is not None:
-            self.labels = tuple(str(x) for x in self.labels)
-            if len(self.labels) != S.shape[0]:
+        labels = self.labels
+        if labels is not None:
+            labels = tuple(str(x) for x in labels)
+            if len(labels) != S.shape[0]:
                 raise StructureError("label count does not match rank")
         S.setflags(write=False)
         T.setflags(write=False)
-        self.S = S
-        self.T = T
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def rank(self) -> int:

@@ -16,13 +16,13 @@ a unit-modulus 3-cocycle on it, the weight of a coloring is invariant under
 the gauge group G^V acting at the vertices (Dijkgraaf-Witten, "Topological
 gauge theories and group cohomology", CMP 1990). That condition (the
 pentagon identity, the group axioms and unit modulus) depends on the data
-alone, so it is checked once per data set and reused until the data
-changes; a state sum on a data set already checked pays only for its
-layout and enumeration. Each orbit then holds n^(V-c) colorings
-and exactly one of them colors a fixed spanning forest of the 1-skeleton
-with 0, where c counts the forest's trees. The forest edges take the single
-label 0 and, with lambda = n, the normalisation n^(V-c) lambda^(-V) folds
-into n^(-c). Data failing the gate is summed over all colorings, forest
+alone, and ``SixJData`` is frozen, so it is checked once per data set; a
+state sum on a data set already checked pays only for its layout and
+enumeration. Each orbit then holds n^(V-c) colorings and exactly one of
+them colors a fixed spanning forest of the 1-skeleton with 0, where c
+counts the forest's trees. The forest edges take the single label 0 and,
+with lambda = n, the normalisation n^(V-c) lambda^(-V) folds into n^(-c).
+Data failing the gate is summed over all colorings, forest
 edges ranging over every label.
 
 Conventions: edges are oriented from the smaller to the larger vertex
@@ -36,9 +36,11 @@ that (or non-orientable ones) are rejected.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 from time import perf_counter
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,42 +51,18 @@ from .triangulation import _RANK, TET_EDGES, Triangulation, _components
 
 
 def _checked_qdim(qdim, num_labels: int) -> np.ndarray:
-    """``qdim`` as a float array, refused unless it has one positive finite
-    entry per label and [X] = 1 on the vacuum."""
+    """``qdim`` as a read-only float array, refused unless it has one positive
+    finite entry per label and [X] = 1 on the vacuum."""
     q = np.array(qdim, dtype=float)
     if q.shape != (num_labels,) or not (q > 0).all() or not np.isfinite(q).all():
         raise StructureError("qdim must be positive and finite, one entry per label")
     if abs(q[0] - 1.0) > 1e-12:
         raise StructureError("the vacuum label must have [X] = 1")
+    q.setflags(write=False)
     return q
 
 
-def _bumping(method):
-    @wraps(method)
-    def bump(self, *args, **kwargs):
-        self.version += 1
-        return method(self, *args, **kwargs)
-
-    return bump
-
-
-class _CountingDict(dict):
-    """A dict whose ``version`` moves on every mutation, so a verdict computed
-    from its contents can be keyed on the version."""
-
-    version = 0
-
-    __setitem__ = _bumping(dict.__setitem__)
-    __delitem__ = _bumping(dict.__delitem__)
-    __ior__ = _bumping(dict.__ior__)
-    clear = _bumping(dict.clear)
-    pop = _bumping(dict.pop)
-    popitem = _bumping(dict.popitem)
-    setdefault = _bumping(dict.setdefault)
-    update = _bumping(dict.update)
-
-
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class SixJData:
     """6j weight data on a finite label set with vacuum label 0.
 
@@ -95,35 +73,25 @@ class SixJData:
     weight. General data is accepted; evaluation and the pentagon check
     require pointed data: a Latin-square fusion table and unit dimensions.
 
-    ``weights`` is stored as a dict that counts its mutations (a copy of a
-    plain dict that is passed in), so the gate that ``tv_evaluate`` and
-    ``verify_pentagon`` read (the weight table, the pentagon residual and
-    the gauge verdict) is computed once and reused until the weights change.
-    Assigning ``qdim`` checks it as the constructor does, and assigning
-    ``num_labels``, ``admissible`` or ``weights`` drops the cached group
-    table and gate.
+    Instances are frozen: ``qdim`` is kept as a read-only array,
+    ``admissible`` as a frozenset and ``weights`` as a read-only copy of the
+    given mapping. Perturbed data is a new instance, built by the
+    constructor or ``dataclasses.replace``. So the gate that ``tv_evaluate``
+    and ``verify_pentagon`` read (the weight table, the pentagon residual
+    and the gauge verdict) is computed once per instance.
     """
 
     num_labels: int
     qdim: np.ndarray
     admissible: frozenset
-    weights: dict
+    weights: Mapping
     name: str = ""
-
-    def __setattr__(self, name, value):
-        if name == "qdim":
-            value = _checked_qdim(value, self.num_labels)
-        elif name == "weights":
-            if not isinstance(value, _CountingDict):
-                value = _CountingDict(value)
-            self.__dict__.pop("_verdict", None)
-        elif name in ("num_labels", "admissible"):
-            self.__dict__.pop("_group", None)
-            self.__dict__.pop("_verdict", None)
-        super().__setattr__(name, value)
 
     def __post_init__(self):
         n = self.num_labels
+        object.__setattr__(self, "qdim", _checked_qdim(self.qdim, n))
+        object.__setattr__(self, "admissible", frozenset(self.admissible))
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
         bad = next((t for t in self.admissible if not all(0 <= x < n for x in t)), None)
         if bad is not None:
             raise StructureError(f"admissible triple {bad} names a label outside 0..{n - 1}")
@@ -145,7 +113,7 @@ class SixJData:
             mul[a][b], ldiv[b][c], mdiv[a][c] = c, a, b
         return (mul, ldiv, mdiv) if len(self.admissible) == n * n else None
 
-    @property
+    @cached_property
     def pointed(self) -> bool:
         """A Latin-square fusion table (one channel per pair, total divisions)
         and unit dimensions."""
@@ -165,20 +133,16 @@ class SixJData:
         bc = mul[b][c]
         return (a, ab, mul[ab][c], b, bc, c)
 
+    @cached_property
     def _gate(self):
         """(w, conjugate of w, pentagon residual, gauge-fixable) of Latin-square
-        data, where w is ``_weight_table``. Cached on the weights' version
-        until they change; a missing weight raises and caches nothing."""
-        cached = self.__dict__.get("_verdict")
-        if cached is not None and cached[0] == self.weights.version:
-            return cached[1]
+        data, where w is ``_weight_table``. A missing weight raises and
+        caches nothing, so it is refused on every call."""
         mul = self._group[0]
         w = _weight_table(self)
         residual = _pentagon_residual(mul, w)
         wneg = [[[x.conjugate() for x in row] for row in plane] for plane in w]
-        verdict = (w, wneg, residual, _gauge_fixable(mul, w, residual))
-        self._verdict = (self.weights.version, verdict)
-        return verdict
+        return w, wneg, residual, _gauge_fixable(mul, w, residual)
 
 
 #: largest label count of ``pointed_sixj``: n^3 weights, and the pentagon
@@ -258,7 +222,7 @@ def verify_pentagon(sixj: SixJData) -> PentagonReport:
     """
     if sixj._group is None:
         raise UnsupportedFeatureError("pentagon check implemented for Latin-square fusion only")
-    worst = sixj._gate()[2]
+    worst = sixj._gate[2]
     return PentagonReport(worst <= _PENTAGON_TOL, worst, sixj.num_labels**4)
 
 
@@ -272,7 +236,7 @@ def _gauge_fixable(mul, w, residual: float) -> bool:
     coboundary, which integrates to 1 over a closed oriented complex
     (Dijkgraaf-Witten, CMP 1990); unit modulus makes the conjugate on
     negatively oriented tetrahedra the inverse. ``SixJData._gate`` calls it
-    once per version of the weights.
+    once per data set.
     """
     labels = range(len(mul))
     return (
@@ -384,8 +348,8 @@ def tv_evaluate(sixj: SixJData, tri: Triangulation) -> InvariantValue:
     ``gauge_fixed``; it also holds the seconds of the stages, ``layout_s``
     (classes, orientation and schedule), ``gate_s`` (the pointed check and
     ``SixJData._gate``: the n^3 weight table and the gauge checks on it on the
-    first call for a data set, a cache lookup after that while the weights
-    are unchanged) and ``sum_s`` (the enumeration).
+    first call for a data set, a cached attribute after that) and ``sum_s``
+    (the enumeration).
     """
     gate_start = perf_counter()
     if not sixj.pointed:
@@ -397,7 +361,7 @@ def tv_evaluate(sixj: SixJData, tri: Triangulation) -> InvariantValue:
     layout = _layout(tri)
     gauge_start = perf_counter()
     mul, ldiv, mdiv = sixj._group
-    wpos, wneg, _, gauge_fixed = sixj._gate()
+    wpos, wneg, _, gauge_fixed = sixj._gate
     sum_start = perf_counter()
     n = sixj.num_labels
     faces = layout.faces

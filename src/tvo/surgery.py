@@ -170,20 +170,16 @@ def _vertex_base(data: ModularData, a: int, deg: int) -> np.ndarray:
     Read from ``data``'s table when it is there, else computed (quietly, so
     non-finite data gives non-finite entries without numpy warnings) and
     kept while the table is under ``_BASE_TABLE_CAP``. The key is the
-    exponent itself: t^-1 and t^(N-1) differ in their last bits. Only a
-    Python int is a key, since numpy's power takes another route for a
-    numpy integer exponent of 2 or -1, with other bits.
+    exponent itself: t^-1 and t^(N-1) differ in their last bits.
     """
     table = data._vertex_bases
-    shared = type(a) is int
-    base = table.get((a, deg)) if shared else None
+    base = table.get((a, deg))
     if base is None:
         with np.errstate(all="ignore"):
             base = data.T ** a * data.S[:, 0] ** (2 - deg)
-        if shared:
-            with _TABLE_LOCK:
-                if len(table) < _BASE_TABLE_CAP // (data.rank + _BASE_OVERHEAD):
-                    table[(a, deg)] = base
+        with _TABLE_LOCK:
+            if len(table) < _BASE_TABLE_CAP // (data.rank + _BASE_OVERHEAD):
+                table[(a, deg)] = base
     return base
 
 
@@ -305,6 +301,7 @@ def _chain_schedule(runs) -> list:
 
 def lens_p1(data: ModularData, p: int) -> InvariantValue:
     """sum_i t_i^p S_i0^2. p = 0 is allowed (the value for S^1 x S^2)."""
+    p = int(p)
     if p < 0:
         raise PreconditionError("lens_p1 requires p >= 0")
     return _contract(data, _chain_schedule([(p, 1)]), f"lens_p1(p={p})")
@@ -312,6 +309,7 @@ def lens_p1(data: ModularData, p: int) -> InvariantValue:
 
 def lens_p2(data: ModularData, p: int) -> InvariantValue:
     """sum_ij t_i^((p+1)/2) t_j^2 S_i0 S_j0 S_ij, for odd positive p."""
+    p = int(p)
     if p < 1 or p % 2 == 0:
         raise PreconditionError("lens_p2 requires odd positive p")
     return _contract(data, _chain_schedule([((p + 1) // 2, 1), (2, 1)]), f"lens_p2(p={p})")
@@ -376,6 +374,7 @@ def lens_general(data: ModularData, p: int, q: int) -> InvariantValue:
     The chain is contracted from its runs, in O(log p) steps, and refused
     with :class:`CapacityError` above ``_SURGERY_CAP`` vertices.
     """
+    p, q = int(p), int(q)
     if p < 1 or q < 1:
         raise PreconditionError("lens_general requires positive p, q")
     if math.gcd(p, q) != 1:

@@ -664,9 +664,10 @@ def test_conjugate_data_has_its_own_table():
     assert not np.array_equal(c._vertex_bases[(3, 0)], d._vertex_bases[(3, 0)])
 
 
-def test_numpy_integer_framings_keep_their_own_bits():
+def test_numpy_integer_framings_read_the_python_int_bases():
     # numpy's power takes another route for a numpy integer exponent of 2,
-    # with other bits, so such framings never share the table
+    # with other bits, so the lens functions turn their arguments into Python
+    # ints first and a numpy framing reads and fills the same table entry
     d = tvo.fibonacci()
     assert (d.T ** 2).tobytes() != (d.T ** np.int64(2)).tobytes()
     numpy_first = lens_p1(d, np.int64(2)).value
@@ -674,6 +675,16 @@ def test_numpy_integer_framings_keep_their_own_bits():
     assert repr(numpy_first) == repr(lens_p1(d, np.int64(2)).value)
     assert repr(numpy_first) == repr(lens_p1(_fresh(d), np.int64(2)).value)
     assert list(d._vertex_bases) == [(2, 0)]
+
+
+def test_numpy_integer_lens_arguments_give_the_python_int_bits():
+    cases = [(lens_p1, (0,)), (lens_p1, (2,)), (lens_p1, (7,)), (lens_p2, (3,)),
+             (lens_p2, (9,)), (lens_general, (4, 3)), (lens_general, (7, 4)),
+             (lens_general, (23, 7))]
+    for f, args in cases:
+        numpy_args = tuple(np.int64(x) for x in args)
+        for make in (tvo.fibonacci, lambda: tvo.su2_level_k(5)):
+            assert repr(f(make(), *numpy_args).value) == repr(f(make(), *args).value), (f, args)
 
 
 def test_table_stays_within_its_bound(monkeypatch):
