@@ -47,7 +47,7 @@ import numpy as np
 from .catalog import cyclic_cocycle
 from .errors import CapacityError, StructureError, UnsupportedFeatureError
 from .surgery import InvariantValue
-from .triangulation import _RANK, TET_EDGES, Triangulation, _components
+from .triangulation import _RANK, TET_EDGES, Triangulation, _spanning_forest
 
 
 def _checked_qdim(qdim, num_labels: int) -> np.ndarray:
@@ -288,7 +288,7 @@ def _layout(tri: Triangulation) -> _Evaluation:
             ends[e] = (vrow[a], vrow[b])
     faces = [face_slots[t][f](eclass[t]) for t, f in tri.face_classes]
     # spanning forest of the 1-skeleton, edges taken in index order
-    forest = _components(tri.num_vertices, ends)[2]
+    forest = _spanning_forest(tri.num_vertices, ends)
 
     # static schedule: the forest edges first, then force an edge from a face
     # whenever two of its three edges are known, otherwise branch on the

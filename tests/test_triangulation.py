@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from tvo import PreconditionError, StructureError, Triangulation, pointed_sixj, tv_evaluate
+from tvo.statesum import _layout
 from tvo.triangulation import _GLUING, boundary_4_simplex, inverse_perm, pachner_14, pachner_23
 
-from helpers import classes_by_flood_fill, random_pachner_sequence, two_tet_sphere
+from helpers import classes_by_flood_fill, random_pachner_sequence, tv_bruteforce, two_tet_sphere
 
 
 def counts(tri):
@@ -342,3 +343,93 @@ def test_relabelled_walks_reach_every_gluing_table_entry(s3_triangulation):
             assert abs(z - 1 / sixj.num_labels) < 1e-9
     assert seen == set(_GLUING)
     assert len(seen) == 96
+
+
+def disjoint_union(*tris):
+    """The complex whose components are ``tris``, tetrahedra numbered in turn."""
+    gluings, base = {}, 0
+    for tri in tris:
+        for (t, f), (t2, perm) in tri.gluings.items():
+            gluings[(base + t, f)] = (base + t2, perm)
+        base += tri.num_tets
+    return Triangulation(base, gluings)
+
+
+def reflected_s3():
+    """The boundary of the 4-simplex with the face pair of (0, 0) reflected: not orientable."""
+    gluings = dict(boundary_4_simplex().gluings)
+    t2, perm = gluings[(0, 0)]
+    reflected = (perm[0], perm[2], perm[1], perm[3])
+    gluings[(0, 0)] = (t2, reflected)
+    gluings[(t2, perm[0])] = (0, inverse_perm(reflected))
+    return Triangulation(5, gluings)
+
+
+def test_two_component_classes_and_orientation_match_oracle():
+    s3 = boundary_4_simplex()
+    union = disjoint_union(s3, s3)
+    assert counts(union) == (10, 10, 20, 20)
+    assert union.euler_characteristic == 0
+    assert_matches_oracle(union)
+    # the smallest tetrahedron of each component is signed +1
+    assert union.orientation[0] == union.orientation[5] == 1
+    assert union.face_classes == s3.face_classes + [(t + 5, f) for t, f in s3.face_classes]
+    for mixed in (disjoint_union(boundary_4_simplex(), reflected_s3()),
+                  disjoint_union(reflected_s3(), boundary_4_simplex())):
+        assert mixed.orientation is None
+        assert_matches_oracle(mixed)
+
+
+def test_two_component_state_sum_is_gauge_fixed_per_component():
+    union = disjoint_union(boundary_4_simplex(), boundary_4_simplex())
+    assert _layout(union).num_components == 2
+    for n in (2, 3, 4):
+        for k in range(n):
+            z = tv_evaluate(pointed_sixj(n, k), union)
+            assert z.stats["gauge_fixed"] and z.stats["leaves"] == 1
+            assert z.value == 1 / n**2, (n, k)
+    # the brute-force sum over all 2^20 edge colorings
+    sj = pointed_sixj(2, 1)
+    assert abs(tv_evaluate(sj, union).value - tv_bruteforce(sj, union)) < 1e-12
+
+
+@pytest.mark.parametrize("gluings", [
+    {(0, 0): (1, (0, 1, 2, 3)), (1, 0): (0, (0, 1, 2, 3))},
+    {(0, 0): (1, (1, 0, 2, 3)), (1, 1): (0, (1, 0, 2, 3)),
+     (0, 2): (1, (0, 1, 3, 2)), (1, 3): (0, (0, 1, 3, 2))},
+], ids=["one-face", "two-faces"])
+def test_open_complex_classes_match_oracle(gluings):
+    tri = Triangulation(2, gluings)
+    assert not tri.is_closed
+    vclass, eclass, _ = classes_by_flood_fill(2, tri.gluings)
+    assert (tri.vertex_class, tri.edge_class) == (vclass, eclass)
+    assert tri.num_vertices == len({c for row in vclass for c in row})
+    with pytest.raises(StructureError, match="unglued faces"):
+        tri.orientation
+    with pytest.raises(StructureError, match="unglued faces"):
+        tri.face_classes
+
+
+def test_non_integer_indices_are_refused(s3_triangulation):
+    floated = {(float(t), f): glued for (t, f), glued in s3_triangulation.gluings.items()}
+    with pytest.raises(StructureError, match=r"gluing \(0\.0, 0\) -> .*integers"):
+        Triangulation(5, floated)
+    ident = (0, 1, 2, 3)
+    halves = {(0, 0): (1, (0, 1.5, 2.5, 3.5)), (1, 0): (0, ident)}
+    with pytest.raises(StructureError, match=r"gluing \(0, 0\) -> \(1, \(0, 1\.5, 2\.5, 3\.5\)\)"):
+        Triangulation(2, halves)
+    with pytest.raises(StructureError, match="tetrahedron count 5.0 is not an integer"):
+        Triangulation(5.0, s3_triangulation.gluings)
+
+
+def test_numpy_integer_indices_are_read_as_ints(s3_triangulation):
+    gluings = {
+        (np.int64(t), np.int8(f)): (np.int32(t2), np.array(perm))
+        for (t, f), (t2, perm) in s3_triangulation.gluings.items()
+    }
+    tri = Triangulation(np.int64(5), gluings)
+    assert type(tri.num_tets) is int
+    assert list(tri.gluings.items()) == list(s3_triangulation.gluings.items())
+    assert all(type(x) is int for (t, f), (t2, perm) in tri.gluings.items()
+               for x in (t, f, t2, *perm))
+    assert_matches_oracle(tri)
