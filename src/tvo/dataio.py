@@ -24,9 +24,9 @@ Plumbing tree format::
 
 Every other directive has exactly the fields shown, and a second label,
 S or T line for the same index is an error; errors name the line.
-Loading never validates the mathematics (a file whose S fails unitarity
-loads fine; run the verifier separately). Saving writes >= 15 significant
-digits so a round trip reproduces every double exactly.
+Loading refuses a NaN or inf entry, naming it, but checks no axiom (an S
+that fails unitarity loads; run the verifier). Saving writes >= 15
+significant digits so a round trip reproduces every double exactly.
 """
 
 from __future__ import annotations

@@ -60,11 +60,11 @@ class ModularData:
     T : (m+1,) complex array of diagonal T entries t_i, expected unit modulus
     labels : optional display names, index 0 is the vacuum
 
-    Construction only checks shapes; run :func:`verify_verlinde` for the
-    axioms. Every comparison uses ``DEFAULT_TOLERANCE``, and the integer
-    checks ``INTEGER_TOLERANCE``. Instances are frozen (no attribute can be
-    reassigned and the arrays are read-only), so what they cache never goes
-    stale, and they are safe to share between threads. The first
+    Construction checks shapes and finiteness; run :func:`verify_verlinde`
+    for the axioms. Every comparison uses ``DEFAULT_TOLERANCE``, and the
+    integer checks ``INTEGER_TOLERANCE``. Instances are frozen (no attribute
+    can be reassigned and the arrays are read-only), so what they cache
+    never goes stale, and they are safe to share between threads. The first
     :func:`verify_verlinde` or :func:`fusion_from_S` call streams the
     Verlinde sums once, and the instance keeps their rounded table, the
     largest array the pass builds: rank^3 int64 entries (535 MB at rank
@@ -89,6 +89,10 @@ class ModularData:
             raise StructureError(
                 f"T length {T.shape[0]} does not match S rank {S.shape[0]}"
             )
+        for name, M in (("S", S), ("T", T)):
+            if not np.isfinite(M).all():
+                where = tuple(np.argwhere(~np.isfinite(M))[0].tolist())
+                raise StructureError(f"{name}{list(where)} = {M[where]} is not finite")
         labels = self.labels
         if labels is not None:
             labels = tuple(str(x) for x in labels)
@@ -110,7 +114,7 @@ class ModularData:
 
     @cached_property
     def _s_squared(self) -> np.ndarray:
-        with np.errstate(all="ignore"):  # a non-finite S gives a non-finite S^2
+        with np.errstate(all="ignore"):  # an S entry of 1e200 overflows S^2
             return self.S @ self.S
 
     @cached_property
@@ -131,7 +135,7 @@ class ModularData:
         # the lcm N of the denominators of T's phases read as fractions, kept
         # only when N <= _T_ORDER_CAP and every t_i^N = 1 within tolerance
         N = 1
-        for turn in np.nan_to_num(np.angle(self.T) / (2 * np.pi)):  # NaN fails the last check
+        for turn in np.angle(self.T) / (2 * np.pi):
             N = math.lcm(N, Fraction(turn).limit_denominator(_T_ORDER_CAP).denominator)
             if N > _T_ORDER_CAP:
                 return None
@@ -146,7 +150,7 @@ class ModularData:
     def _st_cubed(self):
         # returns ((ST)^3, S^2, scalar u, proportionality residual)
         S2 = self._s_squared
-        with np.errstate(all="ignore"):  # a non-finite S gives a non-finite u, quietly
+        with np.errstate(all="ignore"):  # an S entry of 1e200 overflows (ST)^3 and u
             M = self.S * self.T[np.newaxis, :]
             M3 = M @ M @ M
             idx = np.unravel_index(np.argmax(np.abs(S2)), S2.shape)
@@ -175,10 +179,11 @@ class ModularData:
         return ()
 
     @cached_property
-    def _finite(self) -> bool:
-        # whether every entry of S and T is finite; the surgery sums run under
-        # np.errstate only on data that is not, to keep numpy's warnings quiet
-        return bool(np.isfinite(self.S).all() and np.isfinite(self.T).all())
+    def _unitarity(self) -> tuple[float, float]:
+        # (max |S S^dagger - I|, max ||t_i| - 1|), read by verify_verlinde and surgery
+        with np.errstate(all="ignore"):  # an S entry of 1e200 overflows S S^dagger
+            s_res = float(np.abs(self.S @ self.S.conj().T - np.eye(self.rank)).max())
+        return s_res, float(np.abs(np.abs(self.T) - 1.0).max())
 
     @property
     def anomaly_phase(self) -> complex:
@@ -374,8 +379,8 @@ def _verlinde_pass(data: ModularData) -> _VerlindePass:
     dev = np.empty((r, r))
     int_res, first_bad, unit_res = 0.0, None, float("inf")
     tensor_s = rounding_s = 0.0
-    # a zero in S row 0, or an S that is not finite or too large, gives inf
-    # and nan sums, which end the pass
+    # a zero in S row 0, or an S entry as large as 1e200, gives inf and nan
+    # sums, which end the pass
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         weighted = S.conj() / S[0][:, np.newaxis]
         for i in range(r):
@@ -504,7 +509,7 @@ def verify_verlinde(data: ModularData) -> VerificationReport:
     or fusion call already ran the pass, ``tensor_s`` and ``rounding_s``
     read 0.0.
     """
-    S, T = data.S, data.T
+    S = data.S
     r = data.rank
     eye = np.eye(r)
     rep = VerificationReport()
@@ -517,11 +522,10 @@ def verify_verlinde(data: ModularData) -> VerificationReport:
             passed = residual <= DEFAULT_TOLERANCE
         rep.checks.append(CheckResult(name, bool(passed), residual))
 
-    # a non-finite S gives non-finite residuals, which fail their checks quietly
-    with np.errstate(all="ignore"):
-        add("S unitary", np.abs(S @ S.conj().T - eye).max())
+    add("S unitary", data._unitarity[0])
+    with np.errstate(all="ignore"):  # entries of +-1.5e308 overflow S - S^T
         add("S symmetric", np.abs(S - S.T).max())
-    add("T unitary", np.abs(np.abs(T) - 1.0).max())
+    add("T unitary", data._unitarity[1])
 
     S2 = data._s_squared
     _, res_perm = data._s_squared_permutation
@@ -560,7 +564,7 @@ def verify_verlinde(data: ModularData) -> VerificationReport:
 
     start = perf_counter()
     M3, S2_, u, prop_res = data._st_cubed
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # an S entry of 1e200 overflows S^4 and (ST)^3
         add("S^4 identity", np.abs(S2 @ S2 - eye).max())
         add("(ST)^3 = S^2", np.abs(M3 - S2_).max())
     rep.anomaly_phase = u
@@ -641,7 +645,7 @@ def _t_blocks(ta: np.ndarray, tb_conj: np.ndarray):
     Returns None if the multisets do not match; otherwise a list of candidate
     index lists, cand[i] = labels j of b with t^a_i ~ conj(t^b_j).
     """
-    # a non-finite t gives NaN differences, which match nothing, quietly
+    # finite twists of +-1.5e308 overflow the differences to inf, which match nothing
     with np.errstate(all="ignore"):
         match = np.abs(ta[:, None] - tb_conj[None, :]) <= DEFAULT_TOLERANCE
         # multiset check: count of a-labels sharing a value must equal b-count

@@ -35,8 +35,8 @@ for, so a call on data seen before pays only for its mat-vecs. The table
 holds at most ``_BASE_TABLE_CAP`` (2^20) complex entries, 16 MiB; past
 that, a base is computed per call.
 
-Values for data whose anomaly phase differs from 1 are still computed but
-carry a warning tag (no framing-anomaly correction is attempted).
+Data whose S is not unitary or T not of unit modulus is refused. Values for
+anomaly phase u != 1 carry a warning tag; no framing correction is made.
 """
 
 from __future__ import annotations
@@ -167,16 +167,20 @@ _TABLE_LOCK = threading.Lock()
 def _vertex_base(data: ModularData, a: int, deg: int) -> np.ndarray:
     """t^a S_0^(2 - deg) for a vertex of framing ``a`` and degree ``deg``.
 
-    Read from ``data``'s table when it is there, else computed (quietly, so
-    non-finite data gives non-finite entries without numpy warnings) and
-    kept while the table is under ``_BASE_TABLE_CAP``. The key is the
-    exponent itself: t^-1 and t^(N-1) differ in their last bits.
+    Read from ``data``'s table when it is there, else computed and kept
+    while the table is under ``_BASE_TABLE_CAP``. The key is the exponent
+    itself: t^-1 and t^(N-1) differ in their last bits. On unitary data only
+    S_0^(2 - deg) can overflow, past degree 2 + 709.78 / ln(1 / min |S_i0|)
+    (317 on su2-10); that base is refused with :class:`CapacityError`.
     """
     table = data._vertex_bases
     base = table.get((a, deg))
     if base is None:
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):  # S_0^(2 - deg) overflows at a high degree
             base = data.T ** a * data.S[:, 0] ** (2 - deg)
+        if not np.isfinite(base).all():
+            raise CapacityError(f"the base S_0^(2 - deg) of a vertex of degree {deg} overflows; "
+                                f"the smallest |S_i0| is {data._s0_min:.6g}")
         with _TABLE_LOCK:
             if len(table) < _BASE_TABLE_CAP // (data.rank + _BASE_OVERHEAD):
                 table[(a, deg)] = base
@@ -201,9 +205,9 @@ def _contract(data: ModularData, schedule, method: str) -> InvariantValue:
     20 vertices (all of L(p, q) for p <= 23) stays on the loop, bit for bit.
 
     The bases come from :func:`_vertex_base`, so a call on data seen
-    before reads them from the data's table. Data holding a non-finite
-    entry is contracted under ``np.errstate``, so its non-finite value is
-    refused without numpy warnings; finite data skips that cost.
+    before reads them from the data's table. Data whose S is not unitary or
+    whose T is not of unit modulus, to ``DEFAULT_TOLERANCE``, is refused with
+    :class:`PreconditionError`, by residuals cached on the data.
 
     Raises :class:`CapacityError` for more than ``_SURGERY_CAP`` vertices,
     and for a framing above it in absolute value when T has no verified
@@ -217,16 +221,12 @@ def _contract(data: ModularData, schedule, method: str) -> InvariantValue:
     if vertices > _SURGERY_CAP:
         raise CapacityError(f"surgery on {vertices} vertices is above the cap of "
                             f"{_SURGERY_CAP} vertices")
+    s_res, t_res = data._unitarity
+    if not (s_res <= DEFAULT_TOLERANCE and t_res <= DEFAULT_TOLERANCE):
+        raise PreconditionError(f"surgery needs S unitary and T of unit modulus: max |S S^dagger"
+                                f" - I| = {s_res:.3e}, max ||t_i| - 1| = {t_res:.3e}")
     if any(entry[1] > 1 for entry in schedule) and data._s0_min <= DEFAULT_TOLERANCE:
         raise DegenerateDataError("S column 0 has (near-)zero entries")
-    if data._finite:
-        return _contract_loop(data, schedule, method, vertices)
-    with np.errstate(all="ignore"):
-        return _contract_loop(data, schedule, method, vertices)
-
-
-def _contract_loop(data: ModularData, schedule, method: str, vertices: int) -> InvariantValue:
-    # the leaf-first loop of _contract, after its checks
     S = data.S
     r = data.rank
     order = data._t_order

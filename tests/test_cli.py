@@ -423,26 +423,62 @@ def test_invariant_missing_tree_file_exit2(capsys, tmp_path):
     assert "cannot open tree file" in err
 
 
-def test_invariant_nan_twist_exit2(capsys, tmp_path):
-    path = tmp_path / "nan.dat"
+def _rank2_file(tmp_path, entry):
+    """A rank-2 data file (S = the 2x2 Hadamard over sqrt 2, T = (1, -1)) with
+    the line for ``entry``'s index replaced by ``entry``."""
+    path = tmp_path / "rank2.dat"
     r = 0.7071067811865476
-    path.write_text(f"rank 2\nS 0 0 {r} 0\nS 0 1 {r} 0\nS 1 0 {r} 0\nS 1 1 {-r} 0\n"
-                    "T 0 1 0\nT 1 nan 0\n")
+    lines = {"S 0 0": f"S 0 0 {r} 0", "S 0 1": f"S 0 1 {r} 0", "S 1 0": f"S 1 0 {r} 0",
+             "S 1 1": f"S 1 1 {-r} 0", "T 0": "T 0 1 0", "T 1": "T 1 -1 0"}
+    lines[entry.rsplit(" ", 2)[0]] = entry
+    path.write_text("rank 2\n" + "\n".join(lines.values()) + "\n")
+    return path
+
+
+def test_invariant_nan_twist_exit2(capsys, tmp_path):
+    path = _rank2_file(tmp_path, "T 1 nan 0")
     code, _, err = run(capsys, "invariant", "lens", "-p", "3", "-q", "1", "--data", str(path))
     assert code == 2
-    assert "non-finite invariant value" in err
+    assert "T[1] = (nan+0j) is not finite" in err
 
 
 @pytest.mark.parametrize("entry,args", [("T 1 inf 0", ("lens", "-p", "5", "-q", "1")),
                                         ("T 1 inf 0", ("brieskorn", "-p", "2", "-q", "3", "-r", "5")),
                                         ("S 1 1 inf 0", ("lens", "-p", "5", "-q", "2"))])
 def test_invariant_infinite_entry_exit2_without_numpy_warnings(capsys, tmp_path, entry, args):
-    path = tmp_path / "inf.dat"
-    r = 0.7071067811865476
-    lines = {"S 0 0": f"S 0 0 {r} 0", "S 0 1": f"S 0 1 {r} 0", "S 1 0": f"S 1 0 {r} 0",
-             "S 1 1": f"S 1 1 {-r} 0", "T 0": "T 0 1 0", "T 1": "T 1 -1 0"}
-    lines[entry.rsplit(" ", 2)[0]] = entry
-    path.write_text("rank 2\n" + "\n".join(lines.values()) + "\n")
+    path = _rank2_file(tmp_path, entry)
     code, out, err = run(capsys, "invariant", *args, "--data", str(path))
     assert code == 2 and out == ""
-    assert "non-finite invariant value" in err and "RuntimeWarning" not in err
+    where = "T[1]" if entry.startswith("T") else "S[1, 1]"
+    assert f"{where} = (inf+0j) is not finite" in err and "RuntimeWarning" not in err
+
+
+def test_invariant_nan_s_entry_is_refused(capsys, tmp_path):
+    path = _rank2_file(tmp_path, "S 0 1 nan 0")
+    code, out, err = run(capsys, "invariant", "lens", "-p", "5", "-q", "1", "--data", str(path))
+    assert code == 2 and out == ""
+    assert "S[0, 1] = (nan+0j) is not finite" in err
+
+
+@pytest.mark.parametrize("args", [("lens", "-p", "5", "-q", "2"),
+                                  ("brieskorn", "-p", "2", "-q", "3", "-r", "5"),
+                                  ("plumbing",)])
+def test_invariant_non_unitary_data_exit2_without_numpy_warnings(capsys, tmp_path, args):
+    # finite, but S S^dagger overflows: surgery refuses it before any sum
+    path = _rank2_file(tmp_path, "S 1 1 1e200 0")
+    if args == ("plumbing",):
+        tree = tmp_path / "star.tree"
+        tree.write_text("vertex 0 1\nvertex 1 2\nvertex 2 3\nvertex 3 5\n"
+                        "edge 0 1\nedge 0 2\nedge 0 3\n")
+        args += ("--tree", str(tree))
+    code, out, err = run(capsys, "invariant", *args, "--data", str(path))
+    assert code == 2 and out == ""
+    assert "surgery needs S unitary" in err and "max |S S^dagger - I| = inf" in err
+    assert "RuntimeWarning" not in err
+
+
+def test_verify_non_finite_data_exit2(capsys, tmp_path):
+    path = _rank2_file(tmp_path, "S 0 1 nan 0")
+    code, out, err = run(capsys, "verify", "--data", str(path))
+    assert code == 2 and out == ""
+    assert "S[0, 1] = (nan+0j) is not finite" in err

@@ -309,30 +309,36 @@ def test_errors_are_raised_on_every_call(monkeypatch):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf)])
 def test_non_finite_sums_name_their_first_index_without_warnings(bad):
     d = tvo.su2_level_k(3)
-    S = d.S.copy()
-    S[1, 2] = bad
-    broken = ModularData(S, d.T)
-    with np.errstate(invalid="ignore"):
-        first = tuple(np.argwhere(~np.isfinite(verlinde_by_row_gemms(S)))[0])
+    S, T = d.S.copy(), d.T.copy()
+    S[1, 2] = S[2, 1] = bad
+    T[2] = T[3] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FusionIntegralityError) as err:
-            fusion_from_S(broken)
-        # the matrix checks of a non-finite S fail on their residuals, quietly
-        rep = verify_verlinde(broken)
-    assert err.value.indices == first
-    assert rep._get("fusion integrality").residual == float("inf")
+        with pytest.raises(StructureError, match=r"^S\[1, 2\] = .* is not finite$"):
+            ModularData(S, d.T)
+        with pytest.raises(StructureError, match=r"^T\[2\] = .* is not finite$"):
+            ModularData(d.S, T)
 
 
 def test_an_overflowing_s_fails_verify_without_warnings():
     d = tvo.su2_level_k(3)
     S = d.S.copy()
     S[1, 2] = 1e200  # finite, but its Verlinde sums and S S^dagger overflow
+    broken = ModularData(S, d.T)
+    with np.errstate(all="ignore"):
+        Nc = verlinde_by_row_gemms(S)
+        first = tuple(np.argwhere(round_verlinde_sums(Nc, INTEGER_TOLERANCE)[2]
+                                  | ~np.isfinite(Nc))[0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = verify_verlinde(ModularData(S, d.T))
-    assert not rep._get("fusion integrality").passed
+        with pytest.raises(FusionIntegralityError) as err:
+            fusion_from_S(broken)
+        rep = verify_verlinde(broken)
+    assert err.value.indices == first
+    # an overflowing sum ends the pass without a table
+    assert rep._get("fusion integrality").residual == float("inf")
     assert not rep._get("S unitary").passed
+    assert rep._get("S unitary").residual == broken._unitarity[0] == float("inf")
 
 
 @pytest.mark.parametrize("call", [verify_verlinde, fusion_from_S])
@@ -586,12 +592,14 @@ def test_same_rank_different_s_rows_is_none():
 
 def test_non_finite_twist_is_not_equivalent_and_quiet():
     fib = tvo.fibonacci()
-    a = ModularData(fib.S, np.array([1.0, np.inf]))
+    # finite twists whose differences overflow to inf
+    a = ModularData(fib.S, np.array([1.5e308, -1.5e308]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's "invalid value" warnings included
         assert conjugate_equivalent(a, fib) is None
         assert conjugate_equivalent(fib, a) is None
-        assert conjugate_equivalent(a, a) is None
+        # S and T are real, so the identity matches a with its conjugate
+        assert conjugate_equivalent(a, a).tolist() == [0, 1]
 
 
 def test_capacity_error_for_large_flat_block():

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -26,6 +27,7 @@ from tvo import (
     plumbing_invariant,
 )
 import tvo.surgery
+from tvo.cli import _DATA, resolve_builtin_data
 from tvo.surgery import (
     _BASE_OVERHEAD,
     _BASE_TABLE_CAP,
@@ -780,32 +782,78 @@ def test_threads_sharing_one_data_set_get_the_single_thread_bits(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# non-finite data
+# non-finite, non-unitary and overflowing data
 # ---------------------------------------------------------------------------
 
-def _inf_data(where):
+def _fib_with(where, value):
     fib = tvo.fibonacci()
     S, T = np.array(fib.S), np.array(fib.T)
     if where == "T":
-        T[1] = np.inf
+        T[1] = value
     else:
-        S[1, 1] = np.inf
+        S[1, 1] = value
     return tvo.ModularData(S, T)
 
 
 @pytest.mark.parametrize("where", ["T", "S"])
 def test_non_finite_data_is_refused_without_numpy_warnings(where):
-    calls = [lambda d: lens_general(d, 5, 2), lambda d: brieskorn(d, 2, 3, 5)]
-    if where == "T":
-        calls.append(lambda d: lens_p1(d, 5))
+    named = r"T\[1\]" if where == "T" else r"S\[1, 1\]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(StructureError, match=named + " = .* is not finite"):
+                _fib_with(where, bad)
+
+
+@pytest.mark.parametrize("where,value", [("T", 1.5), ("S", 1e200), ("S", 0.0)])
+def test_non_unitary_data_is_refused_by_every_evaluator(where, value):
+    calls = [lambda d: lens_p1(d, 5), lambda d: lens_p2(d, 5), lambda d: lens_general(d, 5, 2),
+             lambda d: brieskorn(d, 2, 3, 5),
+             lambda d: plumbing_invariant(d, PlumbingTree.chain([2, 3, 4]))]
+    d = _fib_with(where, value)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in calls:
-            d = _inf_data(where)
-            assert not d._finite
-            for _ in range(2):  # cold, then from the table
-                with pytest.raises(tvo.TvoError, match="non-finite invariant value"):
+            for _ in range(2):  # cold, then with the residuals cached
+                with pytest.raises(PreconditionError, match="surgery needs S unitary"):
                     call(d)
-        if where == "S":
-            # a single vertex reads only S column 0, which is finite here
-            assert lens_p1(_inf_data("S"), 5).value == lens_p1(tvo.fibonacci(), 5).value
+    assert not d._vertex_bases
+
+
+def test_surgery_and_verify_read_one_cached_unitarity():
+    d = tvo.su2_level_k(4)
+    lens_p1(d, 3)
+    assert max(d.__dict__["_unitarity"]) <= tvo.modular.DEFAULT_TOLERANCE
+    d.__dict__["_unitarity"] = (0.5, 0.25)  # neither reader recomputes S S^dagger
+    with pytest.raises(PreconditionError, match=r"= 5\.000e-01, .* = 2\.500e-01"):
+        lens_general(d, 7, 3)
+    rep = tvo.verify_verlinde(d)
+    assert (rep._get("S unitary").residual, rep._get("T unitary").residual) == (0.5, 0.25)
+
+
+def test_an_overflowing_vertex_base_is_a_capacity_error():
+    # su2-10 has min |S_i0| = 0.1057, so S_0^(2 - deg) overflows above degree 317
+    d = tvo.su2_level_k(10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            with pytest.raises(CapacityError, match=r"degree 400 .* 0\.105662"):
+                plumbing_invariant(d, PlumbingTree.star(1, [2] * 400))
+        v = plumbing_invariant(d, PlumbingTree.star(1, [2] * 316)).value
+    assert v == complex(1.869541688407682e+217, 8.406952205416171e+229)
+
+
+def test_every_builtin_family_passes_the_unitarity_gate():
+    names = ["trivial", "fibonacci", "ising", "toric-code", "dw-z2x2", "dw-z2x3", "dw-z3x3",
+             "dw-z2x2x2", "double-trivial", "double-fibonacci", "double-ising", "double-su2-3",
+             "double-pointed-z3", "double-twisted-z3-1", "double-double-fibonacci",
+             "double-double-double-trivial"]
+    names += [f"su2-{k}" for k in range(1, 51)]
+    for n in range(1, 7):
+        names += [f"pointed-z{n}", f"dw-z{n}"]
+        names += [f"pointed-z{n}-{q}" for q in range(2 * n) if math.gcd(q, n) == 1]
+        names += [f"twisted-z{n}-{k}" for k in range(n)]
+        names += [f"tube-z{n}-{k}" for k in range(n)]
+    assert all(any(re.fullmatch(row[0], name) for name in names) for row in _DATA)
+    for name in names:
+        lens_p1(resolve_builtin_data(name), 1)
