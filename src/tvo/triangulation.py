@@ -21,16 +21,24 @@ built at import.
 Both moves are bistellar flips on five vertices, written as token tuples:
 each removed and each new tetrahedron names the vertex token in each of its
 slots, and one routine, ``_flip``, glues the new tetrahedra to each other and
-to the rest of the complex by matching the token sets of faces. A flip
-builds its result without the constructor: it re-validates only the gluings
-it writes, and it carries the vertex and edge classes forward from the
-parent's, numbered as a recomputation would number them.
+to the rest of the complex by matching the token sets of faces. What a flip
+derives from the tokens alone, the new tetrahedra's gluings to each other
+and the map of their outer faces onto the old ones, is a template cached per
+move shape (``_template``: one 1-4 shape, and one 2-3 shape per face and
+gluing permutation, 97 in all). So the work of a move that grows with the
+complex is one rebuild of the gluing dict, which renumbers the survivors,
+and the slicing of the class rows. A flip builds its result without the
+constructor: it re-validates only the gluings it writes, and it carries the
+vertex and edge classes forward from the parent's. The vertex classes are
+numbered as a recomputation would number them. The edge classes are carried
+as ids that each edge keeps along a walk, and are numbered the same way
+when ``edge_class`` is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, combinations, islice, permutations
 from operator import index, itemgetter
 
@@ -116,6 +124,14 @@ def _numbered(parent, width):
     return [ids[i : i + width] for i in range(0, len(ids), width)], roots
 
 
+def _index(value, name):
+    """``value`` through ``operator.index``; a ``StructureError`` naming the argument if it fails."""
+    try:
+        return index(value)
+    except TypeError:
+        raise StructureError(f"{name} {value!r} is not an integer") from None
+
+
 def _check_gluing(gluings: dict, num_tets: int, key):
     """Raise unless gluing ``key`` is in range, glues by a permutation of
     0..3 (a key of ``_INVERSE``), does not glue a face to itself and is stored
@@ -144,9 +160,11 @@ def _by_first_appearance(rows):
     """Class ids renumbered by first appearance in row order, and their count.
 
     This is the numbering ``Triangulation._skeleton`` gives over the same
-    slots.
-    The rows before the first appearance of the first id that changes keep
-    only unchanged ids and are returned as they are.
+    slots. A flip renumbers its vertex rows with it when a removed row held
+    the first appearance of a class, and ``Triangulation.edge_class`` its
+    carried edge ids when they are first read. The rows before the first
+    appearance of the first id that changes keep only unchanged ids and are
+    returned as they are.
     """
     flat = list(chain.from_iterable(rows))
     order = list(dict.fromkeys(flat))
@@ -173,10 +191,7 @@ class Triangulation:
     gluings: dict
 
     def __post_init__(self):
-        try:
-            self.num_tets = index(self.num_tets)
-        except TypeError:
-            raise StructureError(f"tetrahedron count {self.num_tets!r} is not an integer") from None
+        self.num_tets = _index(self.num_tets, "tetrahedron count")
         if self.num_tets < 1:
             raise StructureError("need at least one tetrahedron")
         gluings = {}
@@ -215,12 +230,12 @@ class Triangulation:
         tetrahedron union-find also keeps each tetrahedron's sign relative to
         its parent, multiplied along the halved paths; a pair whose two
         tetrahedra already share a root but ask for different signs makes the
-        complex non-orientable (orientation None). When the instance already
-        holds both class kinds, as a flip's result does, the corner and edge
-        unions are skipped and their entries are None.
+        complex non-orientable (orientation None). A flip's result already
+        holds its vertex classes and its edge ids (``_edge_ids``), so for it
+        the corner and edge unions are skipped and their entries are None.
         """
         T = self.num_tets
-        fresh = not ("vertex_class" in self.__dict__ and "edge_class" in self.__dict__)
+        fresh = "_edge_ids" not in self.__dict__
         corner = list(range(4 * T)) if fresh else None
         edge = list(range(6 * T)) if fresh else None
         tet, rel = list(range(T)), [1] * T
@@ -296,7 +311,14 @@ class Triangulation:
 
     @cached_property
     def edge_class(self):
-        """edge_class[t][e] = class id of local edge TET_EDGES[e] of tet t."""
+        """edge_class[t][e] = class id of local edge TET_EDGES[e] of tet t.
+
+        A flip's result numbers the edge ids it carried by first appearance
+        here, on the first read.
+        """
+        ids = self.__dict__.get("_edge_ids")
+        if ids is not None:
+            return _by_first_appearance(ids)[0]
         rows, self._num_edges = self._skeleton[1]
         return rows
 
@@ -307,7 +329,8 @@ class Triangulation:
 
     @property
     def num_edges(self) -> int:
-        self.edge_class
+        if "_num_edges" not in self.__dict__:
+            self.edge_class
         return self._num_edges
 
     @property
@@ -383,6 +406,52 @@ def _glue_by_tokens(gluings: dict, base: int, tets: list) -> dict:
     return spans
 
 
+@cache
+def _template(olds: tuple, new: tuple):
+    """The part of a flip of tetrahedra with slot tokens ``olds`` into ``new``
+    that depends on the tokens alone; the moves make at most 97 shapes.
+
+    Positions k and i index ``olds`` and ``new``. Returns
+    - the new tetrahedra's gluings to each other, ``((i, g), (j, perm))`` by (i, g);
+    - per outer face, ``(k, f, i, g, sigma)``: new face (i, g) spans old face
+      (k, f), and sigma maps the new slots onto the old; by (i, k, g);
+    - ``_sources`` of the slot tokens, then of the local edges' token pairs:
+      per new tetrahedron, the old slot (edge) or new class that each of its
+      vertex (edge) classes comes from, and the number of new classes.
+    """
+    internal = {}
+    spans = _glue_by_tokens(internal, 0, new)
+    outer = []
+    for i, tokens in enumerate(new):
+        for k, old_tokens in enumerate(olds):
+            for g in range(4):
+                span = _face(tokens, g)
+                if len(spans[span]) == 1 and span <= set(old_tokens):
+                    f = next(v for v in range(4) if old_tokens[v] not in span)
+                    outer.append((k, f, i, g, _slot_map(tokens, g, old_tokens, f)))
+    pairs = [[frozenset((tokens[a], tokens[b])) for a, b in TET_EDGES] for tokens in olds + new]
+    return (tuple(internal.items()), tuple(outer), _sources(olds, new),
+            _sources(pairs[:len(olds)], pairs[len(olds):]))
+
+
+def _sources(old_keys, new_keys):
+    """Per new tetrahedron, the source ``(k, x)`` of each of its ``new_keys``
+    (tokens or token pairs): the first position x in ``old_keys[k]``, or for
+    k = len(old_keys), the x-th key that no old tetrahedron holds; and the
+    number of such keys."""
+    source = {}
+    for k, keys in enumerate(old_keys):
+        for x, key in enumerate(keys):
+            source.setdefault(key, (k, x))
+    known = len(source)
+    rows = []
+    for keys in new_keys:
+        for key in keys:
+            source.setdefault(key, (len(old_keys), len(source) - known))
+        rows.append(tuple(source[key] for key in keys))
+    return rows, len(source) - known
+
+
 def _flip(tri: Triangulation, old: dict, new: list) -> Triangulation:
     """Replace the tetrahedra ``old`` by ``new``, all spanning the same vertex tokens.
 
@@ -396,27 +465,34 @@ def _flip(tri: Triangulation, old: dict, new: list) -> Triangulation:
     face), then the outer faces by (new tet, position of the old tet in
     ``old``). Only the new tetrahedra's gluings and the reverse gluings
     written on survivors are checked; the rest were valid in ``tri``.
+
+    What depends on the tokens alone comes from the cached ``_template``, so
+    the work per surviving tetrahedron is one pass of the dict rebuild: every
+    gluing is remapped through an index list that sends the removed
+    tetrahedra to None, and then the removed keys are dropped and the
+    survivors' re-glued keys are moved to the end, as they are rewritten.
     """
-    keep = [s for s in range(tri.num_tets) if s not in old]
-    remap = {s: i for i, s in enumerate(keep)}
-    base = len(keep)
+    olds = list(old)
+    internal, outer, vertices, edges = _template(tuple(old.values()), tuple(new))
+    T = tri.num_tets
+    gone = sorted(olds)
+    runs = list(zip([0] + [r + 1 for r in gone], gone + [T]))  # the survivors, as ranges
+    remap = []
+    for n, (a, b) in enumerate(runs):
+        if n:
+            remap.append(None)
+        remap += range(a - n, b - n)
+    base = T - len(olds)
     gluings = {
-        (remap[s], g): (remap[s2], perm)
-        for (s, g), (s2, perm) in tri.gluings.items()
-        if s in remap and s2 in remap
+        (remap[s], g): (remap[s2], perm) for (s, g), (s2, perm) in tri.gluings.items()
     }
-    spans = _glue_by_tokens(gluings, base, new)
+    for g in range(4):
+        del gluings[None, g]
+    for (i, g), (j, perm) in internal:
+        gluings[base + i, g] = (base + j, perm)
 
-    outer = {}  # old face -> (new tet, new face, new-slot -> old-slot map)
+    outer = {(olds[k], f): (base + i, g, sigma) for k, f, i, g, sigma in outer}
     rewritten = []  # reverse gluings written on surviving tetrahedra
-    for i, tokens in enumerate(new):
-        for s, old_tokens in old.items():
-            for g in range(4):
-                span = _face(tokens, g)
-                if len(spans[span]) == 1 and span <= set(old_tokens):
-                    f = next(v for v in range(4) if old_tokens[v] not in span)
-                    outer[(s, f)] = (base + i, g, _slot_map(tokens, g, old_tokens, f))
-
     for (s, f), (i, g, sigma) in outer.items():
         s2, rho = tri.gluings[(s, f)]
         if (s2, rho[f]) in outer:
@@ -424,10 +500,10 @@ def _flip(tri: Triangulation, old: dict, new: list) -> Triangulation:
             perm = tuple(tau.index(rho[sigma[x]]) for x in range(4))
         else:
             j, perm = remap[s2], tuple(rho[sigma[x]] for x in range(4))
+            del gluings[j, perm[g]]
+            rewritten.append((j, perm[g]))
         gluings[(i, g)] = (j, perm)
         gluings[(j, perm[g])] = (i, inverse_perm(perm))
-        if j < base:
-            rewritten.append((j, perm[g]))
 
     out = object.__new__(Triangulation)
     out.num_tets, out.gluings = base + len(new), gluings
@@ -435,42 +511,56 @@ def _flip(tri: Triangulation, old: dict, new: list) -> Triangulation:
         raise StructureError("bistellar flip left faces unglued")
     for key in [(t, g) for t in range(base, out.num_tets) for g in range(4)] + rewritten:
         _check_gluing(gluings, out.num_tets, key)
-    _carry_classes(tri, out, old, new, keep)
+    _carry_classes(tri, out, olds, runs, vertices, edges)
     return out
 
 
-def _carry_classes(tri: Triangulation, out: Triangulation, old: dict, new: list, keep: list):
+def _carried(rows: list, olds: list, runs: list, sources: list, count: int, added: int):
+    """The class rows of a flip's result: the survivors' rows, the ``runs``
+    of ``rows``, then per new tetrahedron the ids named by its ``sources``
+    (see ``_template``), where the ``added`` new classes take the ids from
+    ``count`` on."""
+    src = [rows[s] for s in olds]
+    src.append(range(count, count + added))
+    out = []
+    for a, b in runs:
+        out += rows[a:b]
+    out += ([src[k][x] for k, x in row] for row in sources)
+    return out
+
+
+def _carry_classes(tri: Triangulation, out: Triangulation, olds: list, runs: list,
+                   vertices: tuple, edges: tuple):
     """Give ``out``, the flip of ``tri``, vertex and edge classes derived from the parent's.
 
     A flip keeps every vertex and edge class of the parent: a token, or a
     pair of tokens, of a new tetrahedron lies in the class of the old corner
     or edge it spans, and the tokens or pairs that no old tetrahedron spans
     (the 1-4 apex and its edges, the 2-3 edge between the apexes) are new
-    classes. Surviving tetrahedra keep their rows; ids are then renumbered
-    by first appearance, so they equal a recomputation from the gluings.
-    Rows that the renumbering leaves alone are shared with the parent.
+    classes, given the next free ids. ``vertices`` and ``edges`` hold the
+    template's sources of the new rows and the number of new classes.
+
+    The vertex ids stay numbered by first appearance, since walks read them
+    after every move. The survivors keep the parent's numbering, and the new
+    ids first appear after every old one, unless a removed row holds the
+    first appearance of a class. Under that numbering a row r holds one
+    exactly when its largest id is in no earlier row, which a scan from row
+    0 that stops at that id's first appearance finds. Only then are the rows
+    renumbered. The edge ids are kept as they are, so an edge keeps its id
+    along a walk, and ``Triangulation.edge_class`` numbers them by first
+    appearance when it is read.
     """
-    vclass, eclass = tri.vertex_class, tri.edge_class
-    vertex, edge = {}, {}  # token -> vertex class, token pair -> edge class
-    for s, tokens in old.items():
-        for v in range(4):
-            vertex[tokens[v]] = vclass[s][v]
-        for e, (a, b) in enumerate(TET_EDGES):
-            edge[frozenset((tokens[a], tokens[b]))] = eclass[s][e]
-    vertex_rows = [vclass[s] for s in keep]
-    edge_rows = [eclass[s] for s in keep]
-    for tokens in new:
-        for x in tokens:
-            if x not in vertex:
-                vertex[x] = tri.num_vertices + len(vertex)
-        vertex_rows.append([vertex[x] for x in tokens])
-        pairs = [frozenset((tokens[a], tokens[b])) for a, b in TET_EDGES]
-        for pair in pairs:
-            if pair not in edge:
-                edge[pair] = tri.num_edges + len(edge)
-        edge_rows.append([edge[pair] for pair in pairs])
-    out.vertex_class, out._num_vertices = _by_first_appearance(vertex_rows)
-    out.edge_class, out._num_edges = _by_first_appearance(edge_rows)
+    (vertex_src, new_vertices), (edge_src, new_edges) = vertices, edges
+    parent = tri.vertex_class
+    rows = _carried(parent, olds, runs, vertex_src, tri.num_vertices, new_vertices)
+    if any(all(max(parent[r]) not in row for row in islice(parent, r)) for r in olds):
+        out.vertex_class, out._num_vertices = _by_first_appearance(rows)
+    else:
+        out.vertex_class, out._num_vertices = rows, tri.num_vertices + new_vertices
+    ids = tri.__dict__.get("_edge_ids")
+    out._edge_ids = _carried(tri.edge_class if ids is None else ids, olds, runs, edge_src,
+                             tri.num_edges, new_edges)
+    out._num_edges = tri.num_edges + new_edges
 
 
 def pachner_14(tri: Triangulation, t: int) -> Triangulation:
@@ -478,8 +568,10 @@ def pachner_14(tri: Triangulation, t: int) -> Triangulation:
 
     The four new tetrahedra B_f keep the slot names of ``t`` except that
     slot f holds the new vertex; B_f inherits the old gluing of face (t, f).
-    Adds 3 tetrahedra and 1 vertex.
+    Adds 3 tetrahedra and 1 vertex. ``t`` is read as an integer, as the
+    constructor reads indices; a float is refused.
     """
+    t = _index(t, "tetrahedron index")
     tri.require_closed()
     if not 0 <= t < tri.num_tets:
         raise StructureError(f"no tetrahedron {t}")
@@ -494,8 +586,9 @@ def pachner_23(tri: Triangulation, t: int, f: int) -> Triangulation:
     1 edge. The new tetrahedron C_v (one per vertex v of the shared face)
     has slot 0 at the apex of t, slot 1 at the apex of the partner, and
     slots 2, 3 at the remaining two shared vertices in increasing t-slot
-    order.
+    order. ``t`` and ``f`` are read as integers; a float is refused.
     """
+    t, f = _index(t, "tetrahedron index"), _index(f, "face index")
     tri.require_closed()
     if (t, f) not in tri.gluings:
         raise StructureError(f"no face ({t},{f})")

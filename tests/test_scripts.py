@@ -55,3 +55,35 @@ def test_fixture_table_matches_the_source():
 
     render = runpy.run_path(str(ROOT / "scripts" / "export_fixtures.py"))["render"]
     assert (ROOT / "docs" / "golden_fixtures.txt").read_text(encoding="utf-8") == render()
+
+
+def test_bench_pairs_alternates_sides_and_appends(tmp_path, capsys):
+    import json
+    import runpy
+
+    main = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))["main"]
+    calls = []
+
+    def fake_run(root, workload, seed, seconds):
+        calls.append((root, seed))
+        speed = {"old": 10.0, "new": 20.0}[root] + seed
+        return {"metrics": {"setup_s": 0.2, "ops_per_s": speed, "op_p50_ms": 1e3 / speed,
+                            "peak_rss_mb": 40.0}, "failed": 0, "attempted": 10}
+
+    main.__globals__["run"] = fake_run
+    out = tmp_path / "bench.json"
+    args = ["--parent", "old", "--change", "new", "--workload", "w", "--seconds", "1",
+            "--out", str(out)]
+    main([*args, "--seeds", "1-2"])
+    main([*args, "--seeds", "7"])
+    assert calls == [("old", 1), ("new", 1), ("new", 2), ("old", 2), ("old", 7), ("new", 7)]
+    runs = json.loads(out.read_text())["runs"]
+    assert [(r["order"], r["pair"], r["seed"], r["side"]) for r in runs] == [
+        (0, 0, 1, "parent"), (1, 0, 1, "change"), (2, 1, 2, "change"), (3, 1, 2, "parent"),
+        (4, 2, 7, "parent"), (5, 2, 7, "change"),
+    ]
+    assert set(runs[0]) == {"workload", "seed", "pair", "side", "order", "metrics", "failed",
+                            "attempted"}
+    summary = capsys.readouterr().out.splitlines()[-4:]
+    assert summary[1] == ("w ops_per_s: parent 12 change 22 parent IQR 6 "
+                          "change better in 3/3")

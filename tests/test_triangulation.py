@@ -3,7 +3,9 @@ import pytest
 
 from tvo import PreconditionError, StructureError, Triangulation, pointed_sixj, tv_evaluate
 from tvo.statesum import _layout
-from tvo.triangulation import _GLUING, boundary_4_simplex, inverse_perm, pachner_14, pachner_23
+from tvo.triangulation import (
+    _GLUING, _template, boundary_4_simplex, inverse_perm, pachner_14, pachner_23,
+)
 
 from helpers import classes_by_flood_fill, random_pachner_sequence, tv_bruteforce, two_tet_sphere
 
@@ -299,6 +301,83 @@ def test_carried_classes_match_recomputation_on_degenerate_flips():
             assert tri.euler_characteristic == 0
             if step % 5 == 4:
                 assert_matches_oracle(fresh)
+
+
+def assert_read_classes_match(tri, sixjs=()):
+    """Read the classes of a flipped complex and compare them with a fresh
+    complex on its gluings, with the oracle and, for ``sixjs``, by state sum."""
+    # the edge ids carried since the last read are numbered now
+    assert "edge_class" not in tri.__dict__
+    fresh = Triangulation(tri.num_tets, tri.gluings)
+    assert classes(tri) == classes(fresh)
+    assert_matches_oracle(tri)
+    for sixj in sixjs:
+        assert tv_evaluate(sixj, tri).value == tv_evaluate(sixj, fresh).value
+
+
+def test_edge_ids_carried_across_unread_moves_are_numbered_on_read():
+    # the other carried-class tests read the edge classes after every move;
+    # here only every k-th complex of a walk is read, so the edge ids of the
+    # others are carried unnumbered through up to k - 1 flips
+    rng = np.random.default_rng(41)
+    sixjs = [pointed_sixj(2, 1), pointed_sixj(3, 2)]
+    tri = boundary_4_simplex()
+    for step in range(1, 241):
+        if step in (30, 90, 170):
+            tri = pachner_14(tri, int(rng.integers(tri.num_tets)))
+        else:
+            tri, _ = random_pachner_sequence(tri, 1, rng, max_new_vertices=0)
+        if step % 40 == 0:
+            assert_read_classes_match(tri, sixjs)
+    assert tri.num_vertices == 8
+    for chain in range(6):
+        tri = two_tet_sphere()
+        for step in range(1, 61):
+            tri = walk_step(tri, rng, distinct_apexes=False)
+            if step % 12 == 0:
+                assert_read_classes_match(tri)
+                assert tri.euler_characteristic == 0
+
+
+def test_flip_templates_stay_bounded_and_do_not_change_the_walk():
+    # the templates depend on the slot tokens alone: one 1-4 shape and one
+    # 2-3 shape per (face, gluing permutation), so at most 97
+    def walk():
+        tri, applied = random_pachner_sequence(
+            boundary_4_simplex(), 150, np.random.default_rng(43), max_new_vertices=4)
+        return applied, list(tri.gluings.items())
+
+    _template.cache_clear()
+    cold = walk()
+    assert _template.cache_info().currsize > 1
+    assert walk() == cold
+    random_pachner_sequence(boundary_4_simplex(), 600, np.random.default_rng(47))
+    rng = np.random.default_rng(53)
+    for chain in range(10):
+        tri = two_tet_sphere()
+        for _ in range(30):
+            tri = walk_step(tri, rng, distinct_apexes=False)
+    assert _template.cache_info().currsize <= 97
+
+
+def test_moves_read_indices_as_integers(s3_triangulation):
+    tri = s3_triangulation
+    for move, args, message in [
+        (pachner_14, (1.5,), "tetrahedron index 1.5 is not an integer"),
+        (pachner_14, (2.0,), "tetrahedron index 2.0 is not an integer"),
+        (pachner_23, (1.0, 1), "tetrahedron index 1.0 is not an integer"),
+        (pachner_23, (1, 2.0), "face index 2.0 is not an integer"),
+    ]:
+        with pytest.raises(StructureError) as info:
+            move(tri, *args)
+        assert str(info.value) == message
+    for moved, expected in [
+        (pachner_14(tri, np.int64(2)), pachner_14(tri, 2)),
+        (pachner_23(tri, np.int32(1), np.uint8(1)), pachner_23(tri, 1, 1)),
+    ]:
+        assert list(moved.gluings.items()) == list(expected.gluings.items())
+        assert all(type(x) is int for (t, f), (t2, _) in moved.gluings.items() for x in (t, f, t2))
+        assert classes(moved) == classes(expected)
 
 
 def test_flip_validates_the_faces_it_writes(s3_triangulation):
