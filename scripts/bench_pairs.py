@@ -12,9 +12,10 @@ own checkout with that seed, the parent first in even pairs and the change
 first in odd ones. Every run is appended to ``--out`` (created if missing) as
 one record: workload, seed, pair, side, run order, the four end-to-end
 metrics, ``failed`` and ``attempted``; pairs and run order continue the
-file's. Then, per end-to-end metric, each side's median over the
-workload's pairs in the file, the parent's quartile distance and the pairs
-the change wins are printed.
+file's. Then each side's failed and attempted operations, summed over
+the workload's pairs in the file, are printed, and per end-to-end metric
+each side's median over those pairs, the parent's quartile distance and
+the pairs the change wins.
 """
 
 from __future__ import annotations
@@ -49,16 +50,21 @@ def run(root: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summary(runs: list, workload: str) -> list:
-    """Lines comparing the sides of ``workload``'s pairs, one per metric."""
+    """Lines comparing the sides of ``workload``'s pairs: each side's failed
+    operations over attempted ones, summed over the pairs, then one line per
+    metric."""
     by_pair = {}
     for r in runs:
         if r["workload"] == workload:
-            by_pair.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
+            by_pair.setdefault(r["pair"], {})[r["side"]] = r
     pairs = [p for p in by_pair.values() if len(p) == 2]
-    lines = []
+    failed = " ".join(
+        f"{side} {sum(p[side]['failed'] for p in pairs)}/{sum(p[side]['attempted'] for p in pairs)}"
+        for side in ("parent", "change"))
+    lines = [f"{workload} failed: {failed}"]
     for name, better in METRICS.items():
-        parent = [p["parent"][name] for p in pairs]
-        change = [p["change"][name] for p in pairs]
+        parent = [p["parent"]["metrics"][name] for p in pairs]
+        change = [p["change"]["metrics"][name] for p in pairs]
         sign = 1 if better == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (0, 0, 0)

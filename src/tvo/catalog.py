@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import GeneratorError, PreconditionError
 from .modular import ModularData, _require_capacity
+from .surgery import _integral
 
 _TWO_PI_I = 2j * math.pi
 
@@ -93,6 +94,7 @@ def ising() -> ModularData:
 
 def su2_level_k(k: int) -> ModularData:
     """SU(2) level-k data: S_ij = sqrt(2/(k+2)) sin((i+1)(j+1)pi/(k+2)), spins j(j+2)/(4(k+2))."""
+    k = _integral(k, "su2_level_k k")
     if k < 1:
         raise PreconditionError("su2_level_k requires k >= 1")
     _require_capacity((k + 1) ** 2, f"the S matrix of su2_level_k({k}) (rank {k + 1})")
@@ -118,6 +120,7 @@ def pointed_cyclic(n: int, q: int) -> ModularData:
     and t_a = exp(2 pi i Q(a)). The form must be non-degenerate, i.e.
     gcd(q, n) = 1, otherwise a :class:`GeneratorError` is raised.
     """
+    n, q = _integral(n, "pointed_cyclic n"), _integral(q, "pointed_cyclic q")
     if n < 1:
         raise PreconditionError("pointed_cyclic requires n >= 1")
     q = q % (2 * n)
@@ -186,6 +189,7 @@ def twisted_double_cyclic(n: int, k: int) -> ModularData:
 
     k = 0 reduces to quantum_double_abelian(Z/n) with identical label order.
     """
+    n, k = _integral(n, "twisted_double_cyclic n"), _integral(k, "twisted_double_cyclic k")
     if n < 1:
         raise PreconditionError("twisted_double_cyclic requires n >= 1")
     _require_capacity(n**4, f"the S matrix of twisted_double_cyclic({n}, {k}) (rank {n * n})")

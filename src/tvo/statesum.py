@@ -46,7 +46,7 @@ import numpy as np
 
 from .catalog import cyclic_cocycle
 from .errors import CapacityError, StructureError, UnsupportedFeatureError
-from .surgery import InvariantValue
+from .surgery import InvariantValue, _integral
 from .triangulation import _RANK, TET_EDGES, Triangulation, _spanning_forest
 
 
@@ -158,6 +158,7 @@ def pointed_sixj(n: int, k: int) -> SixJData:
     weight is omega_k(a, b, c) on the three consecutive edge labels. Raises
     :class:`CapacityError` above ``_POINTED_LABEL_CAP`` labels.
     """
+    n, k = _integral(n, "pointed_sixj n"), _integral(k, "pointed_sixj k")
     if n < 1:
         raise StructureError("pointed_sixj requires n >= 1")
     if n > _POINTED_LABEL_CAP:

@@ -57,6 +57,18 @@ from .errors import (
 from .modular import DEFAULT_TOLERANCE, ModularData
 
 
+def _integral(value, name, error=PreconditionError) -> int:
+    """``int(value)`` for an integral ``value`` (an int, a numpy integer or a
+    float such as 3.0); any other value raises ``error`` naming ``name``."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise error(f"{name} must be an integer, got {value!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class InvariantValue:
     """A computed invariant: complex value plus the formula that produced it.
@@ -93,8 +105,11 @@ class PlumbingTree:
         init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        verts = tuple((int(v), int(a)) for v, a in self.vertices)
-        edges = tuple((int(u), int(v)) for u, v in self.edges)
+        verts = tuple((_integral(v, "vertex id", StructureError),
+                       _integral(a, f"framing of vertex {v!r}", StructureError))
+                      for v, a in self.vertices)
+        edges = tuple((_integral(u, "edge end", StructureError),
+                       _integral(v, "edge end", StructureError)) for u, v in self.edges)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
         framing = dict(verts)
@@ -301,7 +316,7 @@ def _chain_schedule(runs) -> list:
 
 def lens_p1(data: ModularData, p: int) -> InvariantValue:
     """sum_i t_i^p S_i0^2. p = 0 is allowed (the value for S^1 x S^2)."""
-    p = int(p)
+    p = _integral(p, "lens_p1 p")
     if p < 0:
         raise PreconditionError("lens_p1 requires p >= 0")
     return _contract(data, _chain_schedule([(p, 1)]), f"lens_p1(p={p})")
@@ -309,7 +324,7 @@ def lens_p1(data: ModularData, p: int) -> InvariantValue:
 
 def lens_p2(data: ModularData, p: int) -> InvariantValue:
     """sum_ij t_i^((p+1)/2) t_j^2 S_i0 S_j0 S_ij, for odd positive p."""
-    p = int(p)
+    p = _integral(p, "lens_p2 p")
     if p < 1 or p % 2 == 0:
         raise PreconditionError("lens_p2 requires odd positive p")
     return _contract(data, _chain_schedule([((p + 1) // 2, 1), (2, 1)]), f"lens_p2(p={p})")
@@ -321,10 +336,11 @@ def brieskorn(data: ModularData, p: int, q: int, r: int) -> InvariantValue:
     Its first homology has order |pqr - pq - pr - qr|; it is the value of the
     Brieskorn sphere Sigma(p,q,r) only when that order is 1.
     """
+    p, q, r = _integral(p, "brieskorn p"), _integral(q, "brieskorn q"), _integral(r, "brieskorn r")
     if min(p, q, r) < 2:
         raise PreconditionError("brieskorn requires p, q, r >= 2")
     # the schedule of PlumbingTree.star(1, (p, q, r)), without building the tree
-    schedule = [(1, 3, (1, 2, 3), 1), (int(p), 1, (), 1), (int(q), 1, (), 1), (int(r), 1, (), 1)]
+    schedule = [(1, 3, (1, 2, 3), 1), (p, 1, (), 1), (q, 1, (), 1), (r, 1, (), 1)]
     return _contract(data, schedule, f"brieskorn(p={p},q={q},r={r})")
 
 
@@ -374,7 +390,7 @@ def lens_general(data: ModularData, p: int, q: int) -> InvariantValue:
     The chain is contracted from its runs, in O(log p) steps, and refused
     with :class:`CapacityError` above ``_SURGERY_CAP`` vertices.
     """
-    p, q = int(p), int(q)
+    p, q = _integral(p, "lens_general p"), _integral(q, "lens_general q")
     if p < 1 or q < 1:
         raise PreconditionError("lens_general requires positive p, q")
     if math.gcd(p, q) != 1:

@@ -29,10 +29,10 @@ gluing permutation, 97 in all). So the work of a move that grows with the
 complex is one rebuild of the gluing dict, which renumbers the survivors,
 and the slicing of the class rows. A flip builds its result without the
 constructor: it re-validates only the gluings it writes, and it carries the
-vertex and edge classes forward from the parent's. The vertex classes are
-numbered as a recomputation would number them. The edge classes are carried
-as ids that each edge keeps along a walk, and are numbered the same way
-when ``edge_class`` is first read.
+vertex and edge classes forward from the parent's as one record of id rows
+and counts (``_carried``). ``vertex_class`` and ``edge_class`` number those
+ids on their first read by one rule, ``_first_appearance``, as a
+recomputation would number them.
 """
 
 from __future__ import annotations
@@ -156,24 +156,24 @@ def _check_gluing(gluings: dict, num_tets: int, key):
         )
 
 
-def _by_first_appearance(rows):
-    """Class ids renumbered by first appearance in row order, and their count.
+def _first_appearance(rows, count):
+    """``rows`` of ``count`` class ids numbered by first appearance in row
+    order, the numbering ``Triangulation._skeleton`` gives over the same slots.
 
-    This is the numbering ``Triangulation._skeleton`` gives over the same
-    slots. A flip renumbers its vertex rows with it when a removed row held
-    the first appearance of a class, and ``Triangulation.edge_class`` its
-    carried edge ids when they are first read. The rows before the first
-    appearance of the first id that changes keep only unchanged ids and are
-    returned as they are.
+    A scan returns ``rows`` unchanged once it has seen ids 0..count-1 first
+    appear in that order; an id that first appears before a smaller one stops
+    it, and the rows are renumbered.
     """
-    flat = list(chain.from_iterable(rows))
-    order = list(dict.fromkeys(flat))
-    moved = next((i for i, c in enumerate(order) if i != c), len(order))
-    if moved == len(order):
-        return rows, len(order)
-    first = flat.index(order[moved]) // len(rows[0])
-    index = {c: i for i, c in enumerate(order)}
-    return rows[:first] + [list(map(index.__getitem__, row)) for row in rows[first:]], len(order)
+    top = 0  # the id that must appear next
+    for c in chain.from_iterable(rows):
+        if c == top:
+            top += 1
+            if top == count:
+                return rows
+        elif c > top:
+            break
+    ids = dict(zip(dict.fromkeys(chain.from_iterable(rows)), range(count)))
+    return [list(map(ids.__getitem__, row)) for row in rows]
 
 
 @dataclass
@@ -230,12 +230,12 @@ class Triangulation:
         tetrahedron union-find also keeps each tetrahedron's sign relative to
         its parent, multiplied along the halved paths; a pair whose two
         tetrahedra already share a root but ask for different signs makes the
-        complex non-orientable (orientation None). A flip's result already
-        holds its vertex classes and its edge ids (``_edge_ids``), so for it
-        the corner and edge unions are skipped and their entries are None.
+        complex non-orientable (orientation None). A flip's result carries
+        its vertex and edge ids (``_carried``), so exactly then the corner and
+        edge unions are skipped and their entries are None.
         """
         T = self.num_tets
-        fresh = "_edge_ids" not in self.__dict__
+        fresh = "_carried" not in self.__dict__
         corner = list(range(4 * T)) if fresh else None
         edge = list(range(6 * T)) if fresh else None
         tet, rel = list(range(T)), [1] * T
@@ -303,35 +303,38 @@ class Triangulation:
             faces,
         )
 
+    @property
+    def _ids(self):
+        """``((vertex id rows, count), (edge id rows, count))``: the record a
+        flip's result carries (``_carried``), else ``_skeleton``'s numbered rows."""
+        return self.__dict__.get("_carried") or self._skeleton
+
+    def _class_rows(self, kind):
+        """The class rows of ``kind`` (0 vertices, 1 edges): a flip's result
+        numbers its carried ids by ``_first_appearance``, and a fresh
+        complex's rows come numbered from ``_skeleton``."""
+        carried = self.__dict__.get("_carried")
+        if carried is None:
+            return self._skeleton[kind][0]
+        return _first_appearance(*carried[kind])
+
     @cached_property
     def vertex_class(self):
         """vertex_class[t][v] = id of the vertex equivalence class of corner (t, v)."""
-        rows, self._num_vertices = self._skeleton[0]
-        return rows
+        return self._class_rows(0)
 
     @cached_property
     def edge_class(self):
-        """edge_class[t][e] = class id of local edge TET_EDGES[e] of tet t.
-
-        A flip's result numbers the edge ids it carried by first appearance
-        here, on the first read.
-        """
-        ids = self.__dict__.get("_edge_ids")
-        if ids is not None:
-            return _by_first_appearance(ids)[0]
-        rows, self._num_edges = self._skeleton[1]
-        return rows
+        """edge_class[t][e] = class id of local edge TET_EDGES[e] of tet t."""
+        return self._class_rows(1)
 
     @property
     def num_vertices(self) -> int:
-        self.vertex_class
-        return self._num_vertices
+        return self._ids[0][1]
 
     @property
     def num_edges(self) -> int:
-        if "_num_edges" not in self.__dict__:
-            self.edge_class
-        return self._num_edges
+        return self._ids[1][1]
 
     @property
     def num_faces(self) -> int:
@@ -515,10 +518,10 @@ def _flip(tri: Triangulation, old: dict, new: list) -> Triangulation:
     return out
 
 
-def _carried(rows: list, olds: list, runs: list, sources: list, count: int, added: int):
-    """The class rows of a flip's result: the survivors' rows, the ``runs``
-    of ``rows``, then per new tetrahedron the ids named by its ``sources``
-    (see ``_template``), where the ``added`` new classes take the ids from
+def _carry(rows: list, olds: list, runs: list, sources: list, count: int, added: int):
+    """The id rows of a flip's result: the survivors' rows, the ``runs`` of
+    ``rows``, then per new tetrahedron the ids named by its ``sources`` (see
+    ``_template``), where the ``added`` new classes take the ids from
     ``count`` on."""
     src = [rows[s] for s in olds]
     src.append(range(count, count + added))
@@ -531,36 +534,25 @@ def _carried(rows: list, olds: list, runs: list, sources: list, count: int, adde
 
 def _carry_classes(tri: Triangulation, out: Triangulation, olds: list, runs: list,
                    vertices: tuple, edges: tuple):
-    """Give ``out``, the flip of ``tri``, vertex and edge classes derived from the parent's.
+    """Give ``out``, the flip of ``tri``, the record ``_carried`` of its
+    vertex and edge ids and their counts, derived from the parent's.
 
     A flip keeps every vertex and edge class of the parent: a token, or a
     pair of tokens, of a new tetrahedron lies in the class of the old corner
     or edge it spans, and the tokens or pairs that no old tetrahedron spans
     (the 1-4 apex and its edges, the 2-3 edge between the apexes) are new
     classes, given the next free ids. ``vertices`` and ``edges`` hold the
-    template's sources of the new rows and the number of new classes.
-
-    The vertex ids stay numbered by first appearance, since walks read them
-    after every move. The survivors keep the parent's numbering, and the new
-    ids first appear after every old one, unless a removed row holds the
-    first appearance of a class. Under that numbering a row r holds one
-    exactly when its largest id is in no earlier row, which a scan from row
-    0 that stops at that id's first appearance finds. Only then are the rows
-    renumbered. The edge ids are kept as they are, so an edge keeps its id
-    along a walk, and ``Triangulation.edge_class`` numbers them by first
-    appearance when it is read.
+    template's sources of the new rows and the number of new classes. The
+    ids come from the parent's numbered rows where those were read, else
+    from its own record; ``vertex_class`` and ``edge_class`` number them by
+    ``_first_appearance`` when they are first read.
     """
-    (vertex_src, new_vertices), (edge_src, new_edges) = vertices, edges
-    parent = tri.vertex_class
-    rows = _carried(parent, olds, runs, vertex_src, tri.num_vertices, new_vertices)
-    if any(all(max(parent[r]) not in row for row in islice(parent, r)) for r in olds):
-        out.vertex_class, out._num_vertices = _by_first_appearance(rows)
-    else:
-        out.vertex_class, out._num_vertices = rows, tri.num_vertices + new_vertices
-    ids = tri.__dict__.get("_edge_ids")
-    out._edge_ids = _carried(tri.edge_class if ids is None else ids, olds, runs, edge_src,
-                             tri.num_edges, new_edges)
-    out._num_edges = tri.num_edges + new_edges
+    record = []
+    kinds = zip(("vertex_class", "edge_class"), tri._ids, (vertices, edges))
+    for name, (rows, count), (sources, added) in kinds:
+        rows = tri.__dict__.get(name, rows)
+        record.append((_carry(rows, olds, runs, sources, count, added), count + added))
+    out._carried = tuple(record)
 
 
 def pachner_14(tri: Triangulation, t: int) -> Triangulation:

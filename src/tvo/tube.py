@@ -30,6 +30,7 @@ import numpy as np
 from .catalog import _double_from_characters, cyclic_cocycle
 from .errors import DecompositionError, PreconditionError
 from .modular import ModularData, _require_capacity
+from .surgery import _integral
 
 
 @dataclass(eq=False)
@@ -95,6 +96,7 @@ def tube_pointed(n: int, k: int) -> TubeAlgebra:
 
     Dimension n^2; for k = 0 every sector is the plain group algebra of Z/n.
     """
+    n, k = _integral(n, "tube_pointed n"), _integral(k, "tube_pointed k")
     if n < 1:
         raise PreconditionError("tube_pointed requires n >= 1")
     _require_capacity(n**4, f"the tube algebra of Z/{n} (n^4 structure constants)")

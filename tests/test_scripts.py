@@ -87,3 +87,27 @@ def test_bench_pairs_alternates_sides_and_appends(tmp_path, capsys):
     summary = capsys.readouterr().out.splitlines()[-4:]
     assert summary[1] == ("w ops_per_s: parent 12 change 22 parent IQR 6 "
                           "change better in 3/3")
+
+
+def test_bench_pairs_prints_each_sides_failed_share(tmp_path, capsys):
+    import runpy
+
+    main = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))["main"]
+
+    def fake_run(root, workload, seed, seconds):
+        # the change fails one operation in seed 2 and two in seed 3
+        failed = {"old": 0, "new": max(seed - 1, 0)}[root]
+        return {"metrics": {"setup_s": 0.2, "ops_per_s": 10.0, "op_p50_ms": 100.0,
+                            "peak_rss_mb": 40.0},
+                "failed": failed, "attempted": 10 + seed}
+
+    main.__globals__["run"] = fake_run
+    args = ["--parent", "old", "--change", "new", "--seconds", "1",
+            "--out", str(tmp_path / "bench.json")]
+    main([*args, "--workload", "w", "--seeds", "1-3"])
+    main([*args, "--workload", "other", "--seeds", "4"])  # not summed into w's line
+    main([*args, "--workload", "w", "--seeds", "5"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-5] == "w failed: parent 0/51 change 7/51"
+    assert [line.split(":")[0] for line in lines[-4:]] == [
+        "w setup_s", "w ops_per_s", "w op_p50_ms", "w peak_rss_mb"]

@@ -857,3 +857,30 @@ def test_every_builtin_family_passes_the_unitarity_gate():
     assert all(any(re.fullmatch(row[0], name) for name in names) for row in _DATA)
     for name in names:
         lens_p1(resolve_builtin_data(name), 1)
+
+
+def test_surgery_refuses_non_integral_arguments():
+    # int() would truncate each of these to a different manifold than the one asked for
+    d = tvo.fibonacci()
+    for call, name in [
+        (lambda: lens_general(d, 9.5, 2), "lens_general p"),
+        (lambda: lens_general(d, 9, 2.5), "lens_general q"),
+        (lambda: lens_p1(d, 2.7), "lens_p1 p"),
+        (lambda: lens_p2(d, 3.5), "lens_p2 p"),
+        (lambda: brieskorn(d, 2.5, 3, 5), "brieskorn p"),
+        (lambda: brieskorn(d, 2, 3, "5"), "brieskorn r"),
+        (lambda: lens_p1(d, float("nan")), "lens_p1 p"),
+    ]:
+        with pytest.raises(PreconditionError, match=f"{name} must be an integer"):
+            call()
+    with pytest.raises(StructureError, match="framing of vertex 0 must be an integer, got 2.6"):
+        PlumbingTree.single(2.6)
+    with pytest.raises(StructureError, match="vertex id must be an integer"):
+        PlumbingTree(((0.5, 1),), ())
+    with pytest.raises(StructureError, match="edge end must be an integer"):
+        PlumbingTree(((0, 1), (1, 2)), ((0, 1.5),))
+    # integral values of any numeric type are the integers they equal
+    assert repr(lens_general(d, 9.0, np.int64(2)).value) == repr(lens_general(d, 9, 2).value)
+    assert lens_p1(d, np.float64(3.0)).method == "lens_p1(p=3)"
+    assert brieskorn(d, 2.0, 3, 5).method == brieskorn(d, 2, 3, 5).method
+    assert PlumbingTree.single(np.float64(2.0)) == PlumbingTree.single(2)

@@ -339,6 +339,25 @@ def test_edge_ids_carried_across_unread_moves_are_numbered_on_read():
                 assert tri.euler_characteristic == 0
 
 
+def test_moved_complexes_number_their_classes_only_when_read(s3_triangulation):
+    # a flip stores the carried ids; vertex_class and edge_class stay unset
+    # until read, and then equal the recomputed classes
+    for tri in (pachner_14(s3_triangulation, 2), pachner_23(s3_triangulation, 0, 1)):
+        assert "vertex_class" not in tri.__dict__ and "edge_class" not in tri.__dict__
+        counts = (tri.num_vertices, tri.num_edges)
+        assert "vertex_class" not in tri.__dict__ and "edge_class" not in tri.__dict__
+        fresh = Triangulation(tri.num_tets, tri.gluings)
+        assert (tri.vertex_class, tri.edge_class) == (fresh.vertex_class, fresh.edge_class)
+        assert counts == (fresh.num_vertices, fresh.num_edges)
+
+
+def test_walk_without_a_legal_2_3_move_is_refused():
+    # every face of the two-tet sphere joins corners of one vertex class
+    with pytest.raises(PreconditionError, match="no legal 2-3 move available"):
+        random_pachner_sequence(two_tet_sphere(), 1, np.random.default_rng(0),
+                                max_new_vertices=0)
+
+
 def test_flip_templates_stay_bounded_and_do_not_change_the_walk():
     # the templates depend on the slot tokens alone: one 1-4 shape and one
     # 2-3 shape per (face, gluing permutation), so at most 97
