@@ -3,19 +3,21 @@
 
 Usage:
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --workload pachner-long \\
+    python3 scripts/bench_pairs.py --parent DIR --change DIR \\
+        --workload algebra,surgery,statesum-deep,pachner-long \\
         --seeds 1-10 --seconds 20 --out BENCH_<n>.json
 
 DIR is the root of a checkout (a copy of the parent commit, and of the
-change). Each seed is one pair: both sides run ``perfbench/run.py`` of their
-own checkout with that seed, the parent first in even pairs and the change
-first in odd ones. Every run is appended to ``--out`` (created if missing) as
-one record: workload, seed, pair, side, run order, the four end-to-end
-metrics, ``failed`` and ``attempted``; pairs and run order continue the
-file's. Then each side's failed and attempted operations, summed over
-the workload's pairs in the file, are printed, and per end-to-end metric
-each side's median over those pairs, the parent's quartile distance and
-the pairs the change wins.
+change). ``--workload`` takes one workload or a comma-separated list. Each
+seed is one pair, run for every listed workload in turn: both sides run
+``perfbench/run.py`` of their own checkout with that seed, the parent first
+in even pairs and the change first in odd ones. Every run is appended to
+``--out`` (created if missing) as one record: workload, seed, pair, side,
+run order, the four end-to-end metrics, ``failed`` and ``attempted``; pairs
+and run order continue the file's. Then, for each listed workload, each
+side's failed and attempted operations, summed over the workload's pairs in
+the file, are printed, and per end-to-end metric each side's median over
+those pairs, the parent's quartile distance and the pairs the change wins.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", type=lambda text: text.split(","), required=True)
     ap.add_argument("--seeds", type=seeds, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--out", required=True)
@@ -93,15 +95,17 @@ def main(argv=None) -> int:
     first = max((r["pair"] for r in runs), default=-1) + 1
     for pair, seed in enumerate(args.seeds, start=first):
         sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for side in sides:
-            out = run(roots[side], args.workload, seed, args.seconds)
-            runs.append({"workload": args.workload, "seed": seed, "pair": pair, "side": side,
-                         "order": len(runs), **out})
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(record, fh, indent=1)
-                fh.write("\n")
-            print(json.dumps(runs[-1]), flush=True)
-    print("\n".join(summary(runs, args.workload)))
+        for workload in args.workload:
+            for side in sides:
+                out = run(roots[side], workload, seed, args.seconds)
+                runs.append({"workload": workload, "seed": seed, "pair": pair, "side": side,
+                             "order": len(runs), **out})
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    json.dump(record, fh, indent=1)
+                    fh.write("\n")
+                print(json.dumps(runs[-1]), flush=True)
+    for workload in args.workload:
+        print("\n".join(summary(runs, workload)))
     return 0
 
 

@@ -213,6 +213,7 @@ def dw_lens_oracle(G: FiniteAbelianGroup, p: int) -> Fraction:
 
     Counted by brute force over group elements (independent of q).
     """
+    p = _integral(p, "dw_lens_oracle p")
     if p < 1:
         raise PreconditionError("dw_lens_oracle requires p >= 1")
     count = sum(1 for g in G.elements() if G.scale(p, g) == G.zero)
@@ -228,6 +229,7 @@ def dw_brieskorn_oracle(G: FiniteAbelianGroup, p: int, q: int, r: int) -> Fracti
     star plumbing that sum presents is Sigma(p,q,r), i.e. when
     |pqr - pq - pr - qr| = 1.
     """
+    p, q, r = (_integral(v, f"dw_brieskorn_oracle {name}") for v, name in zip((p, q, r), "pqr"))
     if min(p, q, r) < 2:
         raise PreconditionError("dw_brieskorn_oracle requires p, q, r >= 2")
     if math.gcd(p, q) != 1 or math.gcd(p, r) != 1 or math.gcd(q, r) != 1:
@@ -243,6 +245,7 @@ def dw_brieskorn_oracle(G: FiniteAbelianGroup, p: int, q: int, r: int) -> Fracti
 
 def e6_lens_reference(p: int, q: int) -> complex:
     """Closed-form lens space values for the E6 data set, q in {1, 2}."""
+    p, q = _integral(p, "e6_lens_reference p"), _integral(q, "e6_lens_reference q")
     if p < 1:
         raise PreconditionError("e6_lens_reference requires p >= 1")
     if q == 1:

@@ -26,12 +26,23 @@ Every other directive has exactly the fields shown, and a second label,
 S or T line for the same index is an error; errors name the line.
 Loading refuses a NaN or inf entry, naming it, but checks no axiom (an S
 that fails unitarity loads; run the verifier). Saving writes >= 15
-significant digits so a round trip reproduces every double exactly.
+significant digits so a round trip reproduces every double exactly, and
+refuses a label that would not read back as written: a label is read as
+its words joined by single spaces, so it may hold no ``#`` and no
+leading, trailing or repeated whitespace.
+
+A modular data file is read whole. One pass checks its rank, label and T
+lines and collects its S lines, which numpy parses in one call; a file
+that any check refuses is read again line by line, and that reading
+names the first faulty line. No array is sized by the declared rank
+before the file has supplied every entry, so memory follows the file's
+length, not the rank it declares.
 """
 
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 
@@ -41,13 +52,18 @@ from .surgery import PlumbingTree
 from .triangulation import Triangulation, inverse_perm
 
 
-def _tokens(path):
-    """Yield (line_number, token_list) for non-empty, non-comment lines."""
+def _lines(path) -> list:
+    """The file's lines as text-mode iteration splits them, without newlines."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line.split()
+        return fh.read().split("\n")
+
+
+def _tokens(lines):
+    """Yield (line_number, token_list) for non-empty, non-comment lines."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line.split()
 
 
 def _check_fields(lineno, toks, count):
@@ -56,7 +72,16 @@ def _check_fields(lineno, toks, count):
 
 
 def save_modular_file(data: ModularData, path) -> None:
-    """Write modular data in the text format (17 significant digits)."""
+    """Write modular data in the text format (17 significant digits).
+
+    A label that the loader would not read back as written (one holding
+    ``#``, or with leading, trailing or repeated whitespace) is refused with
+    a :class:`StructureError` naming its index, before the file is opened.
+    """
+    for i, name in enumerate(data.labels or ()):
+        if "#" in name or name != " ".join(name.split()):
+            raise StructureError(f"label {i} ({name!r}) would not read back: a label may "
+                                 f"hold no '#' and only single spaces between words")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"rank {data.rank}\n")
         if data.labels is not None:
@@ -71,20 +96,22 @@ def save_modular_file(data: ModularData, path) -> None:
             fh.write(f"T {i} {z.real:.17g} {z.imag:.17g}\n")
 
 
-def load_modular_file(path) -> ModularData:
-    """Parse a modular data file; errors name the offending line or missing entry.
+class _ModularLines:
+    """The entries of a modular data file, read one tokenised line at a time.
 
-    Entries are collected first and the arrays allocated only once all
-    rank^2 + rank of them are present, so memory follows the file's length,
-    not the rank it declares.
+    :meth:`read` checks a line as it reads it and raises a ParseError
+    naming it; the entries are kept in dicts keyed by index.
     """
-    rank = None
-    S: dict[tuple[int, int], complex] = {}
-    T: dict[int, complex] = {}
-    labels: dict[int, str] = {}
 
-    for lineno, toks in _tokens(path):
+    def __init__(self):
+        self.rank = None
+        self.S: dict[tuple[int, int], complex] = {}
+        self.T: dict[int, complex] = {}
+        self.labels: dict[int, str] = {}
+
+    def read(self, lineno, toks) -> None:
         kind = toks[0]
+        rank = self.rank
         try:
             if kind == "rank":
                 if rank is not None:
@@ -93,15 +120,16 @@ def load_modular_file(path) -> ModularData:
                 rank = int(toks[1])
                 if rank < 1:
                     raise ParseError(f"line {lineno}: rank must be positive")
+                self.rank = rank
             elif kind == "label":
                 if rank is None:
                     raise ParseError(f"line {lineno}: label before rank")
                 i = int(toks[1])
                 if not 0 <= i < rank:
                     raise ParseError(f"line {lineno}: label index {i} out of range")
-                if i in labels:
+                if i in self.labels:
                     raise ParseError(f"line {lineno}: duplicate label {i}")
-                labels[i] = " ".join(toks[2:])
+                self.labels[i] = " ".join(toks[2:])
             elif kind == "S":
                 if rank is None:
                     raise ParseError(f"line {lineno}: S entry before rank")
@@ -109,9 +137,9 @@ def load_modular_file(path) -> ModularData:
                 i, j = int(toks[1]), int(toks[2])
                 if not (0 <= i < rank and 0 <= j < rank):
                     raise ParseError(f"line {lineno}: S index ({i},{j}) out of range")
-                if (i, j) in S:
+                if (i, j) in self.S:
                     raise ParseError(f"line {lineno}: duplicate S entry ({i},{j})")
-                S[i, j] = complex(float(toks[3]), float(toks[4]))
+                self.S[i, j] = complex(float(toks[3]), float(toks[4]))
             elif kind == "T":
                 if rank is None:
                     raise ParseError(f"line {lineno}: T entry before rank")
@@ -119,14 +147,87 @@ def load_modular_file(path) -> ModularData:
                 i = int(toks[1])
                 if not 0 <= i < rank:
                     raise ParseError(f"line {lineno}: T index {i} out of range")
-                if i in T:
+                if i in self.T:
                     raise ParseError(f"line {lineno}: duplicate T entry {i}")
-                T[i] = complex(float(toks[2]), float(toks[3]))
+                self.T[i] = complex(float(toks[2]), float(toks[3]))
             else:
                 raise ParseError(f"line {lineno}: unknown directive {kind!r}")
         except (IndexError, ValueError) as exc:
             raise ParseError(f"line {lineno}: malformed {kind!r} line ({exc})") from exc
 
+    def data(self, S: np.ndarray) -> ModularData:
+        """The data set with ``S``; every T entry must have been read."""
+        T = np.array([self.T[i] for i in range(self.rank)], dtype=complex)
+        labels = None
+        if self.labels:
+            labels = tuple(self.labels.get(i, str(i)) for i in range(self.rank))
+        return ModularData(S, T, labels=labels)
+
+
+# one S line: the directive, i, j, Re S_ij, Im S_ij
+_S_ROW = np.dtype([("S", "U1"), ("i", np.int64), ("j", np.int64), ("re", np.float64),
+                   ("im", np.float64)])
+
+
+def _modular_block(lines) -> ModularData | None:
+    """The data of a file that has no fault, or None.
+
+    One pass reads every line except the S lines with
+    :meth:`_ModularLines.read` and collects the S lines; numpy then parses
+    them in one call, and count, range and duplicate checks on the parsed
+    block follow. Any refusal, by a line or by the block, returns None.
+    numpy's whitespace is str.split()'s, and every field it parses is
+    ASCII digits or a float spelling that int() and float() read to the
+    same value; the rarer spellings those accept (``1_0``, non-ASCII
+    digits, integers past int64) make numpy refuse the block.
+    """
+    acc = _ModularLines()
+    block = []
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            if "#" in raw:
+                raw = raw[:raw.index("#")]
+            line = raw.strip()
+            if line[:1] == "S" and line[1:2].isspace() and acc.rank is not None:
+                block.append(line)
+            elif line:
+                acc.read(lineno, line.split())
+    except ParseError:
+        return None
+    rank = acc.rank
+    # rank^2 == len(block) bounds the rank by the file's length before
+    # anything is sized by it or i * rank + j is formed
+    if rank is None or len(block) != rank * rank or len(acc.T) != rank:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # older numpy releases read an integer field such as "1.0" via
+            # float with a DeprecationWarning; int() refuses it
+            warnings.simplefilter("error")
+            rows = np.loadtxt(block, dtype=_S_ROW, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    i, j = rows["i"], rows["j"]
+    if not ((i >= 0) & (i < rank) & (j >= 0) & (j < rank)).all():
+        return None
+    at = i * rank + j
+    seen = np.zeros(len(block), dtype=bool)
+    seen[at] = True
+    if not seen.all():
+        return None
+    S = np.empty(len(block), dtype=complex)
+    S.real[at] = rows["re"]
+    S.imag[at] = rows["im"]
+    return acc.data(S.reshape(rank, rank))
+
+
+def _modular_by_line(lines) -> ModularData:
+    """Read every line with :meth:`_ModularLines.read`, so the first faulty
+    line in file order raises, then name the first missing entry."""
+    acc = _ModularLines()
+    for lineno, toks in _tokens(lines):
+        acc.read(lineno, toks)
+    rank, S, T = acc.rank, acc.S, acc.T
     if rank is None:
         raise ParseError("no rank directive found")
     # every stored index is in range, so the first absent one is among the
@@ -143,11 +244,27 @@ def load_modular_file(path) -> ModularData:
     S_arr = np.empty((rank, rank), dtype=complex)
     ij = np.fromiter(itertools.chain.from_iterable(S), dtype=np.intp, count=2 * len(S))
     S_arr[ij[0::2], ij[1::2]] = np.fromiter(S.values(), dtype=complex, count=len(S))
-    T_arr = np.array([T[i] for i in range(rank)], dtype=complex)
-    label_tuple = None
-    if labels:
-        label_tuple = tuple(labels.get(i, str(i)) for i in range(rank))
-    return ModularData(S_arr, T_arr, labels=label_tuple)
+    return acc.data(S_arr)
+
+
+def load_modular_file(path) -> ModularData:
+    """Parse a modular data file; errors name the offending line or missing entry.
+
+    The file is read whole and, in the common case, in one bulk pass: the
+    rank, label and T lines are checked one by one as they are read, while
+    the S lines are collected and parsed by numpy in one call. A file that
+    any check refuses is read again line by line, so the error names the
+    first faulty line in file order (or, with every line sound, the first
+    missing entry), exactly as a line-by-line reader would. No array is
+    sized by the declared rank until the file has supplied all rank^2 +
+    rank entries, so memory follows the file's length, not the rank it
+    declares.
+    """
+    lines = _lines(path)
+    data = _modular_block(lines)
+    if data is None:
+        data = _modular_by_line(lines)
+    return data
 
 
 def save_triangulation(tri: Triangulation, path) -> None:
@@ -164,7 +281,7 @@ def load_triangulation(path) -> Triangulation:
     """Parse a triangulation file and validate involution and closedness."""
     num_tets = None
     gluings: dict = {}
-    for lineno, toks in _tokens(path):
+    for lineno, toks in _tokens(_lines(path)):
         kind = toks[0]
         try:
             if kind == "tets":
@@ -230,7 +347,7 @@ def load_triangulation(path) -> Triangulation:
 def load_plumbing_tree(path) -> PlumbingTree:
     """Parse a plumbing tree file; the vertices and edges must form a tree."""
     verts, edges = [], []
-    for lineno, toks in _tokens(path):
+    for lineno, toks in _tokens(_lines(path)):
         kind = toks[0]
         if kind not in ("vertex", "edge"):
             raise ParseError(f"line {lineno}: unknown directive {kind!r}")

@@ -374,3 +374,84 @@ def two_tet_sphere() -> Triangulation:
         gluings[(0, f)] = (1, ident)
         gluings[(1, f)] = (0, ident)
     return Triangulation(2, gluings)
+
+
+def read_modular_text(text):
+    """Naive line-by-line reading of the modular data file format.
+
+    Returns ``(S, T, labels)`` (complex arrays and a label tuple or None)
+    for a sound file, else the message of the first fault: the first
+    faulty line in file order, then a missing rank, then the first missing
+    S entry in row-major order, then the first missing T entry. Lines end
+    at ``\\n``, ``\\r\\n`` or ``\\r``, as in a text-mode read; ``#`` starts
+    a comment; fields are split on whitespace.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    rank = None
+    S, T, labels = {}, {}, {}
+    fields = {"rank": 1, "S": 4, "T": 3}
+    for lineno, raw in enumerate(lines, start=1):
+        toks = raw.split("#")[0].split()
+        if not toks:
+            continue
+        kind = toks[0]
+        where = f"line {lineno}"
+        if kind not in ("rank", "label", "S", "T"):
+            return f"{where}: unknown directive {kind!r}"
+        if kind == "rank" and rank is not None:
+            return f"{where}: duplicate rank directive"
+        if kind != "rank" and rank is None:
+            before = {"label": "label", "S": "S entry", "T": "T entry"}[kind]
+            return f"{where}: {before} before rank"
+        if kind in fields and len(toks) != fields[kind] + 1:
+            return f"{where}: {kind} needs {fields[kind]} fields"
+        try:
+            if kind == "rank":
+                rank = int(toks[1])
+                if rank < 1:
+                    return f"{where}: rank must be positive"
+            elif kind == "label":
+                i = int(toks[1])
+                if i < 0 or i >= rank:
+                    return f"{where}: label index {i} out of range"
+                if i in labels:
+                    return f"{where}: duplicate label {i}"
+                labels[i] = " ".join(toks[2:])
+            elif kind == "S":
+                i = int(toks[1])
+                j = int(toks[2])
+                if i < 0 or i >= rank or j < 0 or j >= rank:
+                    return f"{where}: S index ({i},{j}) out of range"
+                if (i, j) in S:
+                    return f"{where}: duplicate S entry ({i},{j})"
+                S[i, j] = (float(toks[3]), float(toks[4]))
+            else:
+                i = int(toks[1])
+                if i < 0 or i >= rank:
+                    return f"{where}: T index {i} out of range"
+                if i in T:
+                    return f"{where}: duplicate T entry {i}"
+                T[i] = (float(toks[2]), float(toks[3]))
+        except (IndexError, ValueError) as exc:
+            return f"{where}: malformed {kind!r} line ({exc})"
+    if rank is None:
+        return "no rank directive found"
+    for i in range(rank):
+        for j in range(rank):
+            if (i, j) not in S:
+                return (f"missing S entry ({i},{j}): rank {rank} needs {rank * rank} "
+                        f"S entries, the file has {len(S)}")
+    for i in range(rank):
+        if i not in T:
+            return (f"missing T entry {i}: rank {rank} needs {rank} T entries, "
+                    f"the file has {len(T)}")
+    S_arr = np.zeros((rank, rank), dtype=complex)
+    T_arr = np.zeros(rank, dtype=complex)
+    for (i, j), (re, im) in S.items():
+        S_arr[i, j] = complex(re, im)
+    for i, (re, im) in T.items():
+        T_arr[i] = complex(re, im)
+    names = None
+    if labels:
+        names = tuple(labels.get(i, str(i)) for i in range(rank))
+    return S_arr, T_arr, names

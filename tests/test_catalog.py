@@ -336,6 +336,28 @@ def test_generators_refuse_non_integral_parameters(build, name):
         build()
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda: dw_lens_oracle(FiniteAbelianGroup((2,)), 2.5), "dw_lens_oracle p"),
+    (lambda: e6_lens_reference(2.5, 1), "e6_lens_reference p"),
+    (lambda: e6_lens_reference(3, 1.5), "e6_lens_reference q"),
+    (lambda: dw_brieskorn_oracle(FiniteAbelianGroup((2,)), 2.5, 3, 5), "dw_brieskorn_oracle p"),
+    (lambda: dw_brieskorn_oracle(FiniteAbelianGroup((2,)), 2, "3", 5), "dw_brieskorn_oracle q"),
+    (lambda: dw_brieskorn_oracle(FiniteAbelianGroup((2,)), 2, 3, 5.5), "dw_brieskorn_oracle r"),
+])
+def test_oracles_refuse_non_integral_arguments(call, name):
+    # dw_lens_oracle(G, 2.5) returned 1/2, e6_lens_reference(2.5, 1) a
+    # complex value and dw_brieskorn_oracle(G, 2.5, 3, 5) a bare TypeError
+    with pytest.raises(PreconditionError, match=f"{name} must be an integer"):
+        call()
+
+
+def test_oracles_read_integral_arguments_as_ints():
+    G = FiniteAbelianGroup((2, 4))
+    assert dw_lens_oracle(G, np.float64(6)) == dw_lens_oracle(G, 6)
+    assert dw_brieskorn_oracle(G, 2.0, np.int64(3), 5) == dw_brieskorn_oracle(G, 2, 3, 5)
+    assert e6_lens_reference(np.int32(5), 2.0) == e6_lens_reference(5, 2)
+
+
 def test_generators_read_integral_parameters_as_ints():
     for build, args in [(tvo.su2_level_k, (3,)), (tvo.pointed_cyclic, (3, 2)),
                         (tvo.twisted_double_cyclic, (3, 1))]:

@@ -1,12 +1,16 @@
+import math
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tvo
 from tvo import (
     ModularData,
     ParseError,
+    StructureError,
     conjugate_equivalent,
     load_modular_file,
     load_triangulation,
@@ -15,9 +19,10 @@ from tvo import (
     verify_verlinde,
 )
 
+from tvo.cli import resolve_builtin_data
 from tvo.dataio import load_plumbing_tree
 
-from helpers import two_tet_sphere
+from helpers import read_modular_text, two_tet_sphere
 
 
 def test_roundtrip_toric_code(tmp_path, toric_code):
@@ -55,12 +60,45 @@ def test_roundtrip_random_matrices(tmp_path_factory, rank, seed):
     assert np.array_equal(back.T, d.T)
 
 
+@pytest.mark.parametrize("name", [
+    "trivial", "fibonacci", "ising", "su2-4", "pointed-z5", "pointed-z4-3", "toric-code",
+    "dw-z2x3", "twisted-z4-3", "double-ising", "double-double-fibonacci", "tube-z3-2",
+])
+def test_builtin_families_read_back_bit_for_bit(tmp_path, name):
+    d = resolve_builtin_data(name)
+    path = tmp_path / "b.dat"
+    save_modular_file(d, path)
+    back = load_modular_file(path)
+    assert back.labels == d.labels
+    assert back.S.tobytes() == d.S.tobytes() and back.T.tobytes() == d.T.tobytes()
+
+
+@pytest.mark.parametrize("label", ["a#b", "a  b", " a", "a ", "a\tb", "a\nb", "a\xa0b"])
+def test_labels_that_would_not_read_back_are_refused(tmp_path, label):
+    # "a#b" loaded as "a", "a  b" as "a b" and " a" as "a"
+    d = ModularData(np.eye(2), np.ones(2), labels=("1", label))
+    path = tmp_path / "l.dat"
+    with pytest.raises(StructureError, match=r"label 1 \("):
+        save_modular_file(d, path)
+    assert not path.exists()
+
+
 def test_missing_entry_names_first_absent_index(tmp_path):
     d = tvo.trivial_data()
     path = tmp_path / "broken.dat"
     lines = ["rank 2", "S 0 0 1 0", "S 0 1 0 0", "S 1 1 1 0", "T 0 1 0", "T 1 1 0"]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=r"missing S entry \(1,0\)"):
+        load_modular_file(path)
+
+
+def test_file_without_s_lines_names_the_first_s_entry(tmp_path):
+    # refused before any bulk parse, so numpy's "input contained no data"
+    # warning (an error under this suite's filters) never fires
+    path = tmp_path / "no_s.dat"
+    path.write_text("rank 2\nlabel 0 one\nT 0 1 0\nT 1 1 0\n")
+    with pytest.raises(ParseError, match=r"missing S entry \(0,0\): rank 2 needs 4 S entries, "
+                                         r"the file has 0"):
         load_modular_file(path)
 
 
@@ -147,6 +185,139 @@ def test_loading_invalid_data_defers_validation(tmp_path):
     d = load_modular_file(path)
     rep = verify_verlinde(d)
     assert not rep.axioms_pass
+
+
+# ---------------------------------------------------------------------------
+# the loader against a naive line-by-line reader of the format
+# ---------------------------------------------------------------------------
+
+_ARABIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))  # Arabic-Indic
+
+
+def _underscored(text):
+    """``text`` with a ``_`` between its first two adjacent digits, if any."""
+    for k in range(1, len(text)):
+        if text[k - 1].isdigit() and text[k].isdigit():
+            return text[:k] + "_" + text[k:]
+    return text
+
+
+def _spell(rnd, text, rare):
+    """``text`` (a number) respelled as int() or float() still reads it."""
+    style = rnd.choice(["plain", "plain", "plus", "zeros"] + ["underscore", "arabic"] * rare)
+    sign, digits = ("-", text[1:]) if text.startswith("-") else ("", text)
+    if style == "plus":
+        sign = sign or "+"
+    elif style == "zeros" and digits[:1].isdigit():
+        digits = "00" + digits
+    elif style == "underscore":
+        digits = _underscored(digits)
+    elif style == "arabic":
+        digits = digits.translate(_ARABIC)
+    return sign + digits
+
+
+def _float_text(rnd):
+    x = rnd.choice([rnd.uniform(-1, 1), rnd.choice([0.0, -0.0, 1.0, -0.5, 1e-300, 5e-324]),
+                    struct.unpack("<d", struct.pack("<Q", rnd.getrandbits(64)))[0]])
+    if not math.isfinite(x):
+        x = 0.25
+    return rnd.choice([repr(x), f"{x:.17g}", f"{x:e}", f"{x:.3f}"])
+
+
+_FAULTS = ["fields", "range", "duplicate", "unknown", "before rank", "number", "missing",
+           "special"]
+
+
+@st.composite
+def _modular_files(draw):
+    """A modular data file with varied spellings, separators, comments and
+    line endings, and zero to two faults."""
+    rnd = draw(st.randoms(use_true_random=False))
+    rank = draw(st.integers(1, 3))
+    rare = rnd.random() < 0.3  # spellings numpy refuses: 1_0, arabic digits
+
+    def num(text):
+        return _spell(rnd, text, rare)
+
+    body = [["label", num(str(i)), *rnd.choice([["a"], ["(0|1)", "b~"], ["x", "", "y"]])]
+            for i in range(rank) if rnd.random() < 0.4]
+    body += [["S", num(str(i)), num(str(j)), num(_float_text(rnd)), num(_float_text(rnd))]
+             for i in range(rank) for j in range(rank)]
+    body += [["T", num(str(i)), num(_float_text(rnd)), num(_float_text(rnd))]
+             for i in range(rank)]
+    rnd.shuffle(body)
+    lines = [["rank", num(str(rank))], *body]
+
+    def pick(kinds=("rank", "label", "S", "T")):
+        at = [k for k, line in enumerate(lines) if line[0] in kinds]
+        return rnd.choice(at) if at else None
+
+    for fault in rnd.choices(_FAULTS, k=rnd.choice([0, 1, 1, 2, 2])):
+        if fault == "fields":
+            line = lines[pick()]
+            if rnd.random() < 0.5:
+                line.append("7")
+            else:
+                line.pop()
+        elif fault == "range" and (k := pick(("label", "S", "T"))) is not None:
+            field = rnd.choice([1, 2] if lines[k][0] == "S" else [1])
+            lines[k][field] = str(rnd.choice([-1, rank, rank + 3, 10**20]))
+        elif fault == "duplicate":
+            k = pick()
+            lines.insert(rnd.randint(k + 1, len(lines)), list(lines[k]))
+        elif fault == "unknown":
+            kind = rnd.choice(["bogus", "s", "S0", "Sx", "S\u200b", "rank2"])
+            lines.insert(rnd.randint(0, len(lines)), [kind, "0", "0", "1", "0"])
+        elif fault == "before rank" and (k := pick(("label", "S", "T"))) is not None:
+            lines.insert(0, lines.pop(k))
+        elif fault == "number" and len(line := lines[pick()]) > 1:
+            line[rnd.randint(1, len(line) - 1)] = rnd.choice(
+                ["x", "1..0", "0x10", "1e", "--1", "1,0", "1\u0661x", "1.5", "__1", "1e5"])
+        elif fault == "missing" and len(lines) > 1:
+            del lines[pick(("label", "S", "T"))]
+        elif fault == "special" and (k := pick(("S", "T"))) is not None:
+            lines[k][-1] = rnd.choice(["nan", "Infinity", "-inf", "1e400", "+NaN", "-nan"])
+
+    seps = rnd.choice([[" "], [" ", "  ", "\t"], [" ", "\xa0", "\u3000", " \t"]])
+    newlines = rnd.choice([["\n"], ["\r\n"], ["\n", "\r\n", "\r"]])
+    text = []
+    for line in lines:
+        if rnd.random() < 0.2:
+            text += [rnd.choice(["", "   ", "# note", "  #S 0 0 1 0"]), rnd.choice(newlines)]
+        text.append(rnd.choice(["", "", " ", "\t"]) + line[0])
+        text += [rnd.choice(seps) + field for field in line[1:]]
+        text.append(rnd.choice(["", "", " ", "\t", " # c", "#", "# S 9 9 x"]))
+        text.append(rnd.choice(newlines))
+    return "".join(text)
+
+
+def _load_outcome(path):
+    try:
+        d = load_modular_file(path)
+    except (ParseError, StructureError) as exc:
+        return type(exc).__name__, str(exc)
+    return d.S.tobytes(), d.T.tobytes(), d.labels
+
+
+def _reference_outcome(text):
+    read = read_modular_text(text)
+    if isinstance(read, str):
+        return "ParseError", read
+    S, T, labels = read
+    try:
+        ModularData(S, T, labels)
+    except StructureError as exc:  # a NaN or inf entry
+        return "StructureError", str(exc)
+    return S.tobytes(), T.tobytes(), labels
+
+
+@settings(max_examples=300)
+@given(_modular_files())
+def test_loader_agrees_with_a_line_by_line_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("differential") / "m.dat"
+    path.write_bytes(text.encode("utf-8"))
+    assert _load_outcome(path) == _reference_outcome(text)
 
 
 # ---------------------------------------------------------------------------

@@ -111,3 +111,33 @@ def test_bench_pairs_prints_each_sides_failed_share(tmp_path, capsys):
     assert lines[-5] == "w failed: parent 0/51 change 7/51"
     assert [line.split(":")[0] for line in lines[-4:]] == [
         "w setup_s", "w ops_per_s", "w op_p50_ms", "w peak_rss_mb"]
+
+
+def test_bench_pairs_runs_each_pair_on_every_listed_workload(tmp_path, capsys):
+    import json
+    import runpy
+
+    main = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))["main"]
+    calls = []
+
+    def fake_run(root, workload, seed, seconds):
+        calls.append((root, workload, seed))
+        speed = {"old": 10.0, "new": 20.0}[root] + {"a": 0.0, "b": 100.0}[workload]
+        return {"metrics": {"setup_s": 0.2, "ops_per_s": speed, "op_p50_ms": 1e3 / speed,
+                            "peak_rss_mb": 40.0}, "failed": 0, "attempted": 10}
+
+    main.__globals__["run"] = fake_run
+    out = tmp_path / "bench.json"
+    main(["--parent", "old", "--change", "new", "--workload", "a,b", "--seeds", "1-2",
+          "--seconds", "1", "--out", str(out)])
+    assert calls == [("old", "a", 1), ("new", "a", 1), ("old", "b", 1), ("new", "b", 1),
+                     ("new", "a", 2), ("old", "a", 2), ("new", "b", 2), ("old", "b", 2)]
+    runs = json.loads(out.read_text())["runs"]
+    assert [(r["workload"], r["pair"], r["side"]) for r in runs[:4]] == [
+        ("a", 0, "parent"), ("a", 0, "change"), ("b", 0, "parent"), ("b", 0, "change")]
+    lines = capsys.readouterr().out.splitlines()[-10:]
+    assert [line.split(":")[0] for line in lines] == [
+        f"{w} {name}" for w in "ab"
+        for name in ("failed", "setup_s", "ops_per_s", "op_p50_ms", "peak_rss_mb")]
+    assert lines[2] == "a ops_per_s: parent 10 change 20 parent IQR 0 change better in 2/2"
+    assert lines[7] == "b ops_per_s: parent 110 change 120 parent IQR 0 change better in 2/2"
