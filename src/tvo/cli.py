@@ -130,8 +130,8 @@ def resolve_builtin_data(name: str) -> ModularData:
 def _load(loader, path, what):
     try:
         return loader(path)
-    except FileNotFoundError:
-        raise TvoError(f"cannot open {what} file {path!r}") from None
+    except OSError as exc:  # missing, a directory, not readable
+        raise TvoError(f"cannot open {what} file {path!r}: {exc.strerror or exc}") from None
 
 
 def resolve_data_source(source: str) -> ModularData:

@@ -53,9 +53,18 @@ from .triangulation import Triangulation, inverse_perm
 
 
 def _lines(path) -> list:
-    """The file's lines as text-mode iteration splits them, without newlines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().split("\n")
+    """The file's lines as text-mode iteration splits them, without newlines.
+
+    A file that is not UTF-8 is a :class:`ParseError` naming the file and
+    the offset of its first undecodable byte (the whole file is decoded in
+    one call, so the decoder's offset is the file's).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{str(path)!r} is not UTF-8: byte {exc.start} "
+                         f"(0x{exc.object[exc.start]:02x}): {exc.reason}") from None
 
 
 def _tokens(lines):

@@ -30,10 +30,18 @@ O(log p) matrix products. Above 10^7 vertices, or a framing above 10^7 on
 data whose T has no verified finite order, the roundoff would swamp the
 value, and :class:`CapacityError` is raised instead.
 
-Each data set keeps the vertex bases t^a S_0^(2 - deg) it has been asked
-for, so a call on data seen before pays only for its mat-vecs. The table
-holds at most ``_BASE_TABLE_CAP`` (2^20) complex entries, 16 MiB; past
-that, a base is computed per call.
+What a call needs of its manifold alone is its plan: the schedule the
+evaluator contracts (a :class:`_Schedule`, which carries its expanded vertex
+count and whether some degree is above 1) and the method label. The closed
+forms keep their plans in bounded least-recently-used caches keyed by their
+normalised integer arguments (``_PLAN_CACHE_SIZE`` manifolds each); a
+:class:`PlumbingTree` builds its schedule once, on its first call. What a call
+needs of its data alone is the vertex bases t^a S_0^(2 - deg): each data set
+keeps the ones it has been asked for, at most ``_BASE_TABLE_CAP`` (2^20)
+complex entries, 16 MiB; past that, a base is computed per call. So a
+repeated call on a manifold and data seen before pays for the data gate, the
+mat-vecs and its result, and nothing else. No value is cached, and a refusal
+is raised on every call.
 
 Data whose S is not unitary or T not of unit modulus is refused. Values for
 anomaly phase u != 1 carry a warning tag; no framing correction is made.
@@ -41,6 +49,8 @@ anomaly phase u != 1 carry a warning tag; no framing correction is made.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -84,9 +94,32 @@ class InvariantValue:
 
     def __post_init__(self):
         v = complex(self.value)
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        if not cmath.isfinite(v):
             raise TvoError(f"non-finite invariant value {v} from {self.method}")
         object.__setattr__(self, "value", v)
+
+
+class _Schedule(tuple):
+    """A contraction schedule: one ``(framing, degree, child positions,
+    multiplicity)`` entry per vertex, every entry after its parent.
+
+    It also carries two facts of its entries, found once when it is built:
+    ``vertices``, the expanded vertex count, and ``branched``, whether some
+    vertex has degree above 1. It is immutable, so one schedule serves
+    every call on its manifold.
+    """
+
+    def __new__(cls, entries):
+        self = super().__new__(cls, entries)
+        object.__setattr__(self, "vertices", sum(entry[3] for entry in self))
+        object.__setattr__(self, "branched", any(entry[1] > 1 for entry in self))
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a contraction schedule is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a contraction schedule is immutable")
 
 
 @dataclass(frozen=True)
@@ -96,7 +129,9 @@ class PlumbingTree:
     ``schedule`` is the contraction order found while proving the tree
     connected: breadth-first from the first vertex, children in id order, one
     ``(framing, degree, child positions)`` entry per vertex, every vertex
-    after its parent.
+    after its parent. ``_contraction`` is the same order as the
+    :class:`_Schedule` the evaluator contracts, each multiplicity 1, built on
+    the tree's first surgery call and kept with the tree.
     """
 
     vertices: tuple[tuple[int, int], ...]
@@ -143,6 +178,12 @@ class PlumbingTree:
             raise StructureError("edge set is not connected")
         object.__setattr__(self, "schedule", tuple(schedule))
 
+    @functools.cached_property
+    def _contraction(self) -> _Schedule:
+        # not built with the tree: a tree that is never evaluated, such as
+        # one only read from a file and checked, allocates nothing more
+        return _Schedule((a, deg, kids, 1) for a, deg, kids in self.schedule)
+
     @classmethod
     def single(cls, framing: int) -> "PlumbingTree":
         return cls(((0, framing),), ())
@@ -178,6 +219,13 @@ _BASE_OVERHEAD = 16
 # makes the cap check and the insert one step when threads share a data set
 _TABLE_LOCK = threading.Lock()
 
+#: the most manifolds each closed form keeps a plan for, least recently used
+#: first out. A plan, a schedule and its method label, takes 0.4-0.8 KiB for
+#: arguments below 200 and 3.4 KiB for a lens chain near p = 2^61, since a
+#: chain has O(log p) entries (by tracemalloc), so a full cache holds 0.4 to
+#: 3.4 MiB there.
+_PLAN_CACHE_SIZE = 1024
+
 
 def _vertex_base(data: ModularData, a: int, deg: int) -> np.ndarray:
     """t^a S_0^(2 - deg) for a vertex of framing ``a`` and degree ``deg``.
@@ -205,12 +253,16 @@ def _vertex_base(data: ModularData, a: int, deg: int) -> np.ndarray:
 def _contract(data: ModularData, schedule, method: str) -> InvariantValue:
     """The surgery sum of the plumbing that ``schedule`` describes, leaf-first.
 
-    ``schedule`` holds one ``(framing, degree, child positions, multiplicity)``
-    entry per vertex, every entry after its parent. A multiplicity m > 1
-    stands for a path of m identical vertices of degree 2 with one child.
-    Each vertex carries t^framing S_0^(2-deg) and each edge one S @ child; a
-    vertex multiplies in its children in the listed order, so the summation
-    order is fixed and repeated calls give the same bits.
+    ``schedule`` is a :class:`_Schedule`: one ``(framing, degree, child
+    positions, multiplicity)`` entry per vertex, every entry after its
+    parent; its vertex count and degree flag are read from it, not counted
+    per call. A multiplicity m > 1 stands for a path of m identical vertices
+    of degree 2 with one child. Each vertex carries t^framing S_0^(2-deg)
+    and each edge one S @ child; a vertex multiplies in its children in the
+    listed order, so the summation order is fixed and repeated calls give
+    the same bits. A mat-vec is ``ndarray.dot``: the same BLAS gemv call as
+    ``@``, without the ufunc dispatch, which is about 40 % of a rank-4
+    mat-vec.
 
     A run applies M = diag(t^a) S m times. The loop does that with m
     mat-vecs, m r^2 multiply-adds at rank r. Binary powering does
@@ -232,7 +284,7 @@ def _contract(data: ModularData, schedule, method: str) -> InvariantValue:
     ``matmuls`` (r x r products) and whether any framing was reduced
     (``framing_reduced``).
     """
-    vertices = sum(entry[3] for entry in schedule)
+    vertices = schedule.vertices
     if vertices > _SURGERY_CAP:
         raise CapacityError(f"surgery on {vertices} vertices is above the cap of "
                             f"{_SURGERY_CAP} vertices")
@@ -240,7 +292,7 @@ def _contract(data: ModularData, schedule, method: str) -> InvariantValue:
     if not (s_res <= DEFAULT_TOLERANCE and t_res <= DEFAULT_TOLERANCE):
         raise PreconditionError(f"surgery needs S unitary and T of unit modulus: max |S S^dagger"
                                 f" - I| = {s_res:.3e}, max ||t_i| - 1| = {t_res:.3e}")
-    if any(entry[1] > 1 for entry in schedule) and data._s0_min <= DEFAULT_TOLERANCE:
+    if schedule.branched and data._s0_min <= DEFAULT_TOLERANCE:
         raise DegenerateDataError("S column 0 has (near-)zero entries")
     S = data.S
     r = data.rank
@@ -268,7 +320,7 @@ def _contract(data: ModularData, schedule, method: str) -> InvariantValue:
             powered += 1
             while True:
                 if m & 1:
-                    vec = M @ vec
+                    vec = M.dot(vec)
                 m >>= 1
                 if not m:
                     break
@@ -277,27 +329,27 @@ def _contract(data: ModularData, schedule, method: str) -> InvariantValue:
         else:
             vec = base
             for c in kids:
-                vec = vec * (S @ messages[c])
+                vec = vec * S.dot(messages[c])
                 messages[c] = None
             for _ in range(m - 1):  # the rest of a run, bottom to top
-                vec = base * (S @ vec)
+                vec = base * S.dot(vec)
         messages[k] = vec
     stats = {"vertices": vertices, "entries": len(schedule), "bases": len(bases),
              "powered_runs": powered, "matmuls": matmuls, "framing_reduced": reduced}
-    return InvariantValue(complex(messages[0].sum()), method, data._surgery_warnings, stats)
+    return InvariantValue(messages[0].sum(), method, data._surgery_warnings, stats)
 
 
-def _tree_schedule(tree: PlumbingTree) -> list:
-    return [(a, deg, kids, 1) for a, deg, kids in tree.schedule]
+def _tree_schedule(tree: PlumbingTree) -> _Schedule:
+    return tree._contraction
 
 
-def _chain_schedule(runs) -> list:
+def _chain_schedule(runs) -> _Schedule:
     """The schedule of the chain whose framings are ``runs`` of (framing,
     count), root first: each end vertex alone, each run's interior as one
     entry with its count as multiplicity."""
     n = sum(c for _, c in runs)
     if n == 1:
-        return [(runs[0][0], 0, (), 1)]
+        return _Schedule([(runs[0][0], 0, (), 1)])
     pieces = []  # (framing, degree, multiplicity)
     seen = 0
     for a, c in runs:
@@ -311,23 +363,63 @@ def _chain_schedule(runs) -> list:
             pieces.append((a, 1, 1))
         seen += c
     last = len(pieces) - 1
-    return [(a, deg, (k + 1,) if k < last else (), m) for k, (a, deg, m) in enumerate(pieces)]
+    return _Schedule((a, deg, (k + 1,) if k < last else (), m)
+                     for k, (a, deg, m) in enumerate(pieces))
+
+
+# The plans of the closed forms: (schedule, method label) by the normalised
+# integer arguments. A refusal is raised before anything is cached, so it is
+# raised on every call.
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _lens_p1_plan(p: int) -> tuple[_Schedule, str]:
+    if p < 0:
+        raise PreconditionError("lens_p1 requires p >= 0")
+    return _chain_schedule([(p, 1)]), f"lens_p1(p={p})"
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _lens_p2_plan(p: int) -> tuple[_Schedule, str]:
+    if p < 1 or p % 2 == 0:
+        raise PreconditionError("lens_p2 requires odd positive p")
+    return _chain_schedule([((p + 1) // 2, 1), (2, 1)]), f"lens_p2(p={p})"
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _brieskorn_plan(p: int, q: int, r: int) -> tuple[_Schedule, str]:
+    if min(p, q, r) < 2:
+        raise PreconditionError("brieskorn requires p, q, r >= 2")
+    # the schedule of PlumbingTree.star(1, (p, q, r)), without building the tree
+    schedule = _Schedule([(1, 3, (1, 2, 3), 1), (p, 1, (), 1), (q, 1, (), 1), (r, 1, (), 1)])
+    return schedule, f"brieskorn(p={p},q={q},r={r})"
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _lens_general_plan(p: int, q: int) -> tuple[_Schedule, str]:
+    if p < 1 or q < 1:
+        raise PreconditionError("lens_general requires positive p, q")
+    if math.gcd(p, q) != 1:
+        raise PreconditionError(f"lens_general requires gcd(p, q) = 1, got ({p},{q})")
+    if p == 1:
+        runs = [(1, 1)]
+    else:
+        if q >= p:
+            raise PreconditionError("lens_general requires q < p")
+        runs = _ncf_runs(p, q)
+    n = sum(c for _, c in runs)
+    shown = (f"chain={[a for a, c in runs for _ in range(c)]}" if n <= 8
+             else f"chain of {n} vertices")
+    return _chain_schedule(runs), f"lens_general(p={p},q={q},{shown})"
 
 
 def lens_p1(data: ModularData, p: int) -> InvariantValue:
     """sum_i t_i^p S_i0^2. p = 0 is allowed (the value for S^1 x S^2)."""
-    p = _integral(p, "lens_p1 p")
-    if p < 0:
-        raise PreconditionError("lens_p1 requires p >= 0")
-    return _contract(data, _chain_schedule([(p, 1)]), f"lens_p1(p={p})")
+    return _contract(data, *_lens_p1_plan(_integral(p, "lens_p1 p")))
 
 
 def lens_p2(data: ModularData, p: int) -> InvariantValue:
     """sum_ij t_i^((p+1)/2) t_j^2 S_i0 S_j0 S_ij, for odd positive p."""
-    p = _integral(p, "lens_p2 p")
-    if p < 1 or p % 2 == 0:
-        raise PreconditionError("lens_p2 requires odd positive p")
-    return _contract(data, _chain_schedule([((p + 1) // 2, 1), (2, 1)]), f"lens_p2(p={p})")
+    return _contract(data, *_lens_p2_plan(_integral(p, "lens_p2 p")))
 
 
 def brieskorn(data: ModularData, p: int, q: int, r: int) -> InvariantValue:
@@ -337,11 +429,7 @@ def brieskorn(data: ModularData, p: int, q: int, r: int) -> InvariantValue:
     Brieskorn sphere Sigma(p,q,r) only when that order is 1.
     """
     p, q, r = _integral(p, "brieskorn p"), _integral(q, "brieskorn q"), _integral(r, "brieskorn r")
-    if min(p, q, r) < 2:
-        raise PreconditionError("brieskorn requires p, q, r >= 2")
-    # the schedule of PlumbingTree.star(1, (p, q, r)), without building the tree
-    schedule = [(1, 3, (1, 2, 3), 1), (p, 1, (), 1), (q, 1, (), 1), (r, 1, (), 1)]
-    return _contract(data, schedule, f"brieskorn(p={p},q={q},r={r})")
+    return _contract(data, *_brieskorn_plan(p, q, r))
 
 
 def plumbing_invariant(data: ModularData, tree: PlumbingTree) -> InvariantValue:
@@ -391,17 +479,4 @@ def lens_general(data: ModularData, p: int, q: int) -> InvariantValue:
     with :class:`CapacityError` above ``_SURGERY_CAP`` vertices.
     """
     p, q = _integral(p, "lens_general p"), _integral(q, "lens_general q")
-    if p < 1 or q < 1:
-        raise PreconditionError("lens_general requires positive p, q")
-    if math.gcd(p, q) != 1:
-        raise PreconditionError(f"lens_general requires gcd(p, q) = 1, got ({p},{q})")
-    if p == 1:
-        runs = [(1, 1)]
-    else:
-        if q >= p:
-            raise PreconditionError("lens_general requires q < p")
-        runs = _ncf_runs(p, q)
-    n = sum(c for _, c in runs)
-    shown = (f"chain={[a for a, c in runs for _ in range(c)]}" if n <= 8
-             else f"chain of {n} vertices")
-    return _contract(data, _chain_schedule(runs), f"lens_general(p={p},q={q},{shown})")
+    return _contract(data, *_lens_general_plan(p, q))

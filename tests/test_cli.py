@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -482,3 +486,54 @@ def test_verify_non_finite_data_exit2(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--data", str(path))
     assert code == 2 and out == ""
     assert "S[0, 1] = (nan+0j) is not finite" in err
+
+
+# ---------------------------------------------------------------------------
+# input files that cannot be read
+# ---------------------------------------------------------------------------
+
+_FILE_ARGS = {
+    "data": ("verify", "--data", "{}"),
+    "triangulation": ("statesum", "--sixj", "builtin:vec-z2", "--tri", "{}"),
+    "tree": ("invariant", "plumbing", "--tree", "{}", "--data", "builtin:toric-code"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_FILE_ARGS))
+@pytest.mark.parametrize("kind,reason", [("directory", "Is a directory"),
+                                         ("missing", "No such file or directory")])
+def test_an_unreadable_input_path_is_exit2(capsys, tmp_path, what, kind, reason):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    argv = [a.format(path) for a in _FILE_ARGS[what]]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot open {what} file {str(path)!r}: {reason}\n"
+
+
+@pytest.mark.parametrize("what,text", [
+    ("data", "rank 1\nlabel 0 caf{bad}\nS 0 0 1 0\nT 0 1 0\n"),
+    ("triangulation", "# {bad}\ntets 1\n"),
+    ("tree", "vertex 0 1\n# {bad}\n"),
+])
+def test_an_input_file_that_is_not_utf8_is_exit2(capsys, tmp_path, what, text):
+    head, tail = text.split("{bad}")
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(head.encode() + b"\xe9" + tail.encode())
+    code, out, err = run(capsys, *[a.format(path) for a in _FILE_ARGS[what]])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(path) in err and f"byte {len(head)} (0xe9)" in err
+
+
+def test_python_m_tvo_runs_the_cli(capsys):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "tvo", "--list-builtins"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    code, out, _ = run(capsys, "--list-builtins")
+    assert proc.returncode == code == 0, proc.stderr
+    assert proc.stdout == out and out

@@ -424,3 +424,28 @@ def test_plumbing_tree_file_errors_name_the_line(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ParseError, match=message):
         load_plumbing_tree(path)
+
+
+# ---------------------------------------------------------------------------
+# files that are not UTF-8
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("loader,text", [
+    (load_modular_file, "rank 2\nlabel 0 caf{bad}\n"),
+    (load_triangulation, "tets 1\n# {bad}\n"),
+    (load_plumbing_tree, "vertex 0 1\n# {bad}\n"),
+])
+@pytest.mark.parametrize("pad", [0, 20000])
+def test_a_file_that_is_not_utf8_is_a_parse_error_naming_the_byte(tmp_path, loader, text,
+                                                                  pad):
+    # with a pad, a comment line first puts the bad byte past the first
+    # buffered read
+    head, tail = (("#" + "x" * pad + "\n" if pad else "") + text).split("{bad}")
+    data = head.encode() + b"\xe9" + tail.encode()
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as info:
+        loader(path)
+    message = str(info.value)
+    assert str(path) in message
+    assert f"byte {len(head.encode())} (0xe9)" in message

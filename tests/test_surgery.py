@@ -884,3 +884,128 @@ def test_surgery_refuses_non_integral_arguments():
     assert lens_p1(d, np.float64(3.0)).method == "lens_p1(p=3)"
     assert brieskorn(d, 2.0, 3, 5).method == brieskorn(d, 2, 3, 5).method
     assert PlumbingTree.single(np.float64(2.0)) == PlumbingTree.single(2)
+
+
+# ---------------------------------------------------------------------------
+# contraction plans
+# ---------------------------------------------------------------------------
+
+_PLANS = (tvo.surgery._lens_p1_plan, tvo.surgery._lens_p2_plan,
+          tvo.surgery._brieskorn_plan, tvo.surgery._lens_general_plan)
+
+
+def _clear_plans():
+    for plan in _PLANS:
+        plan.cache_clear()
+
+
+def _random_trees(seed, sizes):
+    rng = np.random.default_rng(seed)
+    for size in sizes:
+        framings = [int(x) for x in rng.integers(-4, 5, size=size)]
+        edges = [(int(rng.integers(v)), v) for v in range(1, size)]
+        yield tuple(enumerate(framings)), tuple(edges)
+
+
+def _plan_cases():
+    cases = [(lens_general, (p, q)) for p in range(1, 26) for q in range(1, p + 1)
+             if math.gcd(p, q) == 1]
+    cases += [(lens_general, (p, p - 1)) for p in (233, 2000)]
+    cases += [(lens_p1, (p,)) for p in range(12)] + [(lens_p2, (p,)) for p in range(1, 24, 2)]
+    cases += [(brieskorn, (p, q, r)) for p in range(2, 8) for q in range(p, 8)
+              for r in range(q, 8)]
+    return cases
+
+
+def _record(result):
+    return repr((result.value, result.method, result.warnings, result.stats))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tvo.quantum_double_abelian(FiniteAbelianGroup((2,))),
+    lambda: tvo.twisted_double_cyclic(5, 2),
+    lambda: double_data(tvo.su2_level_k(8)),
+], ids=["toric", "tw5-2", "dsu2-8"])
+def test_cold_and_warm_plans_give_the_same_bits(make):
+    d = make()
+    cases = _plan_cases()
+    cold = []
+    for fn, args in cases:
+        _clear_plans()
+        cold.append(_record(fn(d, *args)))
+    assert [_record(fn(d, *args)) for fn, args in cases] == cold
+    assert [_record(fn(d, *args)) for fn, args in cases] == cold  # warm
+    # a tree's schedule is built with the tree: a fresh tree against a reused one
+    sizes = list(range(1, 101, 9)) + [100]
+    trees = [PlumbingTree(v, e) for v, e in _random_trees(3, sizes)]
+    first = [_record(plumbing_invariant(d, PlumbingTree(v, e)))
+             for v, e in _random_trees(3, sizes)]
+    assert [_record(plumbing_invariant(d, t)) for t in trees] == first
+    assert [_record(plumbing_invariant(d, t)) for t in trees] == first
+
+
+def test_plan_caches_stay_within_their_bound(toric_code):
+    bound = tvo.surgery._PLAN_CACHE_SIZE
+    n = bound + 100
+    for p in range(n):
+        lens_p1(toric_code, p)
+        lens_p2(toric_code, 2 * p + 1)
+        lens_general(toric_code, p + 2, p + 1)
+        brieskorn(toric_code, 2, 3, p + 2)
+    for plan in _PLANS:
+        info = plan.cache_info()
+        assert info.maxsize == bound
+        assert info.currsize == bound
+    # the least recently used plan went first, the latest is still there
+    hits = tvo.surgery._lens_p1_plan.cache_info().hits
+    lens_p1(toric_code, n - 1)
+    assert tvo.surgery._lens_p1_plan.cache_info().hits == hits + 1
+    lens_p1(toric_code, 0)
+    assert tvo.surgery._lens_p1_plan.cache_info().hits == hits + 1
+
+
+def test_refusals_are_raised_on_every_call(toric_code):
+    d = toric_code
+    cases = [
+        (lambda: lens_general(d, 6, 4), PreconditionError, r"gcd\(p, q\) = 1, got \(6,4\)"),
+        (lambda: lens_general(d, 5, 7), PreconditionError, "requires q < p"),
+        (lambda: lens_general(d, 0, 1), PreconditionError, "requires positive p, q"),
+        (lambda: lens_general(d, 9.5, 2), PreconditionError, "lens_general p must be an integer"),
+        (lambda: lens_p1(d, -1), PreconditionError, "requires p >= 0"),
+        (lambda: lens_p2(d, 4), PreconditionError, "odd positive p"),
+        (lambda: brieskorn(d, 1, 3, 5), PreconditionError, "p, q, r >= 2"),
+        (lambda: brieskorn(d, 2, 3, 4.5), PreconditionError, "brieskorn r must be an integer"),
+        (lambda: lens_general(d, _SURGERY_CAP + 2, _SURGERY_CAP + 1), CapacityError,
+         "above the cap"),
+    ]
+    _clear_plans()
+    for call, error, match in cases:
+        for _ in range(3):
+            with pytest.raises(error, match=match):
+                call()
+    # a refusal of the arguments leaves nothing cached
+    sizes = [plan.cache_info().currsize for plan in _PLANS]
+    assert sizes == [0, 0, 0, 1]  # only the chain above the cap, refused per call
+
+
+def test_plans_and_tree_schedules_are_immutable(toric_code):
+    tree = PlumbingTree.star(1, (2, 3, 5))
+    plans = [tvo.surgery._lens_p1_plan(4), tvo.surgery._lens_p2_plan(7),
+             tvo.surgery._brieskorn_plan(2, 3, 5), tvo.surgery._lens_general_plan(13, 5),
+             tvo.surgery._lens_general_plan(2000, 1999),
+             (tvo.surgery._tree_schedule(tree), "")]
+    assert tvo.surgery._lens_general_plan(13, 5) is plans[3]  # the cached plan itself
+    for schedule, method in plans:
+        assert isinstance(method, str) and isinstance(schedule, tuple)
+        assert all(type(entry) is tuple and type(entry[2]) is tuple for entry in schedule)
+        assert schedule.vertices == sum(entry[3] for entry in schedule)
+        assert schedule.branched == any(entry[1] > 1 for entry in schedule)
+        with pytest.raises(TypeError):
+            schedule[0] = schedule[0]
+        for name in ("vertices", "branched", "other"):
+            with pytest.raises(AttributeError):
+                setattr(schedule, name, 0)
+        with pytest.raises(AttributeError):
+            del schedule.vertices
+    assert tvo.surgery._tree_schedule(tree) is tvo.surgery._tree_schedule(tree)
+    assert plumbing_invariant(toric_code, tree).stats["vertices"] == 4
