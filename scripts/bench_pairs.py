@@ -13,11 +13,13 @@ seed is one pair, run for every listed workload in turn: both sides run
 ``perfbench/run.py`` of their own checkout with that seed, the parent first
 in even pairs and the change first in odd ones. Every run is appended to
 ``--out`` (created if missing) as one record: workload, seed, pair, side,
-run order, the four end-to-end metrics, ``failed`` and ``attempted``; pairs
+run order, the end-to-end metrics, ``failed`` and ``attempted``; pairs
 and run order continue the file's. Then, for each listed workload, each
 side's failed and attempted operations, summed over the workload's pairs in
 the file, are printed, and per end-to-end metric each side's median over
 those pairs, the parent's quartile distance and the pairs the change wins.
+The end-to-end metrics, and which direction of each is better, are those
+of ``end_to_end`` in the repository's ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -28,9 +30,14 @@ import os
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
-METRICS = {"setup_s": "lower", "ops_per_s": "higher", "op_p50_ms": "lower",
-           "peak_rss_mb": "lower"}
+
+def end_to_end() -> dict:
+    """Each end-to-end metric of the repository's benchmark and the
+    direction, ``"lower"`` or ``"higher"``, that is better."""
+    with open(Path(__file__).resolve().parents[1] / "BENCHMARK.json", encoding="utf-8") as fh:
+        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
 
 
 def seeds(text: str) -> list:
@@ -47,7 +54,7 @@ def run(root: str, workload: str, seed: int, seconds: float) -> dict:
          "--seconds", str(seconds)],
         cwd=root, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {"metrics": {k: result["metrics"][k]["value"] for k in METRICS},
+    return {"metrics": {k: result["metrics"][k]["value"] for k in end_to_end()},
             "failed": result["failed"], "attempted": result["attempted"]}
 
 
@@ -64,7 +71,7 @@ def summary(runs: list, workload: str) -> list:
         f"{side} {sum(p[side]['failed'] for p in pairs)}/{sum(p[side]['attempted'] for p in pairs)}"
         for side in ("parent", "change"))
     lines = [f"{workload} failed: {failed}"]
-    for name, better in METRICS.items():
+    for name, better in end_to_end().items():
         parent = [p["parent"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         sign = 1 if better == "higher" else -1

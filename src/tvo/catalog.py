@@ -31,13 +31,17 @@ def _e(x: float) -> complex:
 
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
-    """Product of cyclic groups; elements are tuples of residues."""
+    """Product of cyclic groups; elements are tuples of residues. The factors
+    may be any integral values (numpy integers, floats such as 3.0) and are
+    stored as Python ints."""
 
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        if not all(isinstance(f, int) and f >= 1 for f in self.factors):
-            raise GeneratorError(f"cyclic factors must be positive integers: {self.factors}")
+        factors = tuple(_integral(f, "cyclic factor", GeneratorError) for f in self.factors)
+        if not all(f >= 1 for f in factors):
+            raise GeneratorError(f"cyclic factors must be positive integers: {factors}")
+        object.__setattr__(self, "factors", factors)
 
     @property
     def order(self) -> int:

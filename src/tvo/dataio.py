@@ -31,18 +31,18 @@ refuses a label that would not read back as written: a label is read as
 its words joined by single spaces, so it may hold no ``#`` and no
 leading, trailing or repeated whitespace.
 
-A modular data file is read whole. One pass checks its rank, label and T
-lines and collects its S lines, which numpy parses in one call; a file
-that any check refuses is read again line by line, and that reading
-names the first faulty line. No array is sized by the declared rank
-before the file has supplied every entry, so memory follows the file's
-length, not the rank it declares.
+A modular data file is read whole, by one reader. One pass checks its
+rank, label and T lines and collects its S lines, which numpy parses in
+one call; only when a check refuses are the S lines before the fault read
+one by one, so the error names the first faulty line. No array is sized
+by the declared rank before the file has supplied every entry, so memory
+follows the file's length, not the rank it declares.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
+from itertools import filterfalse, product
 
 import numpy as np
 
@@ -178,35 +178,17 @@ _S_ROW = np.dtype([("S", "U1"), ("i", np.int64), ("j", np.int64), ("re", np.floa
                    ("im", np.float64)])
 
 
-def _modular_block(lines) -> ModularData | None:
-    """The data of a file that has no fault, or None.
+def _S_block(block, rank) -> np.ndarray | None:
+    """The S matrix of the collected S lines, parsed by numpy in one call,
+    or None if numpy or a count, range or duplicate check refuses them.
 
-    One pass reads every line except the S lines with
-    :meth:`_ModularLines.read` and collects the S lines; numpy then parses
-    them in one call, and count, range and duplicate checks on the parsed
-    block follow. Any refusal, by a line or by the block, returns None.
-    numpy's whitespace is str.split()'s, and every field it parses is
-    ASCII digits or a float spelling that int() and float() read to the
-    same value; the rarer spellings those accept (``1_0``, non-ASCII
-    digits, integers past int64) make numpy refuse the block.
+    numpy's whitespace is str.split()'s, and each field it parses reads as
+    int() or float() reads it; it refuses the rarer spellings those accept
+    (``1_0``, non-ASCII digits, integers past int64).
     """
-    acc = _ModularLines()
-    block = []
-    try:
-        for lineno, raw in enumerate(lines, start=1):
-            if "#" in raw:
-                raw = raw[:raw.index("#")]
-            line = raw.strip()
-            if line[:1] == "S" and line[1:2].isspace() and acc.rank is not None:
-                block.append(line)
-            elif line:
-                acc.read(lineno, line.split())
-    except ParseError:
-        return None
-    rank = acc.rank
     # rank^2 == len(block) bounds the rank by the file's length before
     # anything is sized by it or i * rank + j is formed
-    if rank is None or len(block) != rank * rank or len(acc.T) != rank:
+    if len(block) != rank * rank:
         return None
     try:
         with warnings.catch_warnings():
@@ -227,53 +209,64 @@ def _modular_block(lines) -> ModularData | None:
     S = np.empty(len(block), dtype=complex)
     S.real[at] = rows["re"]
     S.imag[at] = rows["im"]
-    return acc.data(S.reshape(rank, rank))
-
-
-def _modular_by_line(lines) -> ModularData:
-    """Read every line with :meth:`_ModularLines.read`, so the first faulty
-    line in file order raises, then name the first missing entry."""
-    acc = _ModularLines()
-    for lineno, toks in _tokens(lines):
-        acc.read(lineno, toks)
-    rank, S, T = acc.rank, acc.S, acc.T
-    if rank is None:
-        raise ParseError("no rank directive found")
-    # every stored index is in range, so the first absent one is among the
-    # first len + 1 in row-major order
-    if len(S) != rank * rank:
-        i, j = next((i, j) for i in range(rank) for j in range(rank) if (i, j) not in S)
-        raise ParseError(f"missing S entry ({i},{j}): rank {rank} needs {rank * rank} "
-                         f"S entries, the file has {len(S)}")
-    if len(T) != rank:
-        i = next(i for i in range(rank) if i not in T)
-        raise ParseError(f"missing T entry {i}: rank {rank} needs {rank} T entries, "
-                         f"the file has {len(T)}")
-
-    S_arr = np.empty((rank, rank), dtype=complex)
-    ij = np.fromiter(itertools.chain.from_iterable(S), dtype=np.intp, count=2 * len(S))
-    S_arr[ij[0::2], ij[1::2]] = np.fromiter(S.values(), dtype=complex, count=len(S))
-    return acc.data(S_arr)
+    return S.reshape(rank, rank)
 
 
 def load_modular_file(path) -> ModularData:
     """Parse a modular data file; errors name the offending line or missing entry.
 
-    The file is read whole and, in the common case, in one bulk pass: the
-    rank, label and T lines are checked one by one as they are read, while
-    the S lines are collected and parsed by numpy in one call. A file that
-    any check refuses is read again line by line, so the error names the
-    first faulty line in file order (or, with every line sound, the first
-    missing entry), exactly as a line-by-line reader would. No array is
-    sized by the declared rank until the file has supplied all rank^2 +
-    rank entries, so memory follows the file's length, not the rank it
-    declares.
+    One pass checks the rank, label and T lines, stopping at the first
+    fault, and collects the S lines for :func:`_S_block`. Only on a refusal
+    are the S lines before the stop read one by one, so the error is the
+    first faulty line in file order or, with every line sound, the first
+    missing entry, as a line-by-line reader's would be.
     """
     lines = _lines(path)
-    data = _modular_block(lines)
-    if data is None:
-        data = _modular_by_line(lines)
-    return data
+    acc = _ModularLines()
+    block = []
+    fault, stop = None, len(lines)
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            if "#" in raw:
+                raw = raw[:raw.index("#")]
+            line = raw.strip()
+            if line[:1] == "S" and line[1:2].isspace() and acc.rank is not None:
+                block.append(line)
+            elif line:
+                acc.read(lineno, line.split())
+    except ParseError as exc:
+        fault, stop = exc, lineno - 1
+    rank = acc.rank
+    if fault is None and rank is not None and len(acc.T) == rank:
+        S = _S_block(block, rank)
+        if S is not None:
+            return acc.data(S)
+    # a refusal. An S line's checks read only the rank, set once, and the S
+    # lines before it, so the first faulty S line, if any, precedes the
+    # pass's fault in file order.
+    for lineno, toks in _tokens(lines[:stop]):
+        if toks[0] == "S":
+            acc.read(lineno, toks)
+    if fault is not None:
+        raise fault
+    if rank is None:
+        raise ParseError("no rank directive found")
+    S = acc.S
+    # every stored index is in range, so the first absent one is among the
+    # first len + 1 in row-major order. filterfalse and map, not generator
+    # expressions, keep the pass's locals out of closure cells, which are
+    # slower to read.
+    if len(S) != rank * rank:
+        i, j = next(filterfalse(S.__contains__, product(range(rank), repeat=2)))
+        raise ParseError(f"missing S entry ({i},{j}): rank {rank} needs {rank * rank} "
+                         f"S entries, the file has {len(S)}")
+    if len(acc.T) != rank:
+        i = next(filterfalse(acc.T.__contains__, range(rank)))
+        raise ParseError(f"missing T entry {i}: rank {rank} needs {rank} T entries, "
+                         f"the file has {len(acc.T)}")
+    # every line is sound, but numpy refused a spelling that int() or float() reads
+    S_arr = np.fromiter(map(S.__getitem__, product(range(rank), repeat=2)), dtype=complex)
+    return acc.data(S_arr.reshape(rank, rank))
 
 
 def save_triangulation(tri: Triangulation, path) -> None:

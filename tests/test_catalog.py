@@ -240,6 +240,18 @@ def test_group_elements_and_index():
     assert G.neg((1, 2)) == (1, 1)
 
 
+def test_group_factors_are_read_as_ints():
+    # np.int64(3) was refused and True accepted, printing as ZTrue
+    for factor in (np.int64(3), 3.0):
+        G = FiniteAbelianGroup((factor,))
+        assert G == FiniteAbelianGroup((3,)) and type(G.factors[0]) is int
+        assert str(G) == "Z3"
+    with pytest.raises(GeneratorError, match="cyclic factor must be an integer, got 2.5"):
+        FiniteAbelianGroup((2.5,))
+    with pytest.raises(GeneratorError, match="cyclic factors must be positive integers"):
+        FiniteAbelianGroup((2, 0))
+
+
 @given(st.integers(2, 9))
 def test_pointed_standard_form_is_valid(n):
     q = tvo.standard_pointed_form(n)

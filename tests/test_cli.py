@@ -91,6 +91,17 @@ def test_invariant_plumbing_tree_file(capsys, tmp_path):
     assert abs(machine_value(out) - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["lens", "-p", "3"], "lens requires -p and -q"),
+    (["brieskorn", "-p", "2", "-q", "3"], "brieskorn requires -p, -q and -r"),
+    (["plumbing"], "plumbing requires --tree FILE"),
+])
+def test_invariant_missing_arguments_exit2(capsys, argv, message):
+    code, out, err = run(capsys, "invariant", *argv, "--data", "builtin:toric-code")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_invariant_long_lens_chain(capsys):
     code, out, err = run(capsys, "invariant", "lens", "-p", "2000", "-q", "1999",
                          "--data", "builtin:toric-code")

@@ -161,6 +161,8 @@ def test_out_of_range_index(tmp_path):
     ("rank 1\nS 0 0 1 0\nT 0 1.0 0.0 9\n", "line 3: T needs 3 fields"),
     ("rank 1\nS 0 0 1 0\nT 0 1\n", "line 3: T needs 3 fields"),
     ("rank 1\nlabel 0 one\nlabel 0 uno\nS 0 0 1 0\nT 0 1 0\n", "line 3: duplicate label 0"),
+    ("rank 0\n", "line 1: rank must be positive"),
+    ("# a comment\n\n  # another\n", "no rank directive found"),
 ])
 def test_modular_file_lines_have_exact_fields(tmp_path, text, message):
     path = tmp_path / "bad.dat"
@@ -372,6 +374,24 @@ def test_tets_line_has_exact_fields(tmp_path):
     path = tmp_path / "bad.tri"
     path.write_text("tets 5 9\n")
     with pytest.raises(ParseError, match="line 1: tets needs 1 fields"):
+        load_triangulation(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("tets 1\ntets 1\n", "line 2: duplicate tets directive"),
+    ("tets 0\n", "line 1: need at least one tetrahedron"),
+    ("glue 0 0 0 1 0 2 3\ntets 1\n", "line 1: glue before tets"),
+    ("tets 1\nglue 0 0 1 1 0 2 3\n", "line 2: index 1 out of range"),
+    ("tets 3\nglue 0 0 1 0 1 2 3\nglue 2 0 1 0 1 2 3\n",
+     r"line 3: gluing of tet 1 face 0 is not the inverse of tet 2 face 0"),
+    ("tets 1\n# comment\nflip 0 1\n", "line 3: unknown directive 'flip'"),
+    ("tets 1\nglue 0 0 0 1 0 2 x\n", "line 2: malformed 'glue' line"),
+    ("# no directive\n", "no tets directive found"),
+])
+def test_triangulation_file_errors_name_the_line(tmp_path, text, message):
+    path = tmp_path / "bad.tri"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
         load_triangulation(path)
 
 
