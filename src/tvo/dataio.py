@@ -42,7 +42,6 @@ follows the file's length, not the rank it declares.
 from __future__ import annotations
 
 import warnings
-from itertools import filterfalse, product
 
 import numpy as np
 
@@ -216,10 +215,8 @@ def load_modular_file(path) -> ModularData:
     """Parse a modular data file; errors name the offending line or missing entry.
 
     One pass checks the rank, label and T lines, stopping at the first
-    fault, and collects the S lines for :func:`_S_block`. Only on a refusal
-    are the S lines before the stop read one by one, so the error is the
-    first faulty line in file order or, with every line sound, the first
-    missing entry, as a line-by-line reader's would be.
+    fault, and collects the S lines for :func:`_S_block`; on a refusal,
+    :func:`_after_refusal` raises the fault a line-by-line reader would.
     """
     lines = _lines(path)
     acc = _ModularLines()
@@ -241,32 +238,36 @@ def load_modular_file(path) -> ModularData:
         S = _S_block(block, rank)
         if S is not None:
             return acc.data(S)
-    # a refusal. An S line's checks read only the rank, set once, and the S
-    # lines before it, so the first faulty S line, if any, precedes the
-    # pass's fault in file order.
+    return _after_refusal(acc, lines, stop, fault)
+
+
+def _after_refusal(acc, lines, stop, fault) -> ModularData:
+    """Read the S lines of ``lines[:stop]`` one by one, then raise the first
+    fault in file order (an S line's checks read only the rank, set once, and
+    the S lines before it, so a faulty S line precedes ``fault``), else the
+    first missing entry. With none, numpy refused a spelling that int() or
+    float() reads, and S is built from the entries read.
+    """
     for lineno, toks in _tokens(lines[:stop]):
         if toks[0] == "S":
             acc.read(lineno, toks)
     if fault is not None:
         raise fault
+    rank, S, T = acc.rank, acc.S, acc.T
     if rank is None:
         raise ParseError("no rank directive found")
-    S = acc.S
-    # every stored index is in range, so the first absent one is among the
-    # first len + 1 in row-major order. filterfalse and map, not generator
-    # expressions, keep the pass's locals out of closure cells, which are
-    # slower to read.
+    # every stored index is in range, so the first absent one is among the first
+    # len + 1 in row-major order; the search is lazy, as the rank may dwarf the file
     if len(S) != rank * rank:
-        i, j = next(filterfalse(S.__contains__, product(range(rank), repeat=2)))
+        i, j = next((i, j) for i in range(rank) for j in range(rank) if (i, j) not in S)
         raise ParseError(f"missing S entry ({i},{j}): rank {rank} needs {rank * rank} "
                          f"S entries, the file has {len(S)}")
-    if len(acc.T) != rank:
-        i = next(filterfalse(acc.T.__contains__, range(rank)))
+    if len(T) != rank:
+        i = next(i for i in range(rank) if i not in T)
         raise ParseError(f"missing T entry {i}: rank {rank} needs {rank} T entries, "
-                         f"the file has {len(acc.T)}")
-    # every line is sound, but numpy refused a spelling that int() or float() reads
-    S_arr = np.fromiter(map(S.__getitem__, product(range(rank), repeat=2)), dtype=complex)
-    return acc.data(S_arr.reshape(rank, rank))
+                         f"the file has {len(T)}")
+    return acc.data(np.array([[S[i, j] for j in range(rank)] for i in range(rank)],
+                             dtype=complex))
 
 
 def save_triangulation(tri: Triangulation, path) -> None:

@@ -110,11 +110,21 @@ def test_missing_t_entry(tmp_path):
 
 
 def test_huge_rank_is_a_parse_error_naming_the_rank(tmp_path):
-    # the arrays are sized only once the file has supplied every entry
+    # the arrays are sized only once the file has supplied every entry, and
+    # the missing entry is found lazily, so memory follows the file's length
+    import tracemalloc
+
     path = tmp_path / "huge.dat"
-    path.write_text("rank 100000000\nS 0 0 1 0\nT 5 1 0\n")
-    with pytest.raises(ParseError, match=r"missing S entry \(0,1\): rank 100000000"):
-        load_modular_file(path)
+    for rank in (100000000, 10**12, 2**63, 2**70):
+        path.write_text(f"rank {rank}\nS 0 0 1 0\nT 5 1 0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=rf"missing S entry \(0,1\): rank {rank} "):
+                load_modular_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_missing_t_entry_names_the_rank(tmp_path):
