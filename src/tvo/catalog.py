@@ -215,13 +215,13 @@ def twisted_double_cyclic(n: int, k: int) -> ModularData:
 def dw_lens_oracle(G: FiniteAbelianGroup, p: int) -> Fraction:
     """Untwisted path-integral value for the lens space L(p, q): |Hom(Z/p, G)| / |G|.
 
-    Counted by brute force over group elements (independent of q).
+    Counted exactly, factor by factor, without enumerating G (independent
+    of q): Z/n holds gcd(p, n) elements x with p x = 0.
     """
     p = _integral(p, "dw_lens_oracle p")
     if p < 1:
         raise PreconditionError("dw_lens_oracle requires p >= 1")
-    count = sum(1 for g in G.elements() if G.scale(p, g) == G.zero)
-    return Fraction(count, G.order)
+    return Fraction(math.prod(math.gcd(p, n) for n in G.factors), G.order)
 
 
 def dw_brieskorn_oracle(G: FiniteAbelianGroup, p: int, q: int, r: int) -> Fraction:
@@ -248,10 +248,11 @@ def dw_brieskorn_oracle(G: FiniteAbelianGroup, p: int, q: int, r: int) -> Fracti
 # ---------------------------------------------------------------------------
 
 def e6_lens_reference(p: int, q: int) -> complex:
-    """Closed-form lens space values for the E6 data set, q in {1, 2}."""
+    """Closed-form lens space values for the E6 data set, q in {1, 2}, of period 12 in p."""
     p, q = _integral(p, "e6_lens_reference p"), _integral(q, "e6_lens_reference q")
     if p < 1:
         raise PreconditionError("e6_lens_reference requires p >= 1")
+    p = (p - 1) % 12 + 1
     if q == 1:
         return (
             ((-1) ** p + 1) * cmath.exp(-p * math.pi * 1j / 3)

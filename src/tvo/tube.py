@@ -12,22 +12,21 @@ The delta_{g,h} splits the algebra into n flux sectors of dimension n, and
 the structure constants are stored per sector. Each sector is a twisted
 group algebra of Z/n, commutative because H^2(Z/n, U(1)) = 0 and
 generated by u_(g,1), so its minimal idempotents are the eigenvectors of
-multiplication by u_(g,1), rescaled. Each minimal idempotent of sector g
-carries a projective character psi, and the modular data on the
-idempotent basis is
+multiplication by u_(g,1), rescaled; the eigenvalue names the charge.
+With the idempotents as rows of P in (flux, charge) order, the modular
+data is read off the center, Pi swapping u_(g,x) and u_(x,g) as the
+torus S-transformation swaps its two cycles:
 
-    t_p = psi(g),    S_{p q} = conj(psi_p(g_q) psi_q(g_p)) / n.
+    S = n P Pi P^T,    t_p = conj(n p_(g,g)).
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import _double_from_characters, cyclic_cocycle
+from .catalog import cyclic_cocycle
 from .errors import DecompositionError, PreconditionError
 from .modular import ModularData, _require_capacity
 from .surgery import _integral
@@ -121,7 +120,8 @@ def tube_pointed(n: int, k: int) -> TubeAlgebra:
 
 @dataclass(eq=False)
 class CenterBasis:
-    """Minimal central idempotents, one row per idempotent, vacuum sector first."""
+    """Minimal central idempotents, one row per idempotent, in (flux, charge)
+    order: row g*n + j is the idempotent of flux g and charge j."""
 
     idempotents: np.ndarray  # (r, dim)
     idempotent_residual: float
@@ -129,15 +129,9 @@ class CenterBasis:
     flux: tuple  # the flux sector g of each row
 
 
-#: the residual bound of the center extraction; idempotent, completeness and
-#: character checks allow 1e3 times it
+#: the residual bound of the center extraction; idempotent, completeness,
+#: charge and character checks allow 1e3 times it
 _TOL = 1e-9
-
-
-def _charge_phase(P: np.ndarray) -> np.ndarray:
-    """Phase in [0, 2 pi) of conj(p_1 / p_0) for each row p of sector idempotents (0 if n = 1)."""
-    ang = np.angle((P[:, 1 % P.shape[1]] / P[:, 0]).conj()) % (2 * math.pi)
-    return np.where(ang > 2 * math.pi - 1e-8, 0.0, ang)
 
 
 def center_idempotents(alg: TubeAlgebra) -> CenterBasis:
@@ -146,10 +140,11 @@ def center_idempotents(alg: TubeAlgebra) -> CenterBasis:
     Every flux sector must be commutative. In sector g the eigenvectors of
     left multiplication by u_(g,1) are rescaled to idempotents; for
     ``tube_pointed`` data u_(g,1) generates the sector and its eigenvalues
-    psi_j(1) = exp(2 pi i (k g / n + j) / n) are at least 2 sin(pi / n) apart.
-    Raises :class:`DecompositionError` if the structure constants are not
-    associative or not commutative, if the eigenvalues are not separated,
-    or if residuals exceed tolerance.
+    psi_j(1) = exp(2 pi i (k g / n + j) / n), at least 2 sin(pi / n) apart,
+    give the charges j. Raises :class:`DecompositionError` if the structure
+    constants are not associative or not commutative, if the eigenvalues
+    are not separated, if a charge is not an integer (the twist disagrees
+    with the constants) or repeats, or if residuals exceed tolerance.
     """
     res = alg.associativity_residual()
     if res > _TOL:
@@ -166,6 +161,15 @@ def center_idempotents(alg: TubeAlgebra) -> CenterBasis:
         gaps = np.abs(evals[:, None] - evals[None, :]) + np.eye(n)
         if gaps.min() <= 1e-6:
             raise DecompositionError("could not separate central eigenvalues")
+        charge = np.angle(evals) * n / (2 * np.pi) - alg.twist * g / n
+        j = np.rint(charge)
+        off = float(np.abs(charge - j).max())
+        if off > 1e3 * _TOL:
+            raise DecompositionError(f"charges of sector {g} are {off:.3e} off the integers: "
+                                     f"twist {alg.twist} disagrees with the structure constants")
+        j = j.astype(np.int64) % n
+        if len(set(j.tolist())) != n:
+            raise DecompositionError("flux/charge labels of the idempotents are not distinct")
         Q = evecs.T
         mu = np.einsum("jz,jz->j", Q.conj(), np.einsum("jx,jy,xyz->jz", Q, Q, m))
         mu /= np.einsum("jz,jz->j", Q.conj(), Q)
@@ -178,40 +182,33 @@ def center_idempotents(alg: TubeAlgebra) -> CenterBasis:
         completeness = max(completeness, float(np.abs(P.sum(axis=0) - alg.identity[sector]).max()))
         if completeness > 1e3 * _TOL:
             raise DecompositionError(f"idempotents do not sum to the identity ({completeness:.3e})")
-        # deterministic order inside the sector: by the phase of the character at 1
-        idempotents[sector, sector] = P[np.argsort(_charge_phase(P), kind="stable")]
+        idempotents[g * n + j, sector] = P
     flux = tuple(g for g in range(n) for _ in range(n))
     return CenterBasis(idempotents, worst, completeness, flux)
 
 
 def tube_modular_data(alg: TubeAlgebra) -> ModularData:
-    """Modular data on the center idempotents of a pointed tube algebra.
+    """Modular data read off the center idempotents of a pointed tube algebra.
 
-    Each idempotent p lives in one flux sector g and reads off a projective
-    character psi(x) = conj(n * p_(g,x)); the S and T entries are
-    assembled from these characters. Labels are ordered (flux, charge), so
-    the output coincides with the twisted-double generator for the same
-    (n, k) rather than merely being equivalent to it.
+    S = n P Pi P^T by the torus swap Pi: u_(g,x) <-> u_(x,g), and t_p =
+    conj(n p_(g,g)) from the diagonal coefficient of the idempotent p of
+    flux g. Every n p_(g,x) must be unimodular with n p_(g,0) = 1, and the
+    vacuum (0,0) must be the trivial character. Labels are ordered
+    (flux, charge), so the output coincides with the twisted-double
+    generator for the same (n, k) rather than merely being equivalent to it.
     """
-    cb = center_idempotents(alg)
-    n = alg.n
-    chars = []
-    for g, row in zip(cb.flux, cb.idempotents):
-        c0 = row[g * n]
-        if abs(c0 - 1.0 / n) > 1e3 * _TOL:
-            raise DecompositionError(f"vacuum coefficient {c0} of sector {g} is not 1/n")
-        psi = (row[g * n : g * n + n] / c0).conj()
-        if np.abs(np.abs(psi) - 1.0).max() > 1e3 * _TOL:
-            raise DecompositionError("projective character is not unimodular")
-        # charge index j from psi(1) = exp(2 pi i (k g / n + j) / n); psi(1) = psi(0) if n = 1
-        ang = cmath.phase(psi[1 % n]) / (2 * math.pi) * n - alg.twist * g / n
-        chars.append((g, int(round(ang)) % n, psi))
-    chars.sort(key=lambda t: (t[0], t[1]))
-    if len({(g, j) for g, j, _ in chars}) != len(chars):
-        raise DecompositionError("flux/charge labels of the idempotents are not distinct")
-
-    if chars[0][:2] != (0, 0):
+    P, n = center_idempotents(alg).idempotents, alg.n
+    # B[g, j, x]: coefficient of u_(g,x) in the idempotent of flux g and charge j
+    B = np.einsum("gjgx->gjx", P.reshape(n, n, n, n))
+    miss = np.abs(B[:, :, 0] - 1.0 / n)
+    if miss.max() > 1e3 * _TOL:
+        bad, j = np.unravel_index(miss.argmax(), miss.shape)
+        raise DecompositionError(f"vacuum coefficient {B[bad, j, 0]} of sector {bad} is not 1/n")
+    if np.abs(np.abs(n * B) - 1.0).max() > 1e3 * _TOL:
+        raise DecompositionError("projective character is not unimodular")
+    if np.abs(n * B[0, 0] - 1.0).max() > 1e3 * _TOL:
         raise DecompositionError("vacuum idempotent (flux 0, trivial character) not found")
-    # A[i, i2] = psi_i(flux of i2)
-    A = np.array([psi for _, _, psi in chars])[:, [g for g, _, _ in chars]]
-    return _double_from_characters(A, n, tuple(f"({g},{j})" for g, j, _ in chars))
+    swap = np.arange(n * n).reshape(n, n).T.reshape(-1)  # u_(g,x) <-> u_(x,g)
+    S = n * P @ P[:, swap].T
+    T = n * np.einsum("gjg->gj", B).conj().reshape(-1)
+    return ModularData(S, T, labels=tuple(f"({f},{j})" for f in range(n) for j in range(n)))

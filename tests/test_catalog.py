@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from tvo import (
 )
 from tvo.cli import resolve_builtin_data
 
-from helpers import abelian_double_loops, twisted_double_loops
+from helpers import abelian_double_loops, surgery_hom_count, twisted_double_loops
 
 ALL_GENERATORS = [
     ("trivial", tvo.trivial_data),
@@ -157,6 +158,26 @@ def test_dw_lens_oracle_product_group():
     assert dw_lens_oracle(G, 2) == Fraction(2 * 2, 8)
 
 
+@pytest.mark.parametrize("factors", [(2, 4), (3, 6), (2, 2, 2), (4, 6), (3, 3, 5)])
+def test_dw_lens_oracle_matches_brute_force_count(factors):
+    G = FiniteAbelianGroup(factors)
+    for p in range(1, 13):
+        assert dw_lens_oracle(G, p) == surgery_hom_count([[p]], factors)
+
+
+def test_dw_lens_oracle_huge_group_is_counted_exactly():
+    # G is never enumerated: 10^12 elements would not fit in memory
+    tracemalloc.start()
+    try:
+        assert dw_lens_oracle(FiniteAbelianGroup((10**12,)), 3) == Fraction(1, 10**12)
+        assert dw_lens_oracle(FiniteAbelianGroup((10**12, 6)), 6) == Fraction(2 * 6, 6 * 10**12)
+        assert dw_lens_oracle(FiniteAbelianGroup((2**70, 3)), 2**80) == Fraction(2**70, 3 * 2**70)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_dw_lens_oracle_precondition():
     with pytest.raises(PreconditionError):
         dw_lens_oracle(FiniteAbelianGroup((2,)), 0)
@@ -190,6 +211,18 @@ def test_e6_reference_sphere_consistency():
     assert abs(e6_lens_reference(1, 1) - e6_lens_reference(1, 2)) < 1e-12
     # L(3,2) is L(3,1) with reversed orientation
     assert abs(e6_lens_reference(3, 2) - e6_lens_reference(3, 1).conjugate()) < 1e-12
+
+
+def test_e6_reference_reads_p_modulo_its_period():
+    # p = 10^20 is past float precision and 10^400 past the float range
+    for p in range(1, 13):
+        for big in (p + 12, p + 12 * 10**8, p + 10**20 - 10**20 % 12, p + 12 * 10**400):
+            assert e6_lens_reference(big, 1) == e6_lens_reference(p, 1)
+            if p % 2:
+                assert e6_lens_reference(big, 2) == e6_lens_reference(p, 2)
+    assert abs(e6_lens_reference(10**20, 1) - (0.5 + math.sqrt(3) / 6 * 1j)) < 1e-12
+    with pytest.raises(PreconditionError, match="odd p"):
+        e6_lens_reference(10**400, 2)
 
 
 def test_e6_reference_preconditions():

@@ -270,7 +270,7 @@ def _modular_files(draw):
             line = lines[pick()]
             if rnd.random() < 0.5:
                 line.append("7")
-            else:
+            elif len(line) > 1:  # the directive stays, so every line keeps a token
                 line.pop()
         elif fault == "range" and (k := pick(("label", "S", "T"))) is not None:
             field = rnd.choice([1, 2] if lines[k][0] == "S" else [1])

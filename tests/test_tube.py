@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -98,10 +99,9 @@ def test_idempotents_match_closed_form():
         for vec in expected:
             assert np.abs(alg.product(vec, vec) - vec).max() < 1e-12
         got = center_idempotents(alg).idempotents
-        # sets agree: every closed-form idempotent appears among the computed ones
-        for vec in expected:
-            dists = [np.abs(vec - row).max() for row in got]
-            assert min(dists) < 1e-9
+        # rows agree one by one: row g*n + j is the idempotent of flux g and charge j
+        for i, vec in enumerate(expected):
+            assert np.abs(vec - got[i]).max() < 1e-9, (n, k, divmod(i, n))
 
 
 def test_one_dimensional_algebra():
@@ -146,6 +146,16 @@ def test_noncommutative_sectors_rejected():
     assert np.abs(alg.product(identity, np.arange(n * n)) - np.arange(n * n)).max() == 0
     with pytest.raises(DecompositionError, match="not commutative"):
         center_idempotents(alg)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_twist_contradicting_structure_constants_rejected(n):
+    # the constants of twist k read with twist k + 1: the charges of sector 1
+    # are 1/n off the integers, so no label (flux, charge) can be named
+    for k in range(n):
+        alg = dataclasses.replace(tube_pointed(n, k), twist=(k + 1) % n)
+        with pytest.raises(DecompositionError, match="off the integers"):
+            tube_modular_data(alg)
 
 
 # ---------------------------------------------------------------------------
