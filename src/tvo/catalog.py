@@ -47,10 +47,6 @@ class FiniteAbelianGroup:
     def order(self) -> int:
         return math.prod(self.factors)
 
-    @property
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * len(self.factors)
-
     def elements(self) -> list[tuple[int, ...]]:
         return list(itertools.product(*(range(f) for f in self.factors)))
 
@@ -65,9 +61,6 @@ class FiniteAbelianGroup:
 
     def neg(self, g):
         return tuple((-a) % f for a, f in zip(g, self.factors))
-
-    def scale(self, m: int, g):
-        return tuple((m * a) % f for a, f in zip(g, self.factors))
 
     def pairing(self, g, h) -> complex:
         """Character value chi_h(g) = exp(2 pi i sum (g_i h_i mod n_i) / n_i)."""

@@ -26,16 +26,17 @@ continued fraction of p/q comes as O(log p) runs of equal framings, found
 by Euclid-style jumps, and the evaluator applies a run of m interior
 vertices either as m mat-vecs or as the m-th power of diag(t^a) S by binary
 powering, by a fixed rule on the two operation counts. L(p, q) costs
-O(log p) matrix products. Above 10^7 vertices, or a framing above 10^7 on
-data whose T has no verified finite order, the roundoff would swamp the
-value, and :class:`CapacityError` is raised instead.
+O(log p) matrix products. Above 10^6 vertices, or a framing above 10^6 on
+data whose T has no verified finite order, the roundoff would exceed the
+default tolerance, and :class:`CapacityError` is raised instead.
 
-What a call needs of its manifold alone is its plan: the schedule the
-evaluator contracts (a :class:`_Schedule`, which carries its expanded vertex
-count and whether some degree is above 1) and the method label. The closed
-forms keep their plans in bounded least-recently-used caches keyed by their
-normalised integer arguments (``_PLAN_CACHE_SIZE`` manifolds each); a
-:class:`PlumbingTree` builds its schedule once, on its first call. What a call
+What a call needs of its manifold alone is its plan, one :class:`_Plan`
+record: the schedule the evaluator contracts, the method label, the
+expanded vertex count and whether some degree is above 1. The closed forms
+keep their plans in bounded least-recently-used caches keyed by their
+normalised integer arguments (``_PLAN_CACHE_SIZE`` manifolds each); the
+Brieskorn plan is the star tree's, relabelled. A :class:`PlumbingTree`
+builds its plan once, on its first call. What a call
 needs of its data alone is the vertex bases t^a S_0^(2 - deg): each data set
 keeps the ones it has been asked for, at most ``_BASE_TABLE_CAP`` (2^20)
 complex entries, 16 MiB; past that, a base is computed per call. So a
@@ -54,6 +55,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,27 +101,26 @@ class InvariantValue:
         object.__setattr__(self, "value", v)
 
 
-class _Schedule(tuple):
-    """A contraction schedule: one ``(framing, degree, child positions,
-    multiplicity)`` entry per vertex, every entry after its parent.
+class _Plan(NamedTuple):
+    """What a surgery call needs of its manifold alone, built once per manifold.
 
-    It also carries two facts of its entries, found once when it is built:
-    ``vertices``, the expanded vertex count, and ``branched``, whether some
-    vertex has degree above 1. It is immutable, so one schedule serves
-    every call on its manifold.
+    ``schedule`` holds one ``(framing, degree, child positions,
+    multiplicity)`` entry per vertex, every entry after its parent;
+    ``method`` is the label of the result; ``vertices``, the expanded vertex
+    count, and ``branched``, whether some vertex has degree above 1, are
+    facts of the entries, found once by :func:`_plan`.
     """
 
-    def __new__(cls, entries):
-        self = super().__new__(cls, entries)
-        object.__setattr__(self, "vertices", sum(entry[3] for entry in self))
-        object.__setattr__(self, "branched", any(entry[1] > 1 for entry in self))
-        return self
+    schedule: tuple
+    method: str
+    vertices: int
+    branched: bool
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign {name!r}: a contraction schedule is immutable")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: a contraction schedule is immutable")
+def _plan(entries, method: str) -> _Plan:
+    schedule = tuple(entries)
+    return _Plan(schedule, method, sum(entry[3] for entry in schedule),
+                 any(entry[1] > 1 for entry in schedule))
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,9 @@ class PlumbingTree:
     ``schedule`` is the contraction order found while proving the tree
     connected: breadth-first from the first vertex, children in id order, one
     ``(framing, degree, child positions)`` entry per vertex, every vertex
-    after its parent. ``_contraction`` is the same order as the
-    :class:`_Schedule` the evaluator contracts, each multiplicity 1, built on
-    the tree's first surgery call and kept with the tree.
+    after its parent. ``_contraction`` is the tree's :class:`_Plan`: the same
+    order, each multiplicity 1, with the method label, built on the tree's
+    first surgery call and kept with the tree.
     """
 
     vertices: tuple[tuple[int, int], ...]
@@ -179,10 +180,11 @@ class PlumbingTree:
         object.__setattr__(self, "schedule", tuple(schedule))
 
     @functools.cached_property
-    def _contraction(self) -> _Schedule:
+    def _contraction(self) -> _Plan:
         # not built with the tree: a tree that is never evaluated, such as
         # one only read from a file and checked, allocates nothing more
-        return _Schedule((a, deg, kids, 1) for a, deg, kids in self.schedule)
+        return _plan(((a, deg, kids, 1) for a, deg, kids in self.schedule),
+                     f"plumbing(tree with {len(self.vertices)} vertices)")
 
     @classmethod
     def single(cls, framing: int) -> "PlumbingTree":
@@ -206,9 +208,9 @@ class PlumbingTree:
 #: the most vertices one surgery sum contracts, and the largest |framing|
 #: raised as a float power when T has no verified finite order. The roundoff
 #: of both grows linearly (3e-17 to 3e-16 per vertex on L(p, p - 1) on the
-#: abelian doubles), so past this size a value carries more than a few 1e-9
-#: of noise; it is refused instead.
-_SURGERY_CAP = 10**7
+#: abelian doubles), so at this size a value carries up to ~3e-10 of noise,
+#: within the default tolerance of 1e-9; past it a value is refused.
+_SURGERY_CAP = 10**6
 
 #: the most complex entries one data set's table of vertex bases holds, 16 MiB
 #: of values. A base of rank r is charged r + ``_BASE_OVERHEAD`` entries: its
@@ -220,7 +222,7 @@ _BASE_OVERHEAD = 16
 _TABLE_LOCK = threading.Lock()
 
 #: the most manifolds each closed form keeps a plan for, least recently used
-#: first out. A plan, a schedule and its method label, takes 0.4-0.8 KiB for
+#: first out. A plan, its schedule and method label, takes 0.4-0.8 KiB for
 #: arguments below 200 and 3.4 KiB for a lens chain near p = 2^61, since a
 #: chain has O(log p) entries (by tracemalloc), so a full cache holds 0.4 to
 #: 3.4 MiB there.
@@ -250,13 +252,12 @@ def _vertex_base(data: ModularData, a: int, deg: int) -> np.ndarray:
     return base
 
 
-def _contract(data: ModularData, schedule, method: str) -> InvariantValue:
-    """The surgery sum of the plumbing that ``schedule`` describes, leaf-first.
+def _contract(data: ModularData, plan: _Plan) -> InvariantValue:
+    """The surgery sum of the plumbing that ``plan`` describes, leaf-first.
 
-    ``schedule`` is a :class:`_Schedule`: one ``(framing, degree, child
-    positions, multiplicity)`` entry per vertex, every entry after its
-    parent; its vertex count and degree flag are read from it, not counted
-    per call. A multiplicity m > 1 stands for a path of m identical vertices
+    The schedule, vertex count and degree flag are read from the
+    :class:`_Plan`, not counted per call; the result carries its method
+    label. A multiplicity m > 1 stands for a path of m identical vertices
     of degree 2 with one child. Each vertex carries t^framing S_0^(2-deg)
     and each edge one S @ child; a vertex multiplies in its children in the
     listed order, so the summation order is fixed and repeated calls give
@@ -284,7 +285,7 @@ def _contract(data: ModularData, schedule, method: str) -> InvariantValue:
     ``matmuls`` (r x r products) and whether any framing was reduced
     (``framing_reduced``).
     """
-    vertices = schedule.vertices
+    schedule, method, vertices, branched = plan
     if vertices > _SURGERY_CAP:
         raise CapacityError(f"surgery on {vertices} vertices is above the cap of "
                             f"{_SURGERY_CAP} vertices")
@@ -292,7 +293,7 @@ def _contract(data: ModularData, schedule, method: str) -> InvariantValue:
     if not (s_res <= DEFAULT_TOLERANCE and t_res <= DEFAULT_TOLERANCE):
         raise PreconditionError(f"surgery needs S unitary and T of unit modulus: max |S S^dagger"
                                 f" - I| = {s_res:.3e}, max ||t_i| - 1| = {t_res:.3e}")
-    if schedule.branched and data._s0_min <= DEFAULT_TOLERANCE:
+    if branched and data._s0_min <= DEFAULT_TOLERANCE:
         raise DegenerateDataError("S column 0 has (near-)zero entries")
     S = data.S
     r = data.rank
@@ -339,17 +340,13 @@ def _contract(data: ModularData, schedule, method: str) -> InvariantValue:
     return InvariantValue(messages[0].sum(), method, data._surgery_warnings, stats)
 
 
-def _tree_schedule(tree: PlumbingTree) -> _Schedule:
-    return tree._contraction
-
-
-def _chain_schedule(runs) -> _Schedule:
-    """The schedule of the chain whose framings are ``runs`` of (framing,
-    count), root first: each end vertex alone, each run's interior as one
-    entry with its count as multiplicity."""
+def _chain_plan(runs, method: str) -> _Plan:
+    """The plan of the chain whose framings are ``runs`` of (framing, count),
+    root first: each end vertex alone, each run's interior as one entry with
+    its count as multiplicity."""
     n = sum(c for _, c in runs)
     if n == 1:
-        return _Schedule([(runs[0][0], 0, (), 1)])
+        return _plan([(runs[0][0], 0, (), 1)], method)
     pieces = []  # (framing, degree, multiplicity)
     seen = 0
     for a, c in runs:
@@ -363,39 +360,37 @@ def _chain_schedule(runs) -> _Schedule:
             pieces.append((a, 1, 1))
         seen += c
     last = len(pieces) - 1
-    return _Schedule((a, deg, (k + 1,) if k < last else (), m)
-                     for k, (a, deg, m) in enumerate(pieces))
+    return _plan(((a, deg, (k + 1,) if k < last else (), m)
+                  for k, (a, deg, m) in enumerate(pieces)), method)
 
 
-# The plans of the closed forms: (schedule, method label) by the normalised
-# integer arguments. A refusal is raised before anything is cached, so it is
-# raised on every call.
+# The plans of the closed forms, by the normalised integer arguments. A
+# refusal is raised before anything is cached, so it is raised on every call.
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _lens_p1_plan(p: int) -> tuple[_Schedule, str]:
+def _lens_p1_plan(p: int) -> _Plan:
     if p < 0:
         raise PreconditionError("lens_p1 requires p >= 0")
-    return _chain_schedule([(p, 1)]), f"lens_p1(p={p})"
+    return _chain_plan([(p, 1)], f"lens_p1(p={p})")
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _lens_p2_plan(p: int) -> tuple[_Schedule, str]:
+def _lens_p2_plan(p: int) -> _Plan:
     if p < 1 or p % 2 == 0:
         raise PreconditionError("lens_p2 requires odd positive p")
-    return _chain_schedule([((p + 1) // 2, 1), (2, 1)]), f"lens_p2(p={p})"
+    return _chain_plan([((p + 1) // 2, 1), (2, 1)], f"lens_p2(p={p})")
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _brieskorn_plan(p: int, q: int, r: int) -> tuple[_Schedule, str]:
+def _brieskorn_plan(p: int, q: int, r: int) -> _Plan:
     if min(p, q, r) < 2:
         raise PreconditionError("brieskorn requires p, q, r >= 2")
-    # the schedule of PlumbingTree.star(1, (p, q, r)), without building the tree
-    schedule = _Schedule([(1, 3, (1, 2, 3), 1), (p, 1, (), 1), (q, 1, (), 1), (r, 1, (), 1)])
-    return schedule, f"brieskorn(p={p},q={q},r={r})"
+    plan = PlumbingTree.star(1, (p, q, r))._contraction
+    return plan._replace(method=f"brieskorn(p={p},q={q},r={r})")
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _lens_general_plan(p: int, q: int) -> tuple[_Schedule, str]:
+def _lens_general_plan(p: int, q: int) -> _Plan:
     if p < 1 or q < 1:
         raise PreconditionError("lens_general requires positive p, q")
     if math.gcd(p, q) != 1:
@@ -409,17 +404,17 @@ def _lens_general_plan(p: int, q: int) -> tuple[_Schedule, str]:
     n = sum(c for _, c in runs)
     shown = (f"chain={[a for a, c in runs for _ in range(c)]}" if n <= 8
              else f"chain of {n} vertices")
-    return _chain_schedule(runs), f"lens_general(p={p},q={q},{shown})"
+    return _chain_plan(runs, f"lens_general(p={p},q={q},{shown})")
 
 
 def lens_p1(data: ModularData, p: int) -> InvariantValue:
     """sum_i t_i^p S_i0^2. p = 0 is allowed (the value for S^1 x S^2)."""
-    return _contract(data, *_lens_p1_plan(_integral(p, "lens_p1 p")))
+    return _contract(data, _lens_p1_plan(_integral(p, "lens_p1 p")))
 
 
 def lens_p2(data: ModularData, p: int) -> InvariantValue:
     """sum_ij t_i^((p+1)/2) t_j^2 S_i0 S_j0 S_ij, for odd positive p."""
-    return _contract(data, *_lens_p2_plan(_integral(p, "lens_p2 p")))
+    return _contract(data, _lens_p2_plan(_integral(p, "lens_p2 p")))
 
 
 def brieskorn(data: ModularData, p: int, q: int, r: int) -> InvariantValue:
@@ -429,13 +424,12 @@ def brieskorn(data: ModularData, p: int, q: int, r: int) -> InvariantValue:
     Brieskorn sphere Sigma(p,q,r) only when that order is 1.
     """
     p, q, r = _integral(p, "brieskorn p"), _integral(q, "brieskorn q"), _integral(r, "brieskorn r")
-    return _contract(data, *_brieskorn_plan(p, q, r))
+    return _contract(data, _brieskorn_plan(p, q, r))
 
 
 def plumbing_invariant(data: ModularData, tree: PlumbingTree) -> InvariantValue:
     """The surgery formula on an arbitrary plumbing tree, rooted at its first vertex."""
-    return _contract(data, _tree_schedule(tree),
-                     f"plumbing(tree with {len(tree.vertices)} vertices)")
+    return _contract(data, tree._contraction)
 
 
 def _ncf_runs(p: int, q: int) -> list[tuple[int, int]]:
@@ -479,4 +473,4 @@ def lens_general(data: ModularData, p: int, q: int) -> InvariantValue:
     with :class:`CapacityError` above ``_SURGERY_CAP`` vertices.
     """
     p, q = _integral(p, "lens_general p"), _integral(q, "lens_general q")
-    return _contract(data, *_lens_general_plan(p, q))
+    return _contract(data, _lens_general_plan(p, q))

@@ -9,14 +9,15 @@ gluing with the inverse permutation is always stored too, and a face is
 never glued to itself.
 
 Vertex, edge and face classes are the equivalence classes generated by the
-gluings; they are computed once and cached (instances are immutable by
-convention). The constructor validates every gluing. One pass over the glued
-face pairs, ``Triangulation._skeleton``, gives a fresh complex its vertex
-classes, edge classes, orientation and face classes together: per pair it
-reads one entry of a gluing table, keyed by (face, permutation), and joins
-corner slots, edge slots and signed tetrahedra in three union-finds. The
-state sum reads a rank table, keyed by vertex-class order. Both tables are
-built at import.
+gluings; they are computed once and cached. A ``Triangulation`` is a
+frozen dataclass, so ``num_tets`` and ``gluings`` cannot be reassigned
+under its cached classes. The constructor validates every gluing. One
+pass over the glued face pairs, ``Triangulation._skeleton``, gives a fresh
+complex its vertex classes, edge classes, orientation and face classes
+together: per pair it reads one entry of a gluing table, keyed by (face,
+permutation), and joins corner slots, edge slots and signed tetrahedra in
+three union-finds. The state sum reads a rank table, keyed by vertex-class
+order. Both tables are built at import.
 
 Both moves are bistellar flips on five vertices, written as token tuples:
 each removed and each new tetrahedron names the vertex token in each of its
@@ -176,7 +177,7 @@ def _first_appearance(rows, count):
     return [list(map(ids.__getitem__, row)) for row in rows]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Triangulation:
     """A gluing complex on ``num_tets`` tetrahedra.
 
@@ -191,8 +192,8 @@ class Triangulation:
     gluings: dict
 
     def __post_init__(self):
-        self.num_tets = _index(self.num_tets, "tetrahedron count")
-        if self.num_tets < 1:
+        num_tets = _index(self.num_tets, "tetrahedron count")
+        if num_tets < 1:
             raise StructureError("need at least one tetrahedron")
         gluings = {}
         for key, value in self.gluings.items():
@@ -201,9 +202,10 @@ class Triangulation:
                 gluings[index(t), index(f)] = (index(t2), tuple(map(index, perm)))
             except TypeError:
                 raise StructureError(f"gluing {key} -> {value}: indices must be integers") from None
-        self.gluings = gluings
-        for key in self.gluings:
-            _check_gluing(self.gluings, self.num_tets, key)
+        object.__setattr__(self, "num_tets", num_tets)
+        object.__setattr__(self, "gluings", gluings)
+        for key in gluings:
+            _check_gluing(gluings, num_tets, key)
 
     # -- derived combinatorics ------------------------------------------------
 
@@ -509,7 +511,8 @@ def _flip(tri: Triangulation, old: dict, new: list) -> Triangulation:
         gluings[(j, perm[g])] = (i, inverse_perm(perm))
 
     out = object.__new__(Triangulation)
-    out.num_tets, out.gluings = base + len(new), gluings
+    object.__setattr__(out, "num_tets", base + len(new))
+    object.__setattr__(out, "gluings", gluings)
     if not out.is_closed:
         raise StructureError("bistellar flip left faces unglued")
     for key in [(t, g) for t in range(base, out.num_tets) for g in range(4)] + rewritten:
@@ -552,7 +555,7 @@ def _carry_classes(tri: Triangulation, out: Triangulation, olds: list, runs: lis
     for name, (rows, count), (sources, added) in kinds:
         rows = tri.__dict__.get(name, rows)
         record.append((_carry(rows, olds, runs, sources, count, added), count + added))
-    out._carried = tuple(record)
+    object.__setattr__(out, "_carried", tuple(record))
 
 
 def pachner_14(tri: Triangulation, t: int) -> Triangulation:

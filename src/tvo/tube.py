@@ -126,7 +126,6 @@ class CenterBasis:
     idempotents: np.ndarray  # (r, dim)
     idempotent_residual: float
     completeness_residual: float
-    flux: tuple  # the flux sector g of each row
 
 
 #: the residual bound of the center extraction; idempotent, completeness,
@@ -183,8 +182,7 @@ def center_idempotents(alg: TubeAlgebra) -> CenterBasis:
         if completeness > 1e3 * _TOL:
             raise DecompositionError(f"idempotents do not sum to the identity ({completeness:.3e})")
         idempotents[g * n + j, sector] = P
-    flux = tuple(g for g in range(n) for _ in range(n))
-    return CenterBasis(idempotents, worst, completeness, flux)
+    return CenterBasis(idempotents, worst, completeness)
 
 
 def tube_modular_data(alg: TubeAlgebra) -> ModularData:

@@ -376,6 +376,34 @@ def two_tet_sphere() -> Triangulation:
     return Triangulation(2, gluings)
 
 
+def barycentric_subdivision(tri: Triangulation) -> Triangulation:
+    """The barycentric subdivision of a closed complex, through the constructor alone.
+
+    Tetrahedron t becomes 24 tetrahedra, one per flag sigma of its slots (a
+    permutation, numbered as ``itertools.permutations`` lists them); slot i
+    of the flag's tetrahedron is the centre of its i-cell, the cell spanned
+    by sigma[0..i]. Face i < 3 is glued by the identity to the flag with
+    sigma[i] and sigma[i + 1] swapped; face 3 lies on face sigma[3] of t and
+    is glued by the identity to the flag perm o sigma of the tetrahedron
+    across it. Every vertex class then has a type (vertex, edge, face or
+    tetrahedron centre), so each tetrahedron has four distinct classes.
+    """
+    flags = list(itertools.permutations(range(4)))
+    number = {sigma: i for i, sigma in enumerate(flags)}
+    ident = (0, 1, 2, 3)
+    gluings = {}
+    for t in range(tri.num_tets):
+        for sigma in flags:
+            here = 24 * t + number[sigma]
+            for i in range(3):
+                swapped = list(sigma)
+                swapped[i], swapped[i + 1] = sigma[i + 1], sigma[i]
+                gluings[(here, i)] = (24 * t + number[tuple(swapped)], ident)
+            t2, perm = tri.gluings[(t, sigma[3])]
+            gluings[(here, 3)] = (24 * t2 + number[tuple(perm[v] for v in sigma)], ident)
+    return Triangulation(24 * tri.num_tets, gluings)
+
+
 def read_modular_text(text):
     """Naive line-by-line reading of the modular data file format.
 

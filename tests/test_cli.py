@@ -122,7 +122,7 @@ def test_invariant_lens_chain_above_the_surgery_cap_exit2(capsys):
     code, out, err = run(capsys, "invariant", "lens", "-p", "1000000000001",
                          "-q", "1000000000000", "--data", "builtin:toric-code")
     assert code == 2
-    assert err.startswith("error:") and "1000000000000 vertices" in err and "10000000" in err
+    assert err.startswith("error:") and "1000000000000 vertices" in err and "cap of 1000000 " in err
     assert "Traceback" not in err + out and out == ""
 
 

@@ -139,6 +139,10 @@ def test_duplicate_entries_rejected(tmp_path):
     path.write_text("rank 1\nS 0 0 1 0\nS 0 0 1 0\nT 0 1 0\n")
     with pytest.raises(ParseError, match=r"line 3: duplicate S entry \(0,0\)"):
         load_modular_file(path)
+    # the bulk pass counts rank^2 S lines, so the duplicate is found line by line
+    path.write_text("rank 2\nT 0 1 0\nT 1 1 0\nS 0 0 1 0\nS 0 0 1 0\nS 0 1 0 0\nS 1 0 0 0\n")
+    with pytest.raises(ParseError, match=r"line 5: duplicate S entry \(0,0\)"):
+        load_modular_file(path)
     path.write_text("rank 1\nS 0 0 1 0\nT 0 1 0\nT 0 1 0\n")
     with pytest.raises(ParseError, match="line 4: duplicate T entry 0"):
         load_modular_file(path)

@@ -505,6 +505,17 @@ def test_conjugation_error_for_non_permutation():
         charge_conjugation(ModularData(S, np.ones(2)))
 
 
+def test_conjugation_error_off_a_permutation_or_off_the_vacuum():
+    # S^2 selects the identity, but 0.02 off it
+    S = np.array([[1, 0.01], [0.01, 1]], dtype=complex)
+    with pytest.raises(ConjugationError, match=r"not a permutation matrix \(residual 2.000e-02\)"):
+        charge_conjugation(ModularData(S, np.ones(2)))
+    # a 4-cycle S: S^2 is the permutation i -> i + 2, which moves the vacuum
+    S = np.roll(np.eye(4, dtype=complex), 1, axis=1)
+    with pytest.raises(ConjugationError, match="does not fix the vacuum"):
+        charge_conjugation(ModularData(S, np.ones(4)))
+
+
 # ---------------------------------------------------------------------------
 # doubling
 # ---------------------------------------------------------------------------

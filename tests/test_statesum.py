@@ -1,3 +1,4 @@
+import math
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -10,15 +11,22 @@ from tvo import (
     Triangulation,
     UnsupportedFeatureError,
     fibonacci,
+    lens_general,
     lens_p1,
     pointed_sixj,
     tv_evaluate,
+    twisted_double_cyclic,
     verify_pentagon,
 )
-from tvo.statesum import _POINTED_LABEL_CAP, SixJData
+from tvo.statesum import _POINTED_LABEL_CAP, SixJData, _layout
 from tvo.triangulation import pachner_14, pachner_23
 
-from helpers import random_pachner_sequence, tv_bruteforce, two_tet_sphere
+from helpers import (
+    barycentric_subdivision,
+    random_pachner_sequence,
+    tv_bruteforce,
+    two_tet_sphere,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +293,32 @@ def test_walk_with_many_vertex_moves_is_one_over_n(n, s3_triangulation):
     for k in range(n):
         z = tv_evaluate(pointed_sixj(n, k), tri).value
         assert abs(z - 1 / n) < 1e-9, (k, z)
+
+
+#: one-tetrahedron lens spaces L(p, q) by (p, q); a tetrahedron's corners all
+#: lie in one vertex class, so the state sum reads their barycentric subdivisions
+_ONE_TET_LENS = {
+    (4, 1): {(0, 0): (0, (1, 2, 3, 0)), (0, 1): (0, (3, 0, 1, 2)),
+             (0, 2): (0, (1, 2, 3, 0)), (0, 3): (0, (3, 0, 1, 2))},
+    (5, 2): {(0, 0): (0, (1, 2, 3, 0)), (0, 1): (0, (3, 0, 1, 2)),
+             (0, 2): (0, (2, 0, 3, 1)), (0, 3): (0, (1, 3, 0, 2))},
+}
+
+
+@pytest.mark.parametrize("p,q", sorted(_ONE_TET_LENS))
+def test_subdivided_lens_spaces_meet_the_surgery_formula(p, q):
+    sd = barycentric_subdivision(Triangulation(1, _ONE_TET_LENS[p, q]))
+    assert (sd.num_tets, sd.num_edges) == (24, 30)
+    # after the spanning forest no face has exactly one unknown edge, so the
+    # layout seeds the lowest unknown edge (forcing face -1)
+    layout = _layout(sd)
+    assert any(fi == -1 for _, fi, _, _ in layout.schedule[layout.num_forest:])
+    for n in range(1, 7):
+        for k in range(n):
+            z = tv_evaluate(pointed_sixj(n, k), sd)
+            want = lens_general(twisted_double_cyclic(n, k), p, q).value.conjugate()
+            assert abs(z.value - want) <= 1e-12, (n, k)
+            assert z.stats["leaves"] == math.gcd(p, n), (n, k)
 
 
 def _corrupted_pointed():

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,28 @@ def test_open_complex_rejected_for_manifold_checks():
     assert not tri.is_closed
     with pytest.raises(StructureError):
         tri.validate_closed_manifold()
+
+
+def test_closed_complex_off_euler_characteristic_zero_is_not_a_manifold():
+    # one tetrahedron, faces swapped in pairs: V - E + F - T = 1 - 3 + 2 - 1
+    tri = Triangulation(1, {(0, f): (0, (1, 0, 3, 2)) for f in range(4)})
+    assert tri.is_closed and tri.euler_characteristic == -1
+    with pytest.raises(StructureError, match="Euler characteristic -1 != 0"):
+        tri.validate_closed_manifold()
+
+
+def test_triangulation_fields_cannot_be_reassigned():
+    # a reassigned complex would keep the classes cached from its old gluings
+    tri = boundary_4_simplex()
+    assert tri.num_vertices == 5
+    moved = pachner_14(boundary_4_simplex(), 0)
+    for target in (tri, moved):
+        for name, value in (("gluings", moved.gluings), ("num_tets", moved.num_tets),
+                            ("_carried", None)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(target, name, value)
+    assert (tri.num_tets, tri.num_vertices) == (5, 5)
+    assert (moved.num_tets, moved.num_vertices) == (8, 6)
 
 
 def test_pachner_14_counts(s3_triangulation):
