@@ -660,8 +660,12 @@ def conjugate_equivalent(a: ModularData, b: ModularData) -> np.ndarray | None:
 
     Returns the permutation as an index array, or None if no equivalence
     exists. The search is a backtracking match over labels, pruned by the
-    T spectrum and by S row 0; blocks of more than ``_BLOCK_CAP`` (16) labels
-    sharing a T eigenvalue, or searches exceeding the node budget, raise
+    T spectrum and by S row 0. A candidate j for label i is tried in
+    ascending order and kept when row i of S^a, up to and including column
+    i, matches row j of conj(S^b) read at the labels assigned so far: one
+    array comparison. So the result is the lexicographically first valid
+    permutation. Blocks of more than ``_BLOCK_CAP`` (16) labels sharing a
+    T eigenvalue, or searches exceeding the node budget, raise
     :class:`CapacityError`.
     """
     if a.rank != b.rank:
@@ -701,13 +705,13 @@ def conjugate_equivalent(a: ModularData, b: ModularData) -> np.ndarray | None:
             used[perm[i]] = False
             perm[i] = -1
         for j in cand[i][start:]:
-            if not used[j] and not any(
-                abs(Sa[i, i2] - Sb[j, perm[i2] if i2 < i else j]) > DEFAULT_TOLERANCE
-                for i2 in range(i + 1)
-            ):
-                perm[i] = j
+            if used[j]:
+                continue
+            perm[i] = j  # row i against the labels assigned so far, itself included
+            if not (np.abs(Sa[i, : i + 1] - Sb[j, perm[: i + 1]]) > DEFAULT_TOLERANCE).any():
                 used[j] = True
                 break
+            perm[i] = -1
         if perm[i] < 0:
             i -= 1
         else:

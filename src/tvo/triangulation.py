@@ -11,7 +11,10 @@ never glued to itself.
 Vertex, edge and face classes are the equivalence classes generated by the
 gluings; they are computed once and cached. A ``Triangulation`` is a
 frozen dataclass, so ``num_tets`` and ``gluings`` cannot be reassigned
-under its cached classes. The constructor validates every gluing. One
+under its cached classes, and ``gluings`` is a read-only view
+(``types.MappingProxyType``) over the dict the constructor or a flip
+built, so it cannot be edited in place either. The constructor validates
+every gluing. One
 pass over the glued face pairs, ``Triangulation._skeleton``, gives a fresh
 complex its vertex classes, edge classes, orientation and face classes
 together: per pair it reads one entry of a gluing table, keyed by (face,
@@ -42,6 +45,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, combinations, islice, permutations
 from operator import index, itemgetter
+from types import MappingProxyType
 
 from .errors import PreconditionError, StructureError
 
@@ -189,7 +193,7 @@ class Triangulation:
     """
 
     num_tets: int
-    gluings: dict
+    gluings: MappingProxyType  # any mapping on input; stored as a read-only view
 
     def __post_init__(self):
         num_tets = _index(self.num_tets, "tetrahedron count")
@@ -203,7 +207,7 @@ class Triangulation:
             except TypeError:
                 raise StructureError(f"gluing {key} -> {value}: indices must be integers") from None
         object.__setattr__(self, "num_tets", num_tets)
-        object.__setattr__(self, "gluings", gluings)
+        object.__setattr__(self, "gluings", MappingProxyType(gluings))
         for key in gluings:
             _check_gluing(gluings, num_tets, key)
 
@@ -512,7 +516,7 @@ def _flip(tri: Triangulation, old: dict, new: list) -> Triangulation:
 
     out = object.__new__(Triangulation)
     object.__setattr__(out, "num_tets", base + len(new))
-    object.__setattr__(out, "gluings", gluings)
+    object.__setattr__(out, "gluings", MappingProxyType(gluings))
     if not out.is_closed:
         raise StructureError("bistellar flip left faces unglued")
     for key in [(t, g) for t in range(base, out.num_tets) for g in range(4)] + rewritten:

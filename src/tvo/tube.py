@@ -9,42 +9,69 @@ the annulus label x) with product
 
 which for the cyclic cocycle collapses to exp(2 pi i k g carry(x,y) / n).
 The delta_{g,h} splits the algebra into n flux sectors of dimension n, and
-the structure constants are stored per sector. Each sector is a twisted
-group algebra of Z/n, commutative because H^2(Z/n, U(1)) = 0 and
-generated by u_(g,1), so its minimal idempotents are the eigenvectors of
-multiplication by u_(g,1), rescaled; the eigenvalue names the charge.
-With the idempotents as rows of P in (flux, charge) order, the modular
-data is read off the center, Pi swapping u_(g,x) and u_(x,g) as the
-torus S-transformation swaps its two cycles:
+a product in a sector has one term, so the algebra is stored as the
+(n, n, n) table tau[g, x, y]. Each sector is a twisted group algebra of
+Z/n, commutative because H^2(Z/n, U(1)) = 0 and generated by u_(g,1), so
+its minimal idempotents are the eigenvectors of multiplication by u_(g,1),
+rescaled; the eigenvalue names the charge. The idempotent of flux g and
+charge j lies in sector g, so all n^2 of them are the blocks B[g, j, x],
+the coefficient of u_(g,x). The modular data is read off these blocks,
+the torus S-transformation swapping u_(g,x) and u_(x,g) as it swaps the
+torus's two cycles:
 
-    S = n P Pi P^T,    t_p = conj(n p_(g,g)).
+    S_(g,j),(h,l) = n B[g,j,h] B[h,l,g],    t_(g,j) = conj(n B[g,j,g]).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
-from .catalog import cyclic_cocycle
 from .errors import DecompositionError, PreconditionError
 from .modular import ModularData, _require_capacity
 from .surgery import _integral
+
+#: complex entries of the largest (sectors, ..., n, n) temporary the n^4
+#: passes build at once; they run over as many sectors as fit
+_CHUNK_ENTRIES = 2**18
+
+
+def _sector_chunks(n: int, rows: int = 1) -> list:
+    """Slices of the n sectors, each small enough that ``rows`` n x n
+    matrices per sector stay within ``_CHUNK_ENTRIES``."""
+    step = max(1, _CHUNK_ENTRIES // (rows * n * n))
+    return [slice(a, a + step) for a in range(0, n, step)]
+
+
+def _convolve(tau: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Products within each sector: out[g, j] = U[g, j] V[g, j] for vectors
+    of shape (n, rows, n) in the u_(g,x) basis, that is
+
+        out[g, j, z] = sum_x U[g, j, x] V[g, j, z - x] tau[g, x, z - x]."""
+    n, rows = tau.shape[0], U.shape[1]
+    x = np.arange(n)[:, None]
+    diff = (x.T - x) % n  # [x, z] -> z - x
+    out = np.empty(U.shape, dtype=complex)
+    for s in _sector_chunks(n, rows):
+        out[s] = np.einsum("gjx,gjxz,gxz->gjz", U[s], V[s][:, :, diff], tau[s][:, x, diff])
+    return out
 
 
 @dataclass(eq=False)
 class TubeAlgebra:
     """Finite-dimensional *-algebra of n flux sectors in the (g, x) basis.
 
-    ``mult[g, x, y, z]`` is the coefficient of u_(g,z) in u_(g,x) u_(g,y);
-    products across sectors vanish and are not stored. Vectors are flat,
-    entry g*n + x holding u_(g,x); e_a^* = star_phase[a] e_{star_perm[a]}.
+    ``tau[g, x, y]`` is the coefficient of u_(g,x+y) in u_(g,x) u_(g,y),
+    the product's only term; products across sectors vanish. Vectors are
+    flat, entry g*n + x holding u_(g,x); e_a^* = star_phase[a] e_{star_perm[a]}.
     """
 
     n: int
     twist: int
     labels: tuple
-    mult: np.ndarray
+    tau: np.ndarray
     star_phase: np.ndarray
     star_perm: np.ndarray
     identity: np.ndarray
@@ -55,7 +82,7 @@ class TubeAlgebra:
 
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         n = self.n
-        return np.einsum("gx,gy,gxyz->gz", u.reshape(n, n), v.reshape(n, n), self.mult).reshape(-1)
+        return _convolve(self.tau, u.reshape(n, 1, n), v.reshape(n, 1, n)).reshape(-1)
 
     def star(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros(self.dim, dtype=complex)
@@ -63,16 +90,17 @@ class TubeAlgebra:
         return out
 
     def associativity_residual(self) -> float:
-        # one sector at a time, so the temporaries are n^4 like mult itself;
-        # each triple product is one (n^2, n) @ (n, n^2) matmul
+        """max |tau(x,y) tau(x+y,z) - tau(y,z) tau(x,y+z)| over every sector
+        and triple: (u_x u_y) u_z and u_x (u_y u_z) are these multiples of
+        u_(x+y+z), so this is the 2-cocycle identity, n^4 products."""
         n = self.n
+        add = np.add.outer(np.arange(n), np.arange(n)) % n
         worst = 0.0
-        for m in self.mult:
-            M = m.reshape(n * n, n)
-            lhs = M @ m.reshape(n, n * n)  # [(a, b), (c, d)] = sum_x m[a,b,x] m[x,c,d]
-            rhs = M @ m.transpose(1, 0, 2).reshape(n, n * n)  # [(b, c), (a, d)] = sum_y m[b,c,y] m[a,y,d]
-            rhs = rhs.reshape(n, n, n, n).transpose(2, 0, 1, 3)
-            worst = max(worst, float(np.abs(lhs.reshape(n, n, n, n) - rhs).max()))
+        for s in _sector_chunks(n, n):
+            t = self.tau[s]
+            lhs = t[:, :, :, None] * t[:, add, :]  # [g, x, y, z]
+            rhs = t[:, None, :, :] * t[:, :, add]
+            worst = max(worst, float(np.abs(lhs - rhs).max()))
         return worst
 
     def star_antihomomorphism_residual(self) -> float:
@@ -81,13 +109,14 @@ class TubeAlgebra:
         g = np.arange(n)[:, None, None]
         perm = self.star_perm.reshape(n, n) % n  # the star keeps every sector
         phase = self.star_phase.reshape(n, n)
-        inv = np.argsort(perm, axis=1)[:, None, None, :]
-        # (e_(g,x) e_(g,y))^* expressed on basis element (g, d)
-        lhs = np.take_along_axis(self.mult.conj() * phase[:, None, None, :], inv, axis=3)
-        # e_(g,y)^* e_(g,x)^* = phase[x] phase[y] mult[g, perm[y], perm[x], :]
-        rhs = phase[:, :, None, None] * phase[:, None, :, None]
-        rhs = rhs * self.mult[g, perm[:, None, :], perm[:, :, None]]
-        return float(np.abs(lhs - rhs).max())
+        add = np.add.outer(np.arange(n), np.arange(n)) % n
+        px, py = perm[:, :, None], perm[:, None, :]
+        # (e_(g,x) e_(g,y))^* is this multiple of e_(g, perm[x + y]) ...
+        lhs = self.tau.conj() * phase[g, add]
+        # ... and e_(g,y)^* e_(g,x)^* this multiple of e_(g, perm[y] + perm[x])
+        rhs = phase[:, :, None] * phase[:, None, :] * self.tau[g, py, px]
+        same = perm[g, add] == (px + py) % n
+        return float(np.where(same, np.abs(lhs - rhs), np.maximum(np.abs(lhs), np.abs(rhs))).max())
 
 
 def tube_pointed(n: int, k: int) -> TubeAlgebra:
@@ -98,34 +127,39 @@ def tube_pointed(n: int, k: int) -> TubeAlgebra:
     n, k = _integral(n, "tube_pointed n"), _integral(k, "tube_pointed k")
     if n < 1:
         raise PreconditionError("tube_pointed requires n >= 1")
-    _require_capacity(n**4, f"the tube algebra of Z/{n} (n^4 structure constants)")
+    _require_capacity(n**3, f"the tube algebra of Z/{n} (n^3 structure constants)")
     k = k % n
-    omega = cyclic_cocycle(n, k)
+    ar = np.arange(n)
     labels = tuple((g, x) for g in range(n) for x in range(n))
-    mult = np.zeros((n, n, n, n), dtype=complex)
-    star_phase = np.zeros(n * n, dtype=complex)
-    star_perm = np.zeros(n * n, dtype=np.int64)
-    for g in range(n):
-        for x in range(n):
-            for y in range(n):
-                # tau_g(x,y): the two outer cocycle factors cancel for cyclic groups
-                mult[g, x, y, (x + y) % n] = omega(g, x, y)
-            xm = (-x) % n
-            star_phase[g * n + x] = omega(g, x, xm).conjugate()
-            star_perm[g * n + x] = g * n + xm
+    # tau_g(x,y) = omega_k(g, x, y), the two outer cocycle factors cancelling
+    # for cyclic groups: exp(2 pi i k g / n) where x + y wraps around, else 1
+    wraps = np.add.outer(ar, ar) >= n
+    tau = np.where(wraps, np.exp(2j * np.pi * (k * ar / n))[:, None, None], 1.0 + 0j)
+    xm = (-ar) % n
+    star_phase = tau[:, ar, xm].conj().reshape(-1)
+    star_perm = (n * ar[:, None] + xm).reshape(-1)
     identity = np.zeros(n * n, dtype=complex)
     identity[::n] = 1.0
-    return TubeAlgebra(n, k, labels, mult, star_phase, star_perm, identity)
+    return TubeAlgebra(n, k, labels, tau, star_phase, star_perm, identity)
 
 
 @dataclass(eq=False)
 class CenterBasis:
-    """Minimal central idempotents, one row per idempotent, in (flux, charge)
-    order: row g*n + j is the idempotent of flux g and charge j."""
+    """Minimal central idempotents of a tube algebra by flux sector.
 
-    idempotents: np.ndarray  # (r, dim)
+    ``blocks[g, j, x]`` is the coefficient of u_(g,x) in the idempotent of
+    flux g and charge j, which has no terms outside sector g; so the n^2
+    idempotents take n^3 numbers. ``stats`` records what the extraction
+    did: ``dim`` (n^2), ``sector_gaps`` (per sector, the smallest distance
+    between two eigenvalues of u_(g,1); inf for n = 1) and the seconds of
+    the algebra checks, the eigensolve and the read-out (``checks_s``,
+    ``eig_s``, ``readout_s``). It is not printed.
+    """
+
+    blocks: np.ndarray  # (n, n, n)
     idempotent_residual: float
     completeness_residual: float
+    stats: dict = field(default_factory=dict, repr=False)
 
 
 #: the residual bound of the center extraction; idempotent, completeness,
@@ -137,76 +171,88 @@ def center_idempotents(alg: TubeAlgebra) -> CenterBasis:
     """Extract the minimal central idempotents of ``alg`` numerically.
 
     Every flux sector must be commutative. In sector g the eigenvectors of
-    left multiplication by u_(g,1) are rescaled to idempotents; for
+    left multiplication by u_(g,1) are rescaled to idempotents; all n
+    sectors are diagonalised in one stacked eigensolve. For
     ``tube_pointed`` data u_(g,1) generates the sector and its eigenvalues
     psi_j(1) = exp(2 pi i (k g / n + j) / n), at least 2 sin(pi / n) apart,
-    give the charges j. Raises :class:`DecompositionError` if the structure
-    constants are not associative or not commutative, if the eigenvalues
-    are not separated, if a charge is not an integer (the twist disagrees
-    with the constants) or repeats, or if residuals exceed tolerance.
+    give the charges j. Raises :class:`DecompositionError` if the table is
+    not a 2-cocycle (not associative) or not symmetric (not commutative),
+    if the eigenvalues are not separated, if a charge is not an integer
+    (the twist disagrees with the table), or if residuals exceed tolerance.
+
+    u_(g,1) maps u_(g,y) to a multiple of u_(g,y+1), so its eigenvalues are
+    the n n-th roots of one number, and charges that pass the integer check
+    are distinct; a repeat would leave a block empty and fail completeness.
     """
+    start = perf_counter()
     res = alg.associativity_residual()
     if res > _TOL:
         raise DecompositionError(f"structure constants not associative (residual {res:.3e})")
-    res = float(np.abs(alg.mult - alg.mult.swapaxes(1, 2)).max())
+    res = float(np.abs(alg.tau - alg.tau.swapaxes(1, 2)).max())
     if res > _TOL:
         raise DecompositionError(f"structure constants not commutative (residual {res:.3e})")
-    n = alg.n
-    idempotents = np.zeros((alg.dim, alg.dim), dtype=complex)
-    worst = completeness = 0.0
-    for g in range(n):
-        m, sector = alg.mult[g], slice(g * n, (g + 1) * n)
-        evals, evecs = np.linalg.eig(m[1 % n].T)  # left multiplication by u_(g,1)
-        gaps = np.abs(evals[:, None] - evals[None, :]) + np.eye(n)
-        if gaps.min() <= 1e-6:
-            raise DecompositionError("could not separate central eigenvalues")
-        charge = np.angle(evals) * n / (2 * np.pi) - alg.twist * g / n
-        j = np.rint(charge)
-        off = float(np.abs(charge - j).max())
-        if off > 1e3 * _TOL:
-            raise DecompositionError(f"charges of sector {g} are {off:.3e} off the integers: "
-                                     f"twist {alg.twist} disagrees with the structure constants")
-        j = j.astype(np.int64) % n
-        if len(set(j.tolist())) != n:
-            raise DecompositionError("flux/charge labels of the idempotents are not distinct")
-        Q = evecs.T
-        mu = np.einsum("jz,jz->j", Q.conj(), np.einsum("jx,jy,xyz->jz", Q, Q, m))
-        mu /= np.einsum("jz,jz->j", Q.conj(), Q)
-        if np.abs(mu).min() < _TOL:
-            raise DecompositionError("nilpotent direction in the center")
-        P = Q / mu[:, None]
-        worst = max(worst, float(np.abs(np.einsum("jx,jy,xyz->jz", P, P, m) - P).max()))
-        if worst > 1e3 * _TOL:
-            raise DecompositionError(f"idempotent residual {worst:.3e} above tolerance")
-        completeness = max(completeness, float(np.abs(P.sum(axis=0) - alg.identity[sector]).max()))
-        if completeness > 1e3 * _TOL:
-            raise DecompositionError(f"idempotents do not sum to the identity ({completeness:.3e})")
-        idempotents[g * n + j, sector] = P
-    return CenterBasis(idempotents, worst, completeness)
+    checked = perf_counter()
+    n, ar = alg.n, np.arange(alg.n)
+    left = np.zeros((n, n, n), dtype=complex)  # [g, z, y]: left multiplication by u_(g,1)
+    left[:, (ar + 1) % n, ar] = alg.tau[:, 1 % n, :]
+    evals, evecs = np.linalg.eig(left)
+    solved = perf_counter()
+    dist = np.abs(evals[:, :, None] - evals[:, None, :])
+    dist[:, ar, ar] = np.inf  # a sector of n = 1 has no gap: inf
+    gaps = dist.min(axis=(1, 2))
+    if gaps.min() <= 1e-6:
+        raise DecompositionError("could not separate central eigenvalues")
+    charge = np.angle(evals) * n / (2 * np.pi) - alg.twist * ar[:, None] / n
+    j = np.rint(charge)
+    off = np.abs(charge - j).max(axis=1)
+    if off.max() > 1e3 * _TOL:
+        g = int(np.argmax(off > 1e3 * _TOL))
+        raise DecompositionError(f"charges of sector {g} are {off[g]:.3e} off the integers: "
+                                 f"twist {alg.twist} disagrees with the structure constants")
+    Q = evecs.transpose(0, 2, 1)  # [g, i, x]: eigenvector i of sector g
+    QQ = _convolve(alg.tau, Q, Q)
+    mu = np.einsum("gjz,gjz->gj", Q.conj(), QQ) / np.einsum("gjz,gjz->gj", Q.conj(), Q)
+    if np.abs(mu).min() < _TOL:
+        raise DecompositionError("nilpotent direction in the center")
+    P = Q / mu[:, :, None]
+    worst = float(np.abs(QQ / (mu * mu)[:, :, None] - P).max())  # P P - P, the product bilinear
+    if worst > 1e3 * _TOL:
+        raise DecompositionError(f"idempotent residual {worst:.3e} above tolerance")
+    blocks = np.zeros((n, n, n), dtype=complex)
+    blocks[ar[:, None], j.astype(np.int64) % n] = P
+    completeness = float(np.abs(blocks.sum(axis=1) - alg.identity.reshape(n, n)).max())
+    if completeness > 1e3 * _TOL:
+        raise DecompositionError(f"idempotents do not sum to the identity ({completeness:.3e})")
+    stats = {"dim": n * n, "sector_gaps": tuple(gaps.tolist()), "checks_s": checked - start,
+             "eig_s": solved - checked, "readout_s": perf_counter() - solved}
+    return CenterBasis(blocks, worst, completeness, stats)
 
 
 def tube_modular_data(alg: TubeAlgebra) -> ModularData:
     """Modular data read off the center idempotents of a pointed tube algebra.
 
-    S = n P Pi P^T by the torus swap Pi: u_(g,x) <-> u_(x,g), and t_p =
-    conj(n p_(g,g)) from the diagonal coefficient of the idempotent p of
-    flux g. Every n p_(g,x) must be unimodular with n p_(g,0) = 1, and the
-    vacuum (0,0) must be the trivial character. Labels are ordered
-    (flux, charge), so the output coincides with the twisted-double
-    generator for the same (n, k) rather than merely being equivalent to it.
+    S_(g,j),(h,l) = n B[g,j,h] B[h,l,g] by the torus swap u_(g,x) <-> u_(x,g),
+    and t_(g,j) = conj(n B[g,j,g]) from the diagonal coefficient of the
+    idempotent of flux g, both read off the blocks B of
+    :func:`center_idempotents` with no matrix product. Every n B[g,j,x] must
+    be unimodular with n B[g,j,0] = 1, and the vacuum (0,0) must be the
+    trivial character. Labels are ordered (flux, charge), so the output
+    coincides with the twisted-double generator for the same (n, k) rather
+    than merely being equivalent to it. S, n^4 complex entries, is the
+    largest array built, and is charged against the capacity cap first.
     """
-    P, n = center_idempotents(alg).idempotents, alg.n
-    # B[g, j, x]: coefficient of u_(g,x) in the idempotent of flux g and charge j
-    B = np.einsum("gjgx->gjx", P.reshape(n, n, n, n))
+    n = alg.n
+    _require_capacity(n**4, f"the modular data of the tube algebra of Z/{n} (n^4 S entries)")
+    B = center_idempotents(alg).blocks
     miss = np.abs(B[:, :, 0] - 1.0 / n)
     if miss.max() > 1e3 * _TOL:
         bad, j = np.unravel_index(miss.argmax(), miss.shape)
         raise DecompositionError(f"vacuum coefficient {B[bad, j, 0]} of sector {bad} is not 1/n")
-    if np.abs(np.abs(n * B) - 1.0).max() > 1e3 * _TOL:
+    nB = n * B
+    if np.abs(np.abs(nB) - 1.0).max() > 1e3 * _TOL:
         raise DecompositionError("projective character is not unimodular")
-    if np.abs(n * B[0, 0] - 1.0).max() > 1e3 * _TOL:
+    if np.abs(nB[0, 0] - 1.0).max() > 1e3 * _TOL:
         raise DecompositionError("vacuum idempotent (flux 0, trivial character) not found")
-    swap = np.arange(n * n).reshape(n, n).T.reshape(-1)  # u_(g,x) <-> u_(x,g)
-    S = n * P @ P[:, swap].T
-    T = n * np.einsum("gjg->gj", B).conj().reshape(-1)
+    S = (nB[:, :, :, None] * B.transpose(2, 0, 1)[:, None, :, :]).reshape(n * n, n * n)
+    T = np.einsum("gjg->gj", nB).conj().reshape(-1)
     return ModularData(S, T, labels=tuple(f"({f},{j})" for f in range(n) for j in range(n)))

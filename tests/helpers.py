@@ -483,3 +483,40 @@ def read_modular_text(text):
     if labels:
         names = tuple(labels.get(i, str(i)) for i in range(rank))
     return S_arr, T_arr, names
+
+
+def conjugate_equivalence_search(Sa, Ta, Sb, Tb, tol=1e-9):
+    """The lexicographically first vacuum-fixing permutation pi with
+    Sa[i][i2] = conj(Sb[pi(i)][pi(i2)]) and Ta[i] = conj(Tb[pi(i)]), each
+    within ``tol``, as a list; None if there is none.
+
+    Every permutation that sends each label into its block of equal T
+    eigenvalue is a candidate, enumerated in lexicographic order one label
+    at a time; a partial permutation is dropped at its first disagreeing S
+    entry, which no completion can repair. Plain Python complex numbers and
+    loops.
+    """
+    m = len(Ta)
+    if len(Tb) != m:
+        return None
+    Sa = [[complex(v) for v in row] for row in Sa]
+    Sb = [[complex(v).conjugate() for v in row] for row in Sb]
+    Tb = [complex(v).conjugate() for v in Tb]
+    block = [[j for j in range(m) if abs(complex(Ta[i]) - Tb[j]) <= tol] for i in range(m)]
+    block[0] = [0] if 0 in block[0] else []
+    perm = []
+
+    def extend():
+        i = len(perm)
+        if i == m:
+            return True
+        for j in block[i]:
+            if j in perm:
+                continue
+            perm.append(j)
+            if all(abs(Sa[i][i2] - Sb[j][perm[i2]]) <= tol for i2 in range(i + 1)) and extend():
+                return True
+            perm.pop()
+        return False
+
+    return perm if extend() else None

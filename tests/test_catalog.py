@@ -70,6 +70,17 @@ def test_su2_level_k_requires_positive_level():
         tvo.su2_level_k(0)
 
 
+@pytest.mark.parametrize("build,name", [
+    (lambda n: tvo.pointed_cyclic(n, 1), "pointed_cyclic"),
+    (lambda n: tvo.twisted_double_cyclic(n, 0), "twisted_double_cyclic"),
+    (lambda n: tvo.tube_pointed(n, 0), "tube_pointed"),
+])
+def test_cyclic_generators_refuse_empty_groups(build, name):
+    for n in (0, -2):
+        with pytest.raises(PreconditionError, match=f"{name} requires n >= 1"):
+            build(n)
+
+
 def test_pointed_cyclic_trivial_and_semion():
     assert tvo.pointed_cyclic(1, 0).rank == 1
     semion = tvo.pointed_cyclic(2, 1)
@@ -358,9 +369,11 @@ def test_generators_refuse_s_matrices_above_the_cap(build, rank):
 
 
 def test_tube_algebra_above_the_cap_is_refused():
-    # n^4 complex structure constants: n = 90 fits 1 GiB, n = 91 does not
+    # the n^4 complex entries of S: n = 90 fits 1 GiB, n = 91 does not; the
+    # structure constants are n^3, and the refusal comes before the center
+    alg = tvo.tube_pointed(91, 1)
     with pytest.raises(CapacityError, match="Z/91 .*cap 1 GiB"):
-        tvo.tube_pointed(91, 1)
+        tvo.tube_modular_data(alg)
 
 
 @pytest.mark.parametrize("build,name", [
@@ -410,4 +423,4 @@ def test_generators_read_integral_parameters_as_ints():
         assert got.labels == want.labels
         assert got.S.tobytes() == want.S.tobytes() and got.T.tobytes() == want.T.tobytes()
     assert tvo.pointed_sixj(np.int64(3), 2.0).weights == tvo.pointed_sixj(3, 2).weights
-    assert tvo.tube_pointed(3.0, np.int32(1)).mult.tobytes() == tvo.tube_pointed(3, 1).mult.tobytes()
+    assert tvo.tube_pointed(3.0, np.int32(1)).tau.tobytes() == tvo.tube_pointed(3, 1).tau.tobytes()

@@ -27,6 +27,7 @@ from tvo import (
 from tvo.modular import INTEGER_TOLERANCE, _associativity_bound
 
 from helpers import (
+    conjugate_equivalence_search,
     fusion_associative_loops,
     round_verlinde_sums,
     verlinde_by_row_gemms,
@@ -643,6 +644,59 @@ def test_node_budget_counts_one_node_per_assigned_label(monkeypatch):
     monkeypatch.setattr(tvo.modular, "_NODE_BUDGET", d.rank - 1)
     with pytest.raises(CapacityError):
         conjugate_equivalent(d, d.conjugate())
+
+
+def _relabelled_conjugate(d, perm):
+    """conj(d) with label perm[i] renamed i, so that conjugate_equivalent(d, .)
+    may answer perm."""
+    inv = np.argsort(perm)
+    return ModularData(d.S.conj()[np.ix_(inv, inv)], d.T.conj()[inv])
+
+
+def _oracle_corpus():
+    """(name, a, b) pairs on which the search and the oracle are compared."""
+    rng = np.random.default_rng(3)
+    d16 = tvo.quantum_double_abelian(tvo.FiniteAbelianGroup((2, 2)))
+    corpus = []
+    for seed in range(4):  # rank 16 with twists repeated 10 and 6 times
+        perm = np.concatenate([[0], 1 + rng.permutation(15)])
+        corpus.append((f"D(Z2xZ2) relabelled {seed}", d16, _relabelled_conjugate(d16, perm)))
+    for n in range(1, 5):  # every tube against every twisted double of its n
+        for k in range(n):
+            tube = tvo.tube_modular_data(tvo.tube_pointed(n, k))
+            for k2 in range(n):
+                corpus.append((f"tube({n},{k}) ~ twisted({n},{k2})", tube,
+                               tvo.twisted_double_cyclic(n, k2).conjugate()))
+    b = _relabelled_conjugate(d16, np.concatenate([[0], 1 + rng.permutation(15)]))
+    for eps in (1e-12, 1e-6):  # one S entry of row 0 moved below, then above the tolerance
+        S = np.array(d16.S)
+        S[0, 5] += eps
+        S[5, 0] += eps
+        corpus.append((f"D(Z2xZ2) with S[0,5] moved {eps:g}", ModularData(S, d16.T), b))
+    # the vacuum moved: label 0 of the relabelled semion has the twist i
+    semion = tvo.pointed_cyclic(2, 1)
+    corpus.append(("semion with its vacuum moved", semion, _relabelled_conjugate(semion, [1, 0])))
+    return corpus
+
+
+@pytest.mark.parametrize("name,a,b", _oracle_corpus())
+def test_conjugate_equivalent_agrees_with_the_brute_force_oracle(name, a, b):
+    found = conjugate_equivalent(a, b)
+    want = conjugate_equivalence_search(a.S, a.T, b.S, b.T)
+    assert (None if found is None else found.tolist()) == want, name
+    if found is not None:
+        _assert_conj_perm(a, b, found)
+
+
+def test_conjugate_equivalent_oracle_corpus_reaches_every_answer():
+    answers = {name: conjugate_equivalent(a, b) for name, a, b in _oracle_corpus()}
+    # the 1e-6 move leaves label 5 no candidate after row-0 pruning; the moved
+    # vacuum has no candidate at all; some tube/twisted pairs differ in T
+    assert answers["D(Z2xZ2) with S[0,5] moved 1e-06"] is None
+    assert answers["semion with its vacuum moved"] is None
+    assert answers["D(Z2xZ2) with S[0,5] moved 1e-12"] is not None
+    assert answers["tube(3,1) ~ twisted(3,1)"] is not None
+    assert answers["tube(3,1) ~ twisted(3,2)"] is None
 
 
 def _assert_conj_perm(a, b, perm):

@@ -1,6 +1,7 @@
 """Smoke tests: the scripts run against the library and print what they claim."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,21 @@ def test_fixture_table_matches_the_source():
 
     render = runpy.run_path(str(ROOT / "scripts" / "export_fixtures.py"))["render"]
     assert (ROOT / "docs" / "golden_fixtures.txt").read_text(encoding="utf-8") == render()
+
+
+def test_untested_lines_names_the_lines_a_test_file_leaves_unrun():
+    proc = run_script("untested_lines.py", str(ROOT / "tests" / "test_tube.py"),
+                      "-k", "refuses or rejected")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    unrun = [line for line in proc.stdout.splitlines() if line.startswith("src/")]
+    assert all(re.fullmatch(r"src/tvo/\w+\.py:[1-9]\d*", line) for line in unrun)
+    # the tube's refusal tests reach every refusal of the center and the
+    # modular data read-out, and leave the surgery engine unrun
+    tube = (ROOT / "src" / "tvo" / "tube.py").read_text(encoding="utf-8").splitlines()
+    refusals = {f"src/tvo/tube.py:{i}" for i, text in enumerate(tube, start=1)
+                if "raise DecompositionError" in text}
+    assert len(refusals) == 10 and not refusals & set(unrun)
+    assert any(line.startswith("src/tvo/surgery.py:") for line in unrun)
 
 
 def test_bench_pairs_alternates_sides_and_appends(tmp_path, capsys):

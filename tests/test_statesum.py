@@ -53,6 +53,12 @@ def test_pointed_sixj_z2_twisted_weights():
                 assert abs(sj.weights[key] - (-1.0) ** (a * ((b + c) // 2))) < 1e-15
 
 
+def test_pointed_sixj_refuses_empty_groups():
+    for n in (0, -1):
+        with pytest.raises(StructureError, match="pointed_sixj requires n >= 1"):
+            pointed_sixj(n, 0)
+
+
 def test_pointed_sixj_single_label():
     sj = pointed_sixj(1, 5)
     assert sj.num_labels == 1

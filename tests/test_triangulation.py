@@ -427,10 +427,27 @@ def test_flip_validates_the_faces_it_writes(s3_triangulation):
     # a corrupt outer gluing of the flipped tetrahedron reaches only the
     # faces the move writes; their check must still refuse it
     tri = Triangulation(s3_triangulation.num_tets, s3_triangulation.gluings)
-    t2, _ = tri.gluings[(0, 1)]
-    tri.gluings[(0, 1)] = (t2, (0, 0, 2, 3))
+    corrupt = dict(tri.gluings)
+    t2, _ = corrupt[(0, 1)]
+    corrupt[(0, 1)] = (t2, (0, 0, 2, 3))
+    object.__setattr__(tri, "gluings", corrupt)  # past the read-only view
     with pytest.raises(StructureError, match="not a permutation"):
         pachner_14(tri, 0)
+
+
+def test_gluings_are_read_only(s3_triangulation):
+    # a frozen complex whose gluings could be cleared and refilled would keep
+    # num_tets and cached classes that no longer describe them
+    for tri in (Triangulation(s3_triangulation.num_tets, s3_triangulation.gluings),
+                pachner_14(s3_triangulation, 0)):
+        before = dict(tri.gluings)
+        with pytest.raises(AttributeError):
+            tri.gluings.clear()
+        with pytest.raises(TypeError):
+            tri.gluings[(0, 0)] = before[(0, 1)]
+        with pytest.raises(TypeError):
+            del tri.gluings[(0, 0)]
+        assert tri.gluings == before
 
 
 def relabelled(tri, rng):

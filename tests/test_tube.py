@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import tracemalloc
 
@@ -21,6 +20,37 @@ from tvo.catalog import cyclic_cocycle
 
 ALL_NK = [(n, k) for n in range(1, 7) for k in range(n)]
 SMALL_NK = [(n, k) for n in range(1, 5) for k in range(n)]
+
+
+def algebra(sectors, identity=None):
+    """A hand-made TubeAlgebra with twist 0 from its (n, n, n) table tau;
+    the identity defaults to u_(g,0) in every sector."""
+    tau = np.array(sectors, dtype=complex)
+    n = tau.shape[0]
+    ar = np.arange(n)
+    if identity is None:
+        identity = np.tile(np.eye(n)[0], n)
+    return tvo.TubeAlgebra(n, 0, tuple((g, x) for g in range(n) for x in range(n)), tau,
+                           np.ones(n * n, dtype=complex), (n * ar[:, None] + (-ar) % n).reshape(-1),
+                           np.asarray(identity, dtype=complex))
+
+
+def coboundary(f):
+    """The sector table tau(x, y) = f(x) f(y) / f(x + y): associative and
+    commutative, with u_x / f(x) multiplying as the group algebra."""
+    f = np.asarray(f, dtype=complex)
+    ar = np.arange(len(f))
+    return f[:, None] * f[None, :] / f[np.add.outer(ar, ar) % len(f)]
+
+
+def dense_idempotents(cb):
+    """The (n^2, n^2) matrix whose row g*n + j is the idempotent of flux g
+    and charge j, built from the blocks."""
+    n = cb.blocks.shape[0]
+    out = np.zeros((n * n, n * n), dtype=complex)
+    for g in range(n):
+        out[g * n:(g + 1) * n, g * n:(g + 1) * n] = cb.blocks[g]
+    return out
 
 
 @pytest.mark.parametrize("n,k", ALL_NK)
@@ -49,7 +79,7 @@ def test_identity_element():
 def test_k0_sectors_are_group_algebras():
     alg = tube_pointed(3, 0)
     # all structure constants are 0 or 1 and the product never mixes sectors
-    assert set(np.round(alg.mult.reshape(-1), 12).tolist()) <= {0, 1}
+    assert set(np.round(alg.tau.reshape(-1), 12).tolist()) <= {0, 1}
     basis = np.eye(alg.dim, dtype=complex)
     for i, (g, x) in enumerate(alg.labels):
         for j, (h, y) in enumerate(alg.labels):
@@ -60,13 +90,14 @@ def test_k0_sectors_are_group_algebras():
 def test_pointed_tube_is_commutative():
     for n, k in ((2, 1), (3, 2), (4, 3)):
         alg = tube_pointed(n, k)
-        assert np.abs(alg.mult - np.swapaxes(alg.mult, 1, 2)).max() < 1e-12
+        assert np.abs(alg.tau - np.swapaxes(alg.tau, 1, 2)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n,k", ALL_NK)
 def test_center_has_n_squared_idempotents(n, k):
     cb = center_idempotents(tube_pointed(n, k))
-    r = cb.idempotents.shape[0]
+    assert cb.blocks.shape == (n, n, n)
+    r = cb.blocks.shape[0] * cb.blocks.shape[1]
     assert r == n * n == twisted_double_cyclic(n, k).rank
     assert cb.idempotent_residual < 1e-9
     assert cb.completeness_residual < 1e-9
@@ -74,9 +105,9 @@ def test_center_has_n_squared_idempotents(n, k):
 
 def test_idempotents_are_orthogonal():
     alg = tube_pointed(3, 1)
-    cb = center_idempotents(alg)
-    for i, p in enumerate(cb.idempotents):
-        for j, q in enumerate(cb.idempotents):
+    idempotents = dense_idempotents(center_idempotents(alg))
+    for i, p in enumerate(idempotents):
+        for j, q in enumerate(idempotents):
             prod = alg.product(p, q)
             target = p if i == j else 0 * p
             assert np.abs(prod - target).max() < 1e-9
@@ -98,7 +129,7 @@ def test_idempotents_match_closed_form():
         # closed-form vectors must be idempotent in the algebra
         for vec in expected:
             assert np.abs(alg.product(vec, vec) - vec).max() < 1e-12
-        got = center_idempotents(alg).idempotents
+        got = dense_idempotents(center_idempotents(alg))
         # rows agree one by one: row g*n + j is the idempotent of flux g and charge j
         for i, vec in enumerate(expected):
             assert np.abs(vec - got[i]).max() < 1e-9, (n, k, divmod(i, n))
@@ -107,8 +138,8 @@ def test_idempotents_match_closed_form():
 def test_one_dimensional_algebra():
     alg = tube_pointed(1, 0)
     cb = center_idempotents(alg)
-    assert cb.idempotents.shape == (1, 1)
-    assert np.abs(cb.idempotents[0] - alg.identity).max() < 1e-12
+    assert cb.blocks.shape == (1, 1, 1)
+    assert np.abs(cb.blocks[0, 0] - alg.identity).max() < 1e-12
 
 
 def test_sector_cocycle_matches_tube_structure_constants():
@@ -118,34 +149,104 @@ def test_sector_cocycle_matches_tube_structure_constants():
     for g in range(n):
         for x in range(n):
             for y in range(n):
-                got = alg.mult[g, x, y, (x + y) % n]
+                got = alg.tau[g, x, y]
                 assert abs(got - omega(g, x, y)) < 1e-15
 
 
 def test_non_associative_input_rejected():
     alg = tube_pointed(2, 1)
-    broken = alg.mult.copy()
-    broken[0, 0, 0, 1] = 0.7
+    broken = alg.tau.copy()
+    broken[0, 0, 0] = 0.7  # u_0 u_0 = 0.7 u_0, but u_0 u_1 = u_1
     bad = tvo.TubeAlgebra(alg.n, alg.twist, alg.labels, broken, alg.star_phase,
                           alg.star_perm, alg.identity)
+    assert abs(bad.associativity_residual() - 0.3) < 1e-12
     with pytest.raises(DecompositionError):
         center_idempotents(bad)
 
 
 def test_noncommutative_sectors_rejected():
-    # every sector is M_2(C): associative, but E_01 E_10 = E_00 != E_11 = E_10 E_01
-    n = 4  # basis E_ij at x = 2 i + j
-    mult = np.zeros((n, n, n, n), dtype=complex)
-    for i, j, l in itertools.product(range(2), repeat=3):
-        mult[:, 2 * i + j, 2 * j + l, 2 * i + l] = 1.0
-    labels = tuple((g, x) for g in range(n) for x in range(n))
-    star_perm = np.array([g * n + 2 * j + i for g in range(n) for i in range(2) for j in range(2)])
-    identity = np.tile([1.0, 0.0, 0.0, 1.0], n).astype(complex)
-    alg = tvo.TubeAlgebra(n, 0, labels, mult, np.ones(n * n, dtype=complex), star_perm, identity)
+    # every sector has u_0 u_y = u_y and u_1 u_y = 0: an associative table
+    # (a 2-cocycle), with u_0 a left identity, but u_0 u_1 = u_1 != 0 = u_1 u_0
+    alg = algebra([[[1, 1], [0, 0]]] * 2)
     assert alg.associativity_residual() == 0
-    assert np.abs(alg.product(identity, np.arange(n * n)) - np.arange(n * n)).max() == 0
+    assert np.abs(alg.product(alg.identity, np.arange(4)) - np.arange(4)).max() == 0
     with pytest.raises(DecompositionError, match="not commutative"):
         center_idempotents(alg)
+
+
+def test_center_refuses_inseparable_eigenvalues():
+    # u_1 u_y = 0: every sector is the dual numbers C[u_1]/(u_1^2), whose
+    # u_1 is nilpotent, so both eigenvalues are 0
+    alg = algebra([[[1, 0], [0, 0]]] * 2)
+    assert alg.associativity_residual() == 0
+    with pytest.raises(DecompositionError, match="could not separate central eigenvalues"):
+        center_idempotents(alg)
+
+
+def test_center_refuses_a_nilpotent_direction():
+    # at scale 1e-5 the table's 2-cocycle defect, 4e-10, is under tolerance;
+    # each eigenvector q = (1, +-1) / sqrt 2 of u_1 then has q q = 1e-5 (-1, +-1),
+    # with no component along q
+    alg = algebra([1e-5 * np.array([[-3, 1], [1, 1]])] * 2)
+    assert 0 < alg.associativity_residual() <= 1e-9
+    with pytest.raises(DecompositionError, match="nilpotent direction"):
+        center_idempotents(alg)
+
+
+def test_center_refuses_directions_that_are_not_idempotent():
+    # the same table with tau(0,0) = 3e-5: q q = 1e-5 (2, +-1) is not a
+    # multiple of q, so q q / mu^2 - q / mu is of order 1 / (9e-5)
+    alg = algebra([1e-5 * np.array([[3, 1], [1, 1]])] * 2)
+    assert 0 < alg.associativity_residual() <= 1e-9
+    with pytest.raises(DecompositionError, match="idempotent residual 1.111e\\+04"):
+        center_idempotents(alg)
+
+
+def test_center_refuses_idempotents_that_miss_the_identity():
+    # the group algebra of Z/2 in both sectors, with a wrong identity element
+    alg = algebra(np.ones((2, 2, 2)), identity=np.zeros(4))
+    with pytest.raises(DecompositionError, match="do not sum to the identity \\(1.000e\\+00\\)"):
+        center_idempotents(alg)
+
+
+def test_modular_data_refuses_a_vacuum_coefficient_off_1_over_n():
+    # tau = 2: the unit is u_0 / 2, and every idempotent has u_0 coefficient 1 / (2n)
+    alg = algebra(2 * np.ones((2, 2, 2)), identity=[0.5, 0, 0.5, 0])
+    center_idempotents(alg)
+    with pytest.raises(DecompositionError, match="vacuum coefficient .* of sector 0 is not 1/n"):
+        tube_modular_data(alg)
+
+
+def test_modular_data_refuses_a_character_that_is_not_unimodular():
+    # u_1 / 2 multiplies as in the group algebra, so n B[g, j, 1] = +-1/2
+    alg = algebra([coboundary([1, 2])] * 2)
+    with pytest.raises(DecompositionError, match="not unimodular"):
+        tube_modular_data(alg)
+
+
+def test_modular_data_refuses_a_vacuum_that_is_not_the_trivial_character():
+    # in sector 0, u_2 multiplies as -1 times the group algebra's: the
+    # idempotent of charge 0 has n B = (1, 1, -1), unimodular but not trivial
+    alg = algebra([coboundary([1, 1, -1])] + [np.ones((3, 3))] * 2)
+    with pytest.raises(DecompositionError, match="vacuum idempotent .* not found"):
+        tube_modular_data(alg)
+
+
+def test_center_stats():
+    cb = center_idempotents(tube_pointed(3, 1))
+    assert set(cb.stats) == {"dim", "sector_gaps", "checks_s", "eig_s", "readout_s"}
+    assert cb.stats["dim"] == 9 and len(cb.stats["sector_gaps"]) == 3
+    assert min(cb.stats[key] for key in ("checks_s", "eig_s", "readout_s")) >= 0
+    assert "stats" not in repr(cb)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sector_gaps_meet_the_stated_bound(n):
+    # the eigenvalues of u_(g,1) are n n-th roots of one unimodular number
+    for k in range(n):
+        gaps = center_idempotents(tube_pointed(n, k)).stats["sector_gaps"]
+        assert len(gaps) == n
+        assert min(gaps) >= 2 * math.sin(math.pi / n) - 1e-12, (n, k)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -191,7 +292,7 @@ def test_tube_lens_values_reproduce_hom_counting(n):
 def test_tube_modular_data_beyond_dense_sizes(n, k):
     # the dense n^6 tensor and its n^8 residual needed ~14 GB at n = 12
     alg = tube_pointed(n, k)
-    assert alg.mult.shape == (n, n, n, n)
+    assert alg.tau.shape == (n, n, n)
     tracemalloc.start()
     try:
         md = tube_modular_data(alg)
@@ -202,6 +303,20 @@ def test_tube_modular_data_beyond_dense_sizes(n, k):
     ref = twisted_double_cyclic(n, k)
     assert np.abs(md.S - ref.S).max() < 1e-9
     assert np.abs(md.T - ref.T).max() < 1e-9
+
+
+def test_tube_modular_data_traced_peak_at_n_32():
+    # S has n^4 = 2^20 complex entries (16 MiB); ModularData keeps its own
+    # copy, and no step may build a third array of that size
+    tracemalloc.start()
+    try:
+        md = tube_modular_data(tube_pointed(32, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20, peak / 2**20
+    ref = twisted_double_cyclic(32, 1)
+    assert np.abs(md.S - ref.S).max() < 1e-9 and np.abs(md.T - ref.T).max() < 1e-9
 
 
 @pytest.mark.parametrize("n", range(1, 13))
