@@ -48,19 +48,8 @@ class FiniteAbelianGroup:
         return math.prod(self.factors)
 
     def elements(self) -> list[tuple[int, ...]]:
+        """Every element, in lexicographic order of the residues."""
         return list(itertools.product(*(range(f) for f in self.factors)))
-
-    def index(self, g: tuple[int, ...]) -> int:
-        idx = 0
-        for gi, fi in zip(g, self.factors):
-            idx = idx * fi + (gi % fi)
-        return idx
-
-    def add(self, g, h):
-        return tuple((a + b) % f for a, b, f in zip(g, h, self.factors))
-
-    def neg(self, g):
-        return tuple((-a) % f for a, f in zip(g, self.factors))
 
     def pairing(self, g, h) -> complex:
         """Character value chi_h(g) = exp(2 pi i sum (g_i h_i mod n_i) / n_i)."""
@@ -145,12 +134,12 @@ def quantum_double_abelian(G: FiniteAbelianGroup) -> ModularData:
     """Untwisted quantum double of an abelian group.
 
     Labels are pairs (g, h) of a group element and a character index,
-    ordered (index(g), index(h)); the character of (g, h) is chi_h.
+    each in the order of ``G.elements()``; the character of (g, h) is chi_h.
     Strictly anomaly-free.
     """
     m = G.order
     _require_capacity(m**4, f"the S matrix of the double of {G} (rank {m * m})")
-    els = G.elements()  # els[G.index(g)] == g
+    els = G.elements()
     # P[x, h] = chi_h(x); A[(g, h), (g2, h2)] = P[g2, h]
     P = np.array([[G.pairing(x, h) for h in els] for x in els])
     A = np.tile(np.repeat(P.T, m, axis=1), (m, 1))
@@ -158,19 +147,23 @@ def quantum_double_abelian(G: FiniteAbelianGroup) -> ModularData:
     return _double_from_characters(A, m, labels)
 
 
-def cyclic_cocycle(n: int, k: int):
-    """The degree-3 cocycle representative on Z/n with parameter k.
+def cyclic_cocycle(n: int, k: int) -> np.ndarray:
+    """The degree-3 cocycle representative on Z/n with parameter k, as the
+    read-only (n, n, n) complex table omega[a, b, c]: the 6j weights of
+    ``pointed_sixj`` and the tube table tau of ``tube_pointed``.
 
     omega_k(a,b,c) = exp(2 pi i k a (b + c - [(b+c) mod n]) / n^2); the middle
     factor is n times the carry of b+c, so the value is exp(2 pi i k a / n)
-    exactly when b+c wraps around.
+    exactly where b+c wraps around, and 1 elsewhere.
     """
-    kk = k % n if n > 0 else 0
-
-    def omega(a: int, b: int, c: int) -> complex:
-        carry = (b % n + c % n) // n
-        return _e(kk * (a % n) * carry / n)
-
+    n, k = _integral(n, "cyclic_cocycle n"), _integral(k, "cyclic_cocycle k")
+    if n < 1:
+        raise PreconditionError("cyclic_cocycle requires n >= 1")
+    _require_capacity(n**3, f"the cocycle table of Z/{n} (n^3 entries)")
+    ar = np.arange(n)
+    wraps = np.add.outer(ar, ar) >= n
+    omega = np.where(wraps, np.exp(_TWO_PI_I * (k % n * ar / n))[:, None, None], 1.0 + 0j)
+    omega.setflags(write=False)
     return omega
 
 

@@ -119,12 +119,6 @@ class SixJData:
         and unit dimensions."""
         return self._group is not None and bool(np.abs(self.qdim - 1.0).max() <= 1e-12)
 
-    def tet_weight(self, key) -> complex:
-        try:
-            return self.weights[key]
-        except KeyError:
-            raise StructureError(f"no 6j weight for edge labels {key}") from None
-
     def key_from_triple(self, a: int, b: int, c: int):
         """The 6-tuple weight key of the tetrahedron with consecutive labels a, b, c
         (Latin-square fusion only)."""
@@ -155,8 +149,9 @@ def pointed_sixj(n: int, k: int) -> SixJData:
     """Pointed 6j data on Z/n with the cyclic degree-3 cocycle of parameter k.
 
     All dimensions are 1, (a, b) fuses to a+b mod n, and the tetrahedron
-    weight is omega_k(a, b, c) on the three consecutive edge labels. Raises
-    :class:`CapacityError` above ``_POINTED_LABEL_CAP`` labels.
+    weight is omega_k(a, b, c) on the three consecutive edge labels, read
+    off the :func:`~tvo.catalog.cyclic_cocycle` table that ``tube_pointed``
+    is. Raises :class:`CapacityError` above ``_POINTED_LABEL_CAP`` labels.
     """
     n, k = _integral(n, "pointed_sixj n"), _integral(k, "pointed_sixj k")
     if n < 1:
@@ -164,14 +159,10 @@ def pointed_sixj(n: int, k: int) -> SixJData:
     if n > _POINTED_LABEL_CAP:
         raise CapacityError(f"pointed 6j data on Z/{n} is above the cap of "
                             f"{_POINTED_LABEL_CAP} labels")
-    omega = cyclic_cocycle(n, k)
+    omega = cyclic_cocycle(n, k).tolist()
     admissible = frozenset((a, b, (a + b) % n) for a in range(n) for b in range(n))
-    weights = {}
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                key = (a, (a + b) % n, (a + b + c) % n, b, (b + c) % n, c)
-                weights[key] = omega(a, b, c)
+    weights = {(a, (a + b) % n, (a + b + c) % n, b, (b + c) % n, c): omega[a][b][c]
+               for a in range(n) for b in range(n) for c in range(n)}
     return SixJData(
         num_labels=n,
         qdim=np.ones(n),
@@ -190,8 +181,11 @@ class PentagonReport:
 
 def _weight_table(sixj: SixJData):
     """w[a][b][c]: the weight of the tetrahedron with consecutive labels a, b, c."""
-    r = range(sixj.num_labels)
-    return [[[sixj.tet_weight(sixj.key_from_triple(a, b, c)) for c in r] for b in r] for a in r]
+    r, key = range(sixj.num_labels), sixj.key_from_triple
+    try:
+        return [[[sixj.weights[key(a, b, c)] for c in r] for b in r] for a in r]
+    except KeyError as missing:
+        raise StructureError(f"no 6j weight for edge labels {missing.args[0]}") from None
 
 
 #: the largest pentagon residual ``verify_pentagon`` and the gauge gate accept

@@ -7,10 +7,11 @@ the annulus label x) with product
     u_(g,x) u_(h,y) = delta_{g,h} tau_g(x, y) u_(g, x+y),
     tau_g(x, y) = omega_k(g, x, y) omega_k(x, y, g) / omega_k(x, g, y),
 
-which for the cyclic cocycle collapses to exp(2 pi i k g carry(x,y) / n).
-The delta_{g,h} splits the algebra into n flux sectors of dimension n, and
-a product in a sector has one term, so the algebra is stored as the
-(n, n, n) table tau[g, x, y]. Each sector is a twisted group algebra of
+which for the cyclic cocycle collapses to omega_k(g, x, y). The delta_{g,h}
+splits the algebra into n flux sectors of dimension n, and a product in a
+sector has one term, so the algebra is its (n, n, n) table tau[g, x, y]
+alone, for ``tube_pointed`` the :func:`~tvo.catalog.cyclic_cocycle` table
+that ``pointed_sixj`` reads too. Each sector is a twisted group algebra of
 Z/n, commutative because H^2(Z/n, U(1)) = 0 and generated by u_(g,1), so
 its minimal idempotents are the eigenvectors of multiplication by u_(g,1),
 rescaled; the eigenvalue names the charge. The idempotent of flux g and
@@ -29,7 +30,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import DecompositionError, PreconditionError
+from .catalog import cyclic_cocycle
+from .errors import DecompositionError, PreconditionError, StructureError
 from .modular import ModularData, _require_capacity
 from .surgery import _integral
 
@@ -59,35 +61,56 @@ def _convolve(tau: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class TubeAlgebra:
-    """Finite-dimensional *-algebra of n flux sectors in the (g, x) basis.
+    """Finite-dimensional *-algebra of n flux sectors in the (g, x) basis,
+    given by its read-only (n, n, n) table ``tau`` alone.
 
     ``tau[g, x, y]`` is the coefficient of u_(g,x+y) in u_(g,x) u_(g,y),
     the product's only term; products across sectors vanish. Vectors are
-    flat, entry g*n + x holding u_(g,x); e_a^* = star_phase[a] e_{star_perm[a]}.
+    flat, entry g*n + x holding u_(g,x). Everything else is read off tau:
+    the unit u_(g,0) / tau_g(0,0) in every sector and the star
+    (u_(g,x))^* = conj(tau_g(x,-x)) u_(g,-x). A table of any other shape is
+    refused with :class:`StructureError`.
     """
 
-    n: int
-    twist: int
-    labels: tuple
     tau: np.ndarray
-    star_phase: np.ndarray
-    star_perm: np.ndarray
-    identity: np.ndarray
+
+    def __post_init__(self):
+        tau = np.asarray(self.tau, dtype=complex)
+        if tau.ndim != 3 or tau.shape[0] < 1 or len(set(tau.shape)) != 1:
+            raise StructureError(f"a tube table has shape (n, n, n) with n >= 1, not {tau.shape}")
+        if tau.flags.writeable:
+            tau = tau.copy()
+            tau.setflags(write=False)
+        object.__setattr__(self, "tau", tau)
+
+    @property
+    def n(self) -> int:
+        return self.tau.shape[0]
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
+        return self.n * self.n
+
+    @property
+    def identity(self) -> np.ndarray:
+        out = np.zeros((self.n, self.n), dtype=complex)
+        out[:, 0] = 1.0 / self.tau[:, 0, 0]
+        return out.reshape(-1)
 
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         n = self.n
         return _convolve(self.tau, u.reshape(n, 1, n), v.reshape(n, 1, n)).reshape(-1)
 
+    def _star_phase(self) -> tuple:
+        """(x -> -x as an index array, phase[g, x] = conj(tau_g(x, -x)))."""
+        neg = -np.arange(self.n) % self.n
+        return neg, self.tau[:, np.arange(self.n), neg].conj()
+
     def star(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=complex)
-        np.add.at(out, self.star_perm, u.conj() * self.star_phase)
-        return out
+        neg, phase = self._star_phase()
+        return (u.reshape(self.n, self.n).conj() * phase)[:, neg].reshape(-1)
 
     def associativity_residual(self) -> float:
         """max |tau(x,y) tau(x+y,z) - tau(y,z) tau(x,y+z)| over every sector
@@ -107,40 +130,23 @@ class TubeAlgebra:
         """max |(e_a e_b)^* - e_b^* e_a^*| over all basis pairs of one sector."""
         n = self.n
         g = np.arange(n)[:, None, None]
-        perm = self.star_perm.reshape(n, n) % n  # the star keeps every sector
-        phase = self.star_phase.reshape(n, n)
+        neg, phase = self._star_phase()
         add = np.add.outer(np.arange(n), np.arange(n)) % n
-        px, py = perm[:, :, None], perm[:, None, :]
-        # (e_(g,x) e_(g,y))^* is this multiple of e_(g, perm[x + y]) ...
+        # (e_(g,x) e_(g,y))^* is this multiple of e_(g, -x-y) ...
         lhs = self.tau.conj() * phase[g, add]
-        # ... and e_(g,y)^* e_(g,x)^* this multiple of e_(g, perm[y] + perm[x])
-        rhs = phase[:, :, None] * phase[:, None, :] * self.tau[g, py, px]
-        same = perm[g, add] == (px + py) % n
-        return float(np.where(same, np.abs(lhs - rhs), np.maximum(np.abs(lhs), np.abs(rhs))).max())
+        # ... and e_(g,y)^* e_(g,x)^* this multiple of e_(g, -y-x)
+        rhs = phase[:, :, None] * phase[:, None, :] * self.tau[g, neg[None, :], neg[:, None]]
+        return float(np.abs(lhs - rhs).max())
 
 
 def tube_pointed(n: int, k: int) -> TubeAlgebra:
-    """The tube algebra of the pointed cyclic data with cocycle parameter k.
-
-    Dimension n^2; for k = 0 every sector is the plain group algebra of Z/n.
-    """
+    """The tube algebra of the pointed cyclic data with cocycle parameter k,
+    whose table is :func:`~tvo.catalog.cyclic_cocycle`. Dimension n^2; for
+    k = 0 every sector is the plain group algebra of Z/n."""
     n, k = _integral(n, "tube_pointed n"), _integral(k, "tube_pointed k")
     if n < 1:
         raise PreconditionError("tube_pointed requires n >= 1")
-    _require_capacity(n**3, f"the tube algebra of Z/{n} (n^3 structure constants)")
-    k = k % n
-    ar = np.arange(n)
-    labels = tuple((g, x) for g in range(n) for x in range(n))
-    # tau_g(x,y) = omega_k(g, x, y), the two outer cocycle factors cancelling
-    # for cyclic groups: exp(2 pi i k g / n) where x + y wraps around, else 1
-    wraps = np.add.outer(ar, ar) >= n
-    tau = np.where(wraps, np.exp(2j * np.pi * (k * ar / n))[:, None, None], 1.0 + 0j)
-    xm = (-ar) % n
-    star_phase = tau[:, ar, xm].conj().reshape(-1)
-    star_perm = (n * ar[:, None] + xm).reshape(-1)
-    identity = np.zeros(n * n, dtype=complex)
-    identity[::n] = 1.0
-    return TubeAlgebra(n, k, labels, tau, star_phase, star_perm, identity)
+    return TubeAlgebra(cyclic_cocycle(n, k))
 
 
 @dataclass(eq=False)
@@ -175,14 +181,19 @@ def center_idempotents(alg: TubeAlgebra) -> CenterBasis:
     sectors are diagonalised in one stacked eigensolve. For
     ``tube_pointed`` data u_(g,1) generates the sector and its eigenvalues
     psi_j(1) = exp(2 pi i (k g / n + j) / n), at least 2 sin(pi / n) apart,
-    give the charges j. Raises :class:`DecompositionError` if the table is
+    give the charges j. The offset k is read off the table: the n-th power
+    of u_(1,1) is prod_y tau_1(1, y) = exp(2 pi i k / n) times u_(1,0), and
+    k = 0 at n = 1. Raises :class:`DecompositionError` if the table is
     not a 2-cocycle (not associative) or not symmetric (not commutative),
     if the eigenvalues are not separated, if a charge is not an integer
-    (the twist disagrees with the table), or if residuals exceed tolerance.
+    (a sector's twist disagrees with sector 1's), if the idempotents do not
+    sum to the unit, or if residuals exceed tolerance.
 
     u_(g,1) maps u_(g,y) to a multiple of u_(g,y+1), so its eigenvalues are
     the n n-th roots of one number, and charges that pass the integer check
-    are distinct; a repeat would leave a block empty and fail completeness.
+    are distinct. The idempotents of an exact 2-cocycle sum to the unit;
+    completeness refuses a small table that passes the absolute
+    associativity bound but is no 2-cocycle.
     """
     start = perf_counter()
     res = alg.associativity_residual()
@@ -202,13 +213,14 @@ def center_idempotents(alg: TubeAlgebra) -> CenterBasis:
     gaps = dist.min(axis=(1, 2))
     if gaps.min() <= 1e-6:
         raise DecompositionError("could not separate central eigenvalues")
-    charge = np.angle(evals) * n / (2 * np.pi) - alg.twist * ar[:, None] / n
+    k = int(np.rint(n * np.angle(alg.tau[1, 1].prod()) / (2 * np.pi))) % n if n > 1 else 0
+    charge = np.angle(evals) * n / (2 * np.pi) - k * ar[:, None] / n
     j = np.rint(charge)
     off = np.abs(charge - j).max(axis=1)
     if off.max() > 1e3 * _TOL:
         g = int(np.argmax(off > 1e3 * _TOL))
-        raise DecompositionError(f"charges of sector {g} are {off[g]:.3e} off the integers: "
-                                 f"twist {alg.twist} disagrees with the structure constants")
+        raise DecompositionError(f"charges of sector {g} are {off[g]:.3e} off the integers "
+                                 f"for the charge offset k = {k} read from sector 1")
     Q = evecs.transpose(0, 2, 1)  # [g, i, x]: eigenvector i of sector g
     QQ = _convolve(alg.tau, Q, Q)
     mu = np.einsum("gjz,gjz->gj", Q.conj(), QQ) / np.einsum("gjz,gjz->gj", Q.conj(), Q)

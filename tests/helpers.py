@@ -162,6 +162,14 @@ def abelian_double_loops(factors):
     return S, T
 
 
+def cyclic_cocycle_value(n, k, a, b, c):
+    """omega_k(a, b, c) on Z/n, one entry at a time: exp(2 pi i k a / n)
+    where b + c wraps past n, else 1."""
+    carry = (b % n + c % n) // n
+    x = (k % n) * (a % n) * carry / n
+    return cmath.exp(2j * math.pi * x)
+
+
 def twisted_double_loops(n, k, reduced=False):
     """S and T of the twisted double of Z/n with cocycle parameter k.
 

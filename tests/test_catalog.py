@@ -20,9 +20,15 @@ from tvo import (
     golden_fixtures,
     verify_verlinde,
 )
+from tvo.catalog import cyclic_cocycle
 from tvo.cli import resolve_builtin_data
 
-from helpers import abelian_double_loops, surgery_hom_count, twisted_double_loops
+from helpers import (
+    abelian_double_loops,
+    cyclic_cocycle_value,
+    surgery_hom_count,
+    twisted_double_loops,
+)
 
 ALL_GENERATORS = [
     ("trivial", tvo.trivial_data),
@@ -74,6 +80,7 @@ def test_su2_level_k_requires_positive_level():
     (lambda n: tvo.pointed_cyclic(n, 1), "pointed_cyclic"),
     (lambda n: tvo.twisted_double_cyclic(n, 0), "twisted_double_cyclic"),
     (lambda n: tvo.tube_pointed(n, 0), "tube_pointed"),
+    (lambda n: cyclic_cocycle(n, 0), "cyclic_cocycle"),
 ])
 def test_cyclic_generators_refuse_empty_groups(build, name):
     for n in (0, -2):
@@ -275,13 +282,29 @@ def test_golden_fixture_sources():
 # ---------------------------------------------------------------------------
 
 def test_group_elements_and_index():
+    # the element of index g_1 * 3 + g_2 is (g_1, g_2): the label order of
+    # quantum_double_abelian
     G = FiniteAbelianGroup((2, 3))
     els = G.elements()
     assert len(els) == 6 == G.order
-    for i, g in enumerate(els):
-        assert G.index(g) == i
-    assert G.add((1, 2), (1, 2)) == (0, 1)
-    assert G.neg((1, 2)) == (1, 1)
+    assert els == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+
+
+def test_one_cocycle_table_feeds_both_pointed_generators():
+    # the table and the 6j weights against the cocycle written one entry at
+    # a time, bit for bit
+    for n in range(1, 13):
+        for k in range(n):
+            omega = cyclic_cocycle(n, k)
+            assert omega.shape == (n, n, n) and not omega.flags.writeable
+            weights = tvo.pointed_sixj(n, k).weights
+            for a in range(n):
+                for b in range(n):
+                    for c in range(n):
+                        want = cyclic_cocycle_value(n, k, a, b, c)
+                        assert omega[a, b, c] == want, (n, k, a, b, c)
+                        key = (a, (a + b) % n, (a + b + c) % n, b, (b + c) % n, c)
+                        assert weights[key] == want, (n, k, a, b, c)
 
 
 def test_group_factors_are_read_as_ints():
@@ -374,6 +397,9 @@ def test_tube_algebra_above_the_cap_is_refused():
     alg = tvo.tube_pointed(91, 1)
     with pytest.raises(CapacityError, match="Z/91 .*cap 1 GiB"):
         tvo.tube_modular_data(alg)
+    # the n^3 cocycle table itself passes 1 GiB at n = 407, before it is built
+    with pytest.raises(CapacityError, match="cocycle table of Z/407 .*cap 1 GiB"):
+        tvo.tube_pointed(407, 1)
 
 
 @pytest.mark.parametrize("build,name", [
@@ -386,6 +412,8 @@ def test_tube_algebra_above_the_cap_is_refused():
     (lambda: tvo.pointed_sixj(2, "1"), "pointed_sixj k"),
     (lambda: tvo.tube_pointed(2.5, 1), "tube_pointed n"),
     (lambda: tvo.tube_pointed(2, 1.5), "tube_pointed k"),
+    (lambda: cyclic_cocycle(2.5, 1), "cyclic_cocycle n"),
+    (lambda: cyclic_cocycle(2, 1.5), "cyclic_cocycle k"),
 ])
 def test_generators_refuse_non_integral_parameters(build, name):
     # su2_level_k(2.5) built rank-4 data failing the Verlinde suite; the

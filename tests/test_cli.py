@@ -296,6 +296,11 @@ def test_golden_wrong_data_fails(capsys):
                        "--source", "haagerup")
     assert code == 1
     assert "FAIL" in out
+    # with data, the e6 source adds the closed form's L(p, 1), p <= 12, and
+    # L(p, 2) for odd p <= 11
+    code, out, _ = run(capsys, "golden", "--data", "builtin:toric-code", "--source", "e6")
+    assert code == 1
+    assert sum(line.startswith("e6 L(") for line in out.splitlines()) == 18
 
 
 def test_golden_e6_self_consistency(capsys):

@@ -46,6 +46,8 @@ def test_shape_mismatch_is_structural_error():
         ModularData(np.eye(2), np.ones(3))
     with pytest.raises(StructureError):
         ModularData(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(StructureError, match="label count does not match rank"):
+        ModularData(np.eye(2), np.ones(2), labels=("1",))
 
 
 def test_modular_data_is_s_t_and_labels_only():
@@ -414,6 +416,20 @@ def test_associativity_detects_a_redirected_product():
     assert table.unit_ok() and table.commutative_ok()
     assert not fusion_associative_loops(N)
     assert not table.associative_ok()
+
+
+def test_fusion_table_refuses_a_non_cubic_or_negative_tensor():
+    with pytest.raises(StructureError, match=r"must be cubic, got \(2, 2\)"):
+        tvo.FusionTable(np.eye(2, dtype=np.int64))
+    N = np.zeros((2, 2, 2), dtype=np.int64)
+    N[1, 1, 0] = -1
+    with pytest.raises(StructureError, match="must be non-negative"):
+        tvo.FusionTable(N)
+
+
+def test_a_report_without_sl2_checks_names_the_missing_check():
+    with pytest.raises(KeyError, match="S\\^4 identity"):
+        tvo.VerificationReport().sl2_relations_pass
 
 
 def test_associativity_refuses_tables_past_the_float64_bound():

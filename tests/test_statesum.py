@@ -209,6 +209,20 @@ def test_non_unit_dimensions_rejected(s3_triangulation):
         tv_evaluate(sj, s3_triangulation)
 
 
+def test_non_orientable_complex_rejected():
+    # two tetrahedra glued into a closed non-orientable complex with
+    # Euler characteristic 0; its subdivision has distinct vertex classes
+    # in every tetrahedron, so orientability is what refuses it
+    tri = Triangulation(2, {
+        (0, 0): (1, (3, 1, 0, 2)), (0, 1): (1, (3, 1, 0, 2)), (0, 2): (1, (1, 0, 2, 3)),
+        (0, 3): (1, (2, 3, 1, 0)), (1, 0): (0, (3, 2, 0, 1)), (1, 1): (0, (2, 1, 3, 0)),
+        (1, 2): (0, (1, 0, 2, 3)), (1, 3): (0, (2, 1, 3, 0)),
+    })
+    assert tri.is_closed and tri.euler_characteristic == 0 and tri.orientation is None
+    with pytest.raises(UnsupportedFeatureError, match="triangulation is not orientable"):
+        tv_evaluate(pointed_sixj(2, 0), barycentric_subdivision(tri))
+
+
 def test_repeated_vertex_class_complex_rejected():
     # a 2-3 move on the two-tet sphere merges the apexes into one class
     tri = two_tet_sphere()

@@ -104,8 +104,9 @@ _IDENT = (0, 1, 2, 3)
     (2, {(0, 0): (1, (1, 0, 2, 3)), (1, 1): (0, (1, 0, 3, 2))},
      "gluing involution broken at tet 0 face 0 "
      "(reverse gluing of tet 1 face 1 missing or inconsistent)"),
+    (0, {}, "need at least one tetrahedron"),
 ], ids=["tet", "partner-tet", "face", "short", "long", "repeat", "self", "one-sided",
-        "wrong-inverse"])
+        "wrong-inverse", "empty"])
 def test_each_gluing_error_message(num_tets, gluings, message):
     with pytest.raises(StructureError) as info:
         Triangulation(num_tets, gluings)

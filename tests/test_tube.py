@@ -1,13 +1,15 @@
-import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import tvo
 from tvo import (
     DecompositionError,
+    PreconditionError,
+    StructureError,
+    TubeAlgebra,
     center_idempotents,
     conjugate_equivalent,
     lens_p1,
@@ -18,21 +20,10 @@ from tvo import (
 )
 from tvo.catalog import cyclic_cocycle
 
+from helpers import cyclic_cocycle_value
+
 ALL_NK = [(n, k) for n in range(1, 7) for k in range(n)]
 SMALL_NK = [(n, k) for n in range(1, 5) for k in range(n)]
-
-
-def algebra(sectors, identity=None):
-    """A hand-made TubeAlgebra with twist 0 from its (n, n, n) table tau;
-    the identity defaults to u_(g,0) in every sector."""
-    tau = np.array(sectors, dtype=complex)
-    n = tau.shape[0]
-    ar = np.arange(n)
-    if identity is None:
-        identity = np.tile(np.eye(n)[0], n)
-    return tvo.TubeAlgebra(n, 0, tuple((g, x) for g in range(n) for x in range(n)), tau,
-                           np.ones(n * n, dtype=complex), (n * ar[:, None] + (-ar) % n).reshape(-1),
-                           np.asarray(identity, dtype=complex))
 
 
 def coboundary(f):
@@ -66,6 +57,29 @@ def test_star_is_involution():
     rng = np.random.default_rng(0)
     u = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
     assert np.abs(alg.star(alg.star(u)) - u).max() < 1e-12
+    # (u_(g,x))^* = conj(tau_g(x, -x)) u_(g,-x), a phase other than 1 here
+    for g in range(4):
+        for x in range(4):
+            want = np.zeros(alg.dim, dtype=complex)
+            want[g * 4 + (-x) % 4] = alg.tau[g, x, (-x) % 4].conjugate()
+            assert np.array_equal(alg.star(np.eye(alg.dim)[g * 4 + x]), want)
+
+
+def test_tube_algebra_is_its_read_only_table():
+    table = np.ones((2, 2, 2), dtype=complex)
+    alg = TubeAlgebra(table)
+    assert (alg.n, alg.dim) == (2, 4) and not alg.tau.flags.writeable
+    table[0, 0, 0] = 5  # the algebra keeps its own copy of a writeable table
+    assert alg.tau[0, 0, 0] == 1
+    assert alg.tau is TubeAlgebra(alg.tau).tau
+    for shape in ((2, 2), (2, 2, 3), (0, 0, 0)):
+        with pytest.raises(StructureError, match=re.escape(f"(n, n, n) with n >= 1, not {shape}")):
+            TubeAlgebra(np.ones(shape))
+
+
+def test_tube_pointed_refuses_an_empty_group():
+    with pytest.raises(PreconditionError, match="tube_pointed requires n >= 1"):
+        tube_pointed(0, 0)
 
 
 def test_identity_element():
@@ -81,9 +95,9 @@ def test_k0_sectors_are_group_algebras():
     # all structure constants are 0 or 1 and the product never mixes sectors
     assert set(np.round(alg.tau.reshape(-1), 12).tolist()) <= {0, 1}
     basis = np.eye(alg.dim, dtype=complex)
-    for i, (g, x) in enumerate(alg.labels):
-        for j, (h, y) in enumerate(alg.labels):
-            if g != h:
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            if divmod(i, alg.n)[0] != divmod(j, alg.n)[0]:
                 assert np.abs(alg.product(basis[i], basis[j])).max() == 0
 
 
@@ -145,20 +159,17 @@ def test_one_dimensional_algebra():
 def test_sector_cocycle_matches_tube_structure_constants():
     n, k = 4, 3
     alg = tube_pointed(n, k)
-    omega = cyclic_cocycle(n, k)
     for g in range(n):
         for x in range(n):
             for y in range(n):
-                got = alg.tau[g, x, y]
-                assert abs(got - omega(g, x, y)) < 1e-15
+                assert alg.tau[g, x, y] == cyclic_cocycle_value(n, k, g, x, y)
 
 
 def test_non_associative_input_rejected():
     alg = tube_pointed(2, 1)
     broken = alg.tau.copy()
     broken[0, 0, 0] = 0.7  # u_0 u_0 = 0.7 u_0, but u_0 u_1 = u_1
-    bad = tvo.TubeAlgebra(alg.n, alg.twist, alg.labels, broken, alg.star_phase,
-                          alg.star_perm, alg.identity)
+    bad = TubeAlgebra(broken)
     assert abs(bad.associativity_residual() - 0.3) < 1e-12
     with pytest.raises(DecompositionError):
         center_idempotents(bad)
@@ -167,7 +178,7 @@ def test_non_associative_input_rejected():
 def test_noncommutative_sectors_rejected():
     # every sector has u_0 u_y = u_y and u_1 u_y = 0: an associative table
     # (a 2-cocycle), with u_0 a left identity, but u_0 u_1 = u_1 != 0 = u_1 u_0
-    alg = algebra([[[1, 1], [0, 0]]] * 2)
+    alg = TubeAlgebra([[[1, 1], [0, 0]]] * 2)
     assert alg.associativity_residual() == 0
     assert np.abs(alg.product(alg.identity, np.arange(4)) - np.arange(4)).max() == 0
     with pytest.raises(DecompositionError, match="not commutative"):
@@ -177,7 +188,7 @@ def test_noncommutative_sectors_rejected():
 def test_center_refuses_inseparable_eigenvalues():
     # u_1 u_y = 0: every sector is the dual numbers C[u_1]/(u_1^2), whose
     # u_1 is nilpotent, so both eigenvalues are 0
-    alg = algebra([[[1, 0], [0, 0]]] * 2)
+    alg = TubeAlgebra([[[1, 0], [0, 0]]] * 2)
     assert alg.associativity_residual() == 0
     with pytest.raises(DecompositionError, match="could not separate central eigenvalues"):
         center_idempotents(alg)
@@ -187,7 +198,7 @@ def test_center_refuses_a_nilpotent_direction():
     # at scale 1e-5 the table's 2-cocycle defect, 4e-10, is under tolerance;
     # each eigenvector q = (1, +-1) / sqrt 2 of u_1 then has q q = 1e-5 (-1, +-1),
     # with no component along q
-    alg = algebra([1e-5 * np.array([[-3, 1], [1, 1]])] * 2)
+    alg = TubeAlgebra([1e-5 * np.array([[-3, 1], [1, 1]])] * 2)
     assert 0 < alg.associativity_residual() <= 1e-9
     with pytest.raises(DecompositionError, match="nilpotent direction"):
         center_idempotents(alg)
@@ -196,22 +207,31 @@ def test_center_refuses_a_nilpotent_direction():
 def test_center_refuses_directions_that_are_not_idempotent():
     # the same table with tau(0,0) = 3e-5: q q = 1e-5 (2, +-1) is not a
     # multiple of q, so q q / mu^2 - q / mu is of order 1 / (9e-5)
-    alg = algebra([1e-5 * np.array([[3, 1], [1, 1]])] * 2)
+    alg = TubeAlgebra([1e-5 * np.array([[3, 1], [1, 1]])] * 2)
     assert 0 < alg.associativity_residual() <= 1e-9
     with pytest.raises(DecompositionError, match="idempotent residual 1.111e\\+04"):
         center_idempotents(alg)
 
 
 def test_center_refuses_idempotents_that_miss_the_identity():
-    # the group algebra of Z/2 in both sectors, with a wrong identity element
-    alg = algebra(np.ones((2, 2, 2)), identity=np.zeros(4))
-    with pytest.raises(DecompositionError, match="do not sum to the identity \\(1.000e\\+00\\)"):
+    # a commutative Z/3-graded table, A = [[3, 1, 2], [1, 1, 1], [2, 1, 3]],
+    # that is no 2-cocycle ((u_0 u_0) u_1 = 3 u_1, u_0 (u_0 u_1) = u_1); at
+    # scale 1e-5 its defect 3e-10 is under the associativity bound. u_1
+    # shifts with weight 1, so the characters q_j are its eigenvectors, and
+    # with every anti-diagonal sum of A equal to 5, q_j q_j = 5e-5 q_j: the
+    # idempotents q_j / 5e-5 sum to 3 u_0 / 5e-5, but the unit read off the
+    # table is u_0 / 3e-5, so they miss it by 6e4 - 3.33e4
+    A = np.array([[3, 1, 2], [1, 1, 1], [2, 1, 3]])
+    alg = TubeAlgebra([1e-5 * A] * 3)
+    assert 0 < alg.associativity_residual() <= 1e-9
+    with pytest.raises(DecompositionError, match="do not sum to the identity \\(2.667e\\+04\\)"):
         center_idempotents(alg)
 
 
 def test_modular_data_refuses_a_vacuum_coefficient_off_1_over_n():
     # tau = 2: the unit is u_0 / 2, and every idempotent has u_0 coefficient 1 / (2n)
-    alg = algebra(2 * np.ones((2, 2, 2)), identity=[0.5, 0, 0.5, 0])
+    alg = TubeAlgebra(2 * np.ones((2, 2, 2)))
+    assert np.array_equal(alg.identity, [0.5, 0, 0.5, 0])
     center_idempotents(alg)
     with pytest.raises(DecompositionError, match="vacuum coefficient .* of sector 0 is not 1/n"):
         tube_modular_data(alg)
@@ -219,7 +239,7 @@ def test_modular_data_refuses_a_vacuum_coefficient_off_1_over_n():
 
 def test_modular_data_refuses_a_character_that_is_not_unimodular():
     # u_1 / 2 multiplies as in the group algebra, so n B[g, j, 1] = +-1/2
-    alg = algebra([coboundary([1, 2])] * 2)
+    alg = TubeAlgebra([coboundary([1, 2])] * 2)
     with pytest.raises(DecompositionError, match="not unimodular"):
         tube_modular_data(alg)
 
@@ -227,7 +247,7 @@ def test_modular_data_refuses_a_character_that_is_not_unimodular():
 def test_modular_data_refuses_a_vacuum_that_is_not_the_trivial_character():
     # in sector 0, u_2 multiplies as -1 times the group algebra's: the
     # idempotent of charge 0 has n B = (1, 1, -1), unimodular but not trivial
-    alg = algebra([coboundary([1, 1, -1])] + [np.ones((3, 3))] * 2)
+    alg = TubeAlgebra([coboundary([1, 1, -1])] + [np.ones((3, 3))] * 2)
     with pytest.raises(DecompositionError, match="vacuum idempotent .* not found"):
         tube_modular_data(alg)
 
@@ -249,13 +269,18 @@ def test_sector_gaps_meet_the_stated_bound(n):
         assert min(gaps) >= 2 * math.sin(math.pi / n) - 1e-12, (n, k)
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(3, 8))
 def test_twist_contradicting_structure_constants_rejected(n):
-    # the constants of twist k read with twist k + 1: the charges of sector 1
-    # are 1/n off the integers, so no label (flux, charge) can be named
+    # sector 2 of twist k + 1 beside the other sectors of twist k: each
+    # sector is a commutative 2-cocycle, but read with the k of sector 1 the
+    # charges of sector 2 are 2/n off the integers, so no label (flux,
+    # charge) can be named
     for k in range(n):
-        alg = dataclasses.replace(tube_pointed(n, k), twist=(k + 1) % n)
-        with pytest.raises(DecompositionError, match="off the integers"):
+        tau = cyclic_cocycle(n, k).copy()
+        tau[2] = cyclic_cocycle(n, k + 1)[2]
+        alg = TubeAlgebra(tau)
+        with pytest.raises(DecompositionError, match=f"sector 2 .* off the integers for the "
+                                                     f"charge offset k = {k} read from sector 1"):
             tube_modular_data(alg)
 
 
