@@ -51,10 +51,6 @@ class FiniteAbelianGroup:
         """Every element, in lexicographic order of the residues."""
         return list(itertools.product(*(range(f) for f in self.factors)))
 
-    def pairing(self, g, h) -> complex:
-        """Character value chi_h(g) = exp(2 pi i sum (g_i h_i mod n_i) / n_i)."""
-        return _e(sum(a * b % f / f for a, b, f in zip(g, h, self.factors)))
-
     def __str__(self):
         return "x".join(f"Z{f}" for f in self.factors) if self.factors else "Z1"
 
@@ -121,30 +117,37 @@ def pointed_cyclic(n: int, q: int) -> ModularData:
     return ModularData(S, T, labels=tuple(str(x) for x in a))
 
 
-def _double_from_characters(A: np.ndarray, order: int, labels) -> ModularData:
-    """Modular data of a double from its character table A[i, j] = psi_i(flux of j).
-
-    S_ij = conj(psi_i(g_j) psi_j(g_i)) / |G| and t_i = psi_i(g_i)
+def _double_from_characters(psi: np.ndarray, labels) -> ModularData:
+    """Modular data of a double of a group of order m from its character block
+    psi[a, i, b], the character of label (a, i) at flux b:
+    S_(a,i),(b,j) = conj(psi[a,i,b] psi[b,j,a]) / m and t_(a,i) = psi[a,i,a]
     (Dijkgraaf-Pasquier-Roche; Coste-Gannon-Ruelle, Finite group modular data).
+    S, the only m^4 array built, is written in place and kept read-only.
     """
-    return ModularData((A * A.T).conj() / order, A.diagonal(), labels=labels)
+    m = psi.shape[0]
+    S = np.empty((m * m, m * m), dtype=complex)
+    np.multiply(psi[:, :, :, None], psi.transpose(2, 0, 1)[:, None, :, :], out=S.reshape(m, m, m, m))
+    np.divide(np.conjugate(S, out=S), m, out=S)
+    S.setflags(write=False)
+    return ModularData(S, np.einsum("aia->ai", psi).reshape(-1), labels=labels)
 
 
 def quantum_double_abelian(G: FiniteAbelianGroup) -> ModularData:
     """Untwisted quantum double of an abelian group.
 
     Labels are pairs (g, h) of a group element and a character index,
-    each in the order of ``G.elements()``; the character of (g, h) is chi_h.
-    Strictly anomaly-free.
+    each in the order of ``G.elements()``; the character of (g, h) at every
+    flux is chi_h(x) = exp(2 pi i sum_i (x_i h_i mod n_i) / n_i), one (m, m)
+    array P[x, h] broadcast to the character block. Strictly anomaly-free.
     """
     m = G.order
     _require_capacity(m**4, f"the S matrix of the double of {G} (rank {m * m})")
     els = G.elements()
-    # P[x, h] = chi_h(x); A[(g, h), (g2, h2)] = P[g2, h]
-    P = np.array([[G.pairing(x, h) for h in els] for x in els])
-    A = np.tile(np.repeat(P.T, m, axis=1), (m, 1))
+    x = np.indices(G.factors).reshape(len(G.factors), m)  # x[i, e]: residue i of element e
+    turns = sum((np.outer(xi, xi) % f / f for xi, f in zip(x, G.factors)), np.zeros((m, m)))
+    P = np.exp(_TWO_PI_I * turns)
     labels = tuple(f"({','.join(map(str, g))}|{','.join(map(str, h))})" for g in els for h in els)
-    return _double_from_characters(A, m, labels)
+    return _double_from_characters(np.broadcast_to(P.T, (m, m, m)), labels)
 
 
 def cyclic_cocycle(n: int, k: int) -> np.ndarray:
@@ -171,13 +174,10 @@ def twisted_double_cyclic(n: int, k: int) -> ModularData:
     """Twisted double of Z/n for the cyclic cocycle with parameter k.
 
     Labels are pairs (a, j): a flux and a projective-character index. The
-    projective character of the flux-a sector is
-    psi_{a,j}(x) = exp(2 pi i (k a x / n + j x) / n), giving
-
-        t_(a,j)            = psi_{a,j}(a)
-        S_(a,i),(b,j)      = conj(psi_{a,i}(b) psi_{b,j}(a)) / n
-
-    k = 0 reduces to quantum_double_abelian(Z/n) with identical label order.
+    projective characters psi_{a,j}(x) = exp(2 pi i (k a x / n + j x) / n)
+    form the (n, n, n) block that :func:`_double_from_characters` reads as
+    it is. k = 0 reduces to quantum_double_abelian(Z/n) with identical
+    label order.
     """
     n, k = _integral(n, "twisted_double_cyclic n"), _integral(k, "twisted_double_cyclic k")
     if n < 1:
@@ -188,10 +188,8 @@ def twisted_double_cyclic(n: int, k: int) -> ModularData:
     # psi[a, j, x] = exp(2 pi i (k a x + n j x) / n^2), numerator reduced mod n^2
     ax = np.outer(a, a)
     psi = np.exp(_TWO_PI_I * ((k * ax[:, np.newaxis, :] + n * ax[np.newaxis]) % (n * n)) / (n * n))
-    # A[(a, i), (b, j)] = psi[a, i, b]
-    A = np.repeat(psi.reshape(n * n, n), n, axis=1)
     labels = tuple(f"({fa},{i})" for fa in range(n) for i in range(n))
-    return _double_from_characters(A, n, labels)
+    return _double_from_characters(psi, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,19 @@ def close(a, b) -> bool:
     return abs(a - b) <= DEFAULT_TOLERANCE * scale
 
 
+def _frozen(value, dtype, name: str) -> np.ndarray:
+    """``value`` as a read-only ``dtype`` array, kept if it is one that owns
+    its memory and else copied once; a NaN or inf float entry is refused."""
+    if not (isinstance(value, np.ndarray) and value.dtype == dtype
+            and not value.flags.writeable and value.flags.owndata):
+        value = np.array(value, dtype=dtype)
+        value.setflags(write=False)
+    if value.dtype.kind in "fc" and not np.isfinite(value).all():
+        where = tuple(np.argwhere(~np.isfinite(value))[0].tolist())
+        raise StructureError(f"{name}{list(where)} = {value[where]} is not finite")
+    return value
+
+
 @dataclass(eq=False, frozen=True)
 class ModularData:
     """Labels plus the (S, t) tables of a torus representation.
@@ -60,11 +73,13 @@ class ModularData:
     T : (m+1,) complex array of diagonal T entries t_i, expected unit modulus
     labels : optional display names, index 0 is the vacuum
 
-    Construction checks shapes and finiteness; run :func:`verify_verlinde`
+    Construction checks finiteness and shapes; run :func:`verify_verlinde`
     for the axioms. Every comparison uses ``DEFAULT_TOLERANCE``, and the
     integer checks ``INTEGER_TOLERANCE``. Instances are frozen (no attribute
     can be reassigned and the arrays are read-only), so what they cache
-    never goes stale, and they are safe to share between threads. The first
+    never goes stale, and they are safe to share between threads. A read-only
+    complex S that owns its memory is shared, not copied (an owner who turns
+    writing back on defeats the freeze). The first
     :func:`verify_verlinde` or :func:`fusion_from_S` call streams the
     Verlinde sums once, and the instance keeps their rounded table, the
     largest array the pass builds: rank^3 int64 entries (535 MB at rank
@@ -81,25 +96,19 @@ class ModularData:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        S = np.array(self.S, dtype=complex)
-        T = np.array(self.T, dtype=complex).reshape(-1)
+        S = _frozen(self.S, complex, "S")
+        T = _frozen(np.reshape(self.T, -1), complex, "T")
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise StructureError(f"S must be square, got shape {S.shape}")
         if T.shape[0] != S.shape[0]:
             raise StructureError(
                 f"T length {T.shape[0]} does not match S rank {S.shape[0]}"
             )
-        for name, M in (("S", S), ("T", T)):
-            if not np.isfinite(M).all():
-                where = tuple(np.argwhere(~np.isfinite(M))[0].tolist())
-                raise StructureError(f"{name}{list(where)} = {M[where]} is not finite")
         labels = self.labels
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != S.shape[0]:
                 raise StructureError("label count does not match rank")
-        S.setflags(write=False)
-        T.setflags(write=False)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "labels", labels)
@@ -109,8 +118,10 @@ class ModularData:
         return self.S.shape[0]
 
     def conjugate(self) -> "ModularData":
-        """Entrywise complex conjugate data set."""
-        return ModularData(self.S.conj(), self.T.conj(), self.labels)
+        """Entrywise complex conjugate data set, handed its new S read-only."""
+        S = self.S.conj()
+        S.setflags(write=False)
+        return ModularData(S, self.T.conj(), self.labels)
 
     @cached_property
     def _s_squared(self) -> np.ndarray:
@@ -200,23 +211,18 @@ class ModularData:
 class FusionTable:
     """Non-negative integer structure constants N_ij^k of the fusion algebra.
 
-    ``N`` is copied into a read-only int64 array, except that an int64
-    array already read-only and owning its memory is kept as it is, so
-    tables over one such array share it.
+    ``N`` is held as a read-only int64 array; one that already is that and
+    owns its memory is shared, not copied, so tables over it share it.
     """
 
     N: np.ndarray  # (rank, rank, rank) integer array
 
     def __post_init__(self):
-        N = self.N
-        if not (isinstance(N, np.ndarray) and N.dtype == np.int64
-                and not N.flags.writeable and N.flags.owndata):
-            N = np.array(N, dtype=np.int64)
+        N = _frozen(self.N, np.int64, "N")
         if N.ndim != 3 or len(set(N.shape)) != 1:
             raise StructureError(f"fusion tensor must be cubic, got {N.shape}")
         if (N < 0).any():
             raise StructureError("fusion coefficients must be non-negative")
-        N.setflags(write=False)
         self.N = N
 
     @property

@@ -32,7 +32,7 @@ import numpy as np
 
 from .catalog import cyclic_cocycle
 from .errors import DecompositionError, PreconditionError, StructureError
-from .modular import ModularData, _require_capacity
+from .modular import ModularData, _frozen, _require_capacity
 from .surgery import _integral
 
 #: complex entries of the largest (sectors, ..., n, n) temporary the n^4
@@ -70,19 +70,17 @@ class TubeAlgebra:
     the product's only term; products across sectors vanish. Vectors are
     flat, entry g*n + x holding u_(g,x). Everything else is read off tau:
     the unit u_(g,0) / tau_g(0,0) in every sector and the star
-    (u_(g,x))^* = conj(tau_g(x,-x)) u_(g,-x). A table of any other shape is
-    refused with :class:`StructureError`.
+    (u_(g,x))^* = conj(tau_g(x,-x)) u_(g,-x). A read-only complex table that
+    owns its memory is shared, anything else copied once; one with a NaN or
+    inf entry, or of another shape, is refused with :class:`StructureError`.
     """
 
     tau: np.ndarray
 
     def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=complex)
+        tau = _frozen(self.tau, complex, "tau")
         if tau.ndim != 3 or tau.shape[0] < 1 or len(set(tau.shape)) != 1:
             raise StructureError(f"a tube table has shape (n, n, n) with n >= 1, not {tau.shape}")
-        if tau.flags.writeable:
-            tau = tau.copy()
-            tau.setflags(write=False)
         object.__setattr__(self, "tau", tau)
 
     @property
@@ -251,7 +249,8 @@ def tube_modular_data(alg: TubeAlgebra) -> ModularData:
     trivial character. Labels are ordered (flux, charge), so the output
     coincides with the twisted-double generator for the same (n, k) rather
     than merely being equivalent to it. S, n^4 complex entries, is the
-    largest array built, and is charged against the capacity cap first.
+    largest array built, charged against the capacity cap first and written
+    into the one array that the data keeps.
     """
     n = alg.n
     _require_capacity(n**4, f"the modular data of the tube algebra of Z/{n} (n^4 S entries)")
@@ -265,6 +264,8 @@ def tube_modular_data(alg: TubeAlgebra) -> ModularData:
         raise DecompositionError("projective character is not unimodular")
     if np.abs(nB[0, 0] - 1.0).max() > 1e3 * _TOL:
         raise DecompositionError("vacuum idempotent (flux 0, trivial character) not found")
-    S = (nB[:, :, :, None] * B.transpose(2, 0, 1)[:, None, :, :]).reshape(n * n, n * n)
+    S = np.empty((n * n, n * n), dtype=complex)
+    np.multiply(nB[:, :, :, None], B.transpose(2, 0, 1)[:, None, :, :], out=S.reshape(n, n, n, n))
+    S.setflags(write=False)
     T = np.einsum("gjg->gj", nB).conj().reshape(-1)
     return ModularData(S, T, labels=tuple(f"({f},{j})" for f in range(n) for j in range(n)))

@@ -89,7 +89,7 @@ def test_cyclic_generators_refuse_empty_groups(build, name):
 
 
 def test_pointed_cyclic_trivial_and_semion():
-    assert tvo.pointed_cyclic(1, 0).rank == 1
+    assert tvo.standard_pointed_form(1) == 0 and tvo.pointed_cyclic(1, 0).rank == 1
     semion = tvo.pointed_cyclic(2, 1)
     assert set(np.round(semion.T, 9).tolist()) == {1, 1j}
 
@@ -114,8 +114,11 @@ def test_quantum_double_z2_matches_printed_matrix(toric_code):
 
 
 def test_quantum_double_trivial_group():
-    d = tvo.quantum_double_abelian(FiniteAbelianGroup((1,)))
-    assert d.rank == 1 and abs(d.S[0, 0] - 1) < 1e-12
+    # the group with no factors has one element too, the empty tuple
+    for factors, label in (((1,), "(0|0)"), ((), "(|)")):
+        d = tvo.quantum_double_abelian(FiniteAbelianGroup(factors))
+        assert d.rank == 1 and d.labels == (label,)
+        assert np.array_equal(d.S, [[1]]) and np.array_equal(d.T, [1])
 
 
 def test_quantum_double_z3_global_index():
@@ -273,6 +276,8 @@ def test_golden_fixture_surds():
 def test_golden_fixture_sources():
     sources = tvo.catalog.fixture_sources()
     assert set(sources) == {"d5", "e6", "e6-z3", "e6-z4", "e6-z5", "e6-z2x2", "haagerup"}
+    d5 = golden_fixtures("d5")
+    assert len(d5) == 6 and {f.source for f in d5} == {"d5"} and set(d5) < set(golden_fixtures())
     with pytest.raises(PreconditionError):
         golden_fixtures("nope")
 

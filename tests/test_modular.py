@@ -323,6 +323,50 @@ def test_non_finite_sums_name_their_first_index_without_warnings(bad):
             ModularData(d.S, T)
 
 
+def test_a_read_only_array_is_shared_and_anything_else_copied():
+    d = tvo.su2_level_k(3)
+    S = d.S.copy()
+    S.setflags(write=False)
+    assert ModularData(S, d.T).S is S
+    N = np.zeros((2, 2, 2), dtype=np.int64)
+    N.setflags(write=False)
+    assert tvo.FusionTable(N).N is N
+    writeable = d.S.copy()
+    view = writeable[:]  # read-only, but its owner is not
+    view.setflags(write=False)
+    for given in (writeable, view):
+        held = ModularData(given, d.T).S
+        assert held is not given and not held.flags.writeable
+        writeable[0, 0] = 7
+        assert held[0, 0] == d.S[0, 0]
+        writeable[0, 0] = d.S[0, 0]
+    N = np.eye(2, dtype=np.int64)[None].repeat(2, axis=0)
+    table = tvo.FusionTable(N)
+    N[0, 0, 0] = 5
+    assert table.N is not N and table.N[0, 0, 0] == 1
+
+
+@pytest.mark.parametrize("name", ["twisted_double_cyclic", "quantum_double_abelian",
+                                  "tube_modular_data", "conjugate"])
+def test_builders_hold_s_once(name):
+    # the capacity cap counts S once, so each builder writes S into one
+    # array and ModularData keeps it rather than a copy
+    d = tvo.twisted_double_cyclic(32, 1)
+    build = {
+        "twisted_double_cyclic": lambda: tvo.twisted_double_cyclic(32, 1),
+        "quantum_double_abelian": lambda: tvo.quantum_double_abelian(tvo.FiniteAbelianGroup((6, 6))),
+        "tube_modular_data": lambda: tvo.tube_modular_data(tvo.tube_pointed(32, 1)),
+        "conjugate": d.conjugate,
+    }[name]
+    tracemalloc.start()
+    try:
+        md = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * md.S.nbytes, peak / md.S.nbytes
+
+
 def test_an_overflowing_s_fails_verify_without_warnings():
     d = tvo.su2_level_k(3)
     S = d.S.copy()

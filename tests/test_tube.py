@@ -77,6 +77,17 @@ def test_tube_algebra_is_its_read_only_table():
             TubeAlgebra(np.ones(shape))
 
 
+def test_tube_algebra_refuses_a_non_finite_table():
+    # NaN compares False against the associativity and commutativity
+    # bounds, so only the intake keeps such a table from np.linalg.eig
+    with pytest.raises(StructureError, match=re.escape("tau[0, 0, 0] = (nan+0j) is not finite")):
+        TubeAlgebra(np.full((2, 2, 2), np.nan))
+    table = tube_pointed(3, 1).tau.copy()
+    table[1, 2, 0] = np.inf
+    with pytest.raises(StructureError, match=re.escape("tau[1, 2, 0] = (inf+0j) is not finite")):
+        TubeAlgebra(table)
+
+
 def test_tube_pointed_refuses_an_empty_group():
     with pytest.raises(PreconditionError, match="tube_pointed requires n >= 1"):
         tube_pointed(0, 0)
@@ -331,8 +342,8 @@ def test_tube_modular_data_beyond_dense_sizes(n, k):
 
 
 def test_tube_modular_data_traced_peak_at_n_32():
-    # S has n^4 = 2^20 complex entries (16 MiB); ModularData keeps its own
-    # copy, and no step may build a third array of that size
+    # S has n^4 = 2^20 complex entries (16 MiB), written once into the array
+    # ModularData keeps; the bound allows three arrays of that size
     tracemalloc.start()
     try:
         md = tube_modular_data(tube_pointed(32, 1))
