@@ -83,7 +83,9 @@ def su2_level_k(k: int) -> ModularData:
     n = k + 2
     j = np.arange(k + 1)
     # integer numerators reduced mod their periods, so the angles stay below 2 pi
-    S = np.sqrt(2 / n) * np.sin(np.outer(j + 1, j + 1) % (2 * n) * np.pi / n).astype(complex)
+    S = np.sin(np.outer(j + 1, j + 1) % (2 * n) * np.pi / n).astype(complex)
+    S *= np.sqrt(2 / n)
+    S.setflags(write=False)
     T = np.exp(_TWO_PI_I * (j * (j + 2) % (4 * n)) / (4 * n))
     return ModularData(S, T, labels=tuple(str(x) for x in j))
 
@@ -112,7 +114,10 @@ def pointed_cyclic(n: int, q: int) -> ModularData:
         )
     _require_capacity(n * n, f"the S matrix of pointed_cyclic({n}, {q}) (rank {n})")
     a = np.arange(n)
-    S = np.exp(-_TWO_PI_I * (q * np.outer(a, a) % n) / n) / math.sqrt(n)
+    S = (q * np.outer(a, a) % n).astype(complex)
+    np.divide(np.multiply(S, -_TWO_PI_I, out=S), n, out=S)  # the exponent, then S in place
+    np.divide(np.exp(S, out=S), math.sqrt(n), out=S)
+    S.setflags(write=False)
     T = np.exp(_TWO_PI_I * (q * a * a % (2 * n)) / (2 * n))
     return ModularData(S, T, labels=tuple(str(x) for x in a))
 

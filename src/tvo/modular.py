@@ -159,7 +159,7 @@ class ModularData:
 
     @cached_property
     def _st_cubed(self):
-        # returns ((ST)^3, S^2, scalar u, proportionality residual)
+        # returns ((ST)^3, scalar u with (ST)^3 = u S^2, proportionality residual)
         S2 = self._s_squared
         with np.errstate(all="ignore"):  # an S entry of 1e200 overflows (ST)^3 and u
             M = self.S * self.T[np.newaxis, :]
@@ -167,7 +167,7 @@ class ModularData:
             idx = np.unravel_index(np.argmax(np.abs(S2)), S2.shape)
             u = M3[idx] / S2[idx]
             residual = float(np.abs(M3 - u * S2).max())
-        return M3, S2, complex(u), residual
+        return M3, complex(u), residual
 
     @cached_property
     def _verlinde(self) -> "_VerlindePass":
@@ -199,20 +199,20 @@ class ModularData:
     @property
     def anomaly_phase(self) -> complex:
         """Scalar u with (ST)^3 = u * S^2; meaningful when the residual is small."""
-        return self._st_cubed[2]
+        return self._st_cubed[1]
 
     @property
     def is_strictly_anomaly_free(self) -> bool:
-        _, _, u, res = self._st_cubed
+        _, u, res = self._st_cubed
         return res <= DEFAULT_TOLERANCE and close(u, 1.0)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class FusionTable:
     """Non-negative integer structure constants N_ij^k of the fusion algebra.
 
-    ``N`` is held as a read-only int64 array; one that already is that and
-    owns its memory is shared, not copied, so tables over it share it.
+    ``N`` is held, frozen, as a read-only int64 array; one that already is
+    that and owns its memory is shared, not copied, so tables over it share it.
     """
 
     N: np.ndarray  # (rank, rank, rank) integer array
@@ -223,7 +223,7 @@ class FusionTable:
             raise StructureError(f"fusion tensor must be cubic, got {N.shape}")
         if (N < 0).any():
             raise StructureError("fusion coefficients must be non-negative")
-        self.N = N
+        object.__setattr__(self, "N", N)
 
     @property
     def rank(self) -> int:
@@ -569,10 +569,10 @@ def verify_verlinde(data: ModularData) -> VerificationReport:
         add("fusion ring consistency", float("inf"), False)
 
     start = perf_counter()
-    M3, S2_, u, prop_res = data._st_cubed
+    M3, u, prop_res = data._st_cubed
     with np.errstate(all="ignore"):  # an S entry of 1e200 overflows S^4 and (ST)^3
         add("S^4 identity", np.abs(S2 @ S2 - eye).max())
-        add("(ST)^3 = S^2", np.abs(M3 - S2_).max())
+        add("(ST)^3 = S^2", np.abs(M3 - S2).max())
     rep.anomaly_phase = u
     rep.st_proportionality_residual = prop_res
     rep.st_proportional = prop_res <= DEFAULT_TOLERANCE
@@ -621,10 +621,11 @@ def double_data(data: ModularData) -> ModularData:
     input satisfying the matrix axioms the result is strictly anomaly-free
     (the anomaly phases of the factor and its conjugate cancel).
     """
-    _require_capacity(
-        data.rank**4, f"the S matrix of the double of rank-{data.rank} data (rank {data.rank**2})"
-    )
-    S2 = np.kron(data.S, data.S.conj())
+    r, S = data.rank, data.S
+    _require_capacity(r**4, f"the S matrix of the double of rank-{r} data (rank {r * r})")
+    S2 = np.empty((r * r, r * r), dtype=complex)  # written in place, handed over read-only
+    np.multiply(S[:, None, :, None], S.conj()[None, :, None, :], out=S2.reshape(r, r, r, r))
+    S2.setflags(write=False)
     T2 = np.kron(data.T, data.T.conj())
     labels = None
     if data.labels is not None:

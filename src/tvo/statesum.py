@@ -247,7 +247,6 @@ def _gauge_fixable(mul, w, residual: float) -> bool:
 class _Evaluation:
     """Precomputed combinatorial layout of one triangulation."""
 
-    num_edges: int
     num_forest: int  # spanning-forest edges, the first entries of the schedule
     num_components: int  # connected components of the 1-skeleton
     faces: list  # (e_lowmid, e_midhigh, e_lowhigh) per face class
@@ -329,7 +328,7 @@ def _layout(tri: Triangulation) -> _Evaluation:
             while known[lowest]:
                 lowest += 1
             mark_known(lowest)
-    return _Evaluation(E, len(forest), tri.num_vertices - len(forest), faces, tets, schedule)
+    return _Evaluation(len(forest), tri.num_vertices - len(forest), faces, tets, schedule)
 
 
 def tv_evaluate(sixj: SixJData, tri: Triangulation) -> InvariantValue:
@@ -362,7 +361,7 @@ def tv_evaluate(sixj: SixJData, tri: Triangulation) -> InvariantValue:
     faces = layout.faces
     schedule = layout.schedule
 
-    colors = [0] * layout.num_edges
+    colors = [0] * len(schedule)
     tet_terms = [(key, wneg if conj else wpos) for key, conj in layout.tets]
     all_labels = tuple(range(n))
     forest_labels = (0,) if gauge_fixed else all_labels

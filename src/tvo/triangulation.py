@@ -41,7 +41,7 @@ recomputation would number them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import chain, combinations, islice, permutations
 from operator import index, itemgetter
@@ -194,6 +194,8 @@ class Triangulation:
 
     num_tets: int
     gluings: MappingProxyType  # any mapping on input; stored as a read-only view
+    #: a flip's result only: ((vertex id rows, count), (edge id rows, count))
+    _carried: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         num_tets = _index(self.num_tets, "tetrahedron count")
@@ -241,7 +243,7 @@ class Triangulation:
         edge unions are skipped and their entries are None.
         """
         T = self.num_tets
-        fresh = "_carried" not in self.__dict__
+        fresh = self._carried is None
         corner = list(range(4 * T)) if fresh else None
         edge = list(range(6 * T)) if fresh else None
         tet, rel = list(range(T)), [1] * T
@@ -313,16 +315,15 @@ class Triangulation:
     def _ids(self):
         """``((vertex id rows, count), (edge id rows, count))``: the record a
         flip's result carries (``_carried``), else ``_skeleton``'s numbered rows."""
-        return self.__dict__.get("_carried") or self._skeleton
+        return self._carried or self._skeleton
 
     def _class_rows(self, kind):
         """The class rows of ``kind`` (0 vertices, 1 edges): a flip's result
         numbers its carried ids by ``_first_appearance``, and a fresh
         complex's rows come numbered from ``_skeleton``."""
-        carried = self.__dict__.get("_carried")
-        if carried is None:
+        if self._carried is None:
             return self._skeleton[kind][0]
-        return _first_appearance(*carried[kind])
+        return _first_appearance(*self._carried[kind])
 
     @cached_property
     def vertex_class(self):
@@ -525,24 +526,11 @@ def _flip(tri: Triangulation, old: dict, new: list) -> Triangulation:
     return out
 
 
-def _carry(rows: list, olds: list, runs: list, sources: list, count: int, added: int):
-    """The id rows of a flip's result: the survivors' rows, the ``runs`` of
-    ``rows``, then per new tetrahedron the ids named by its ``sources`` (see
-    ``_template``), where the ``added`` new classes take the ids from
-    ``count`` on."""
-    src = [rows[s] for s in olds]
-    src.append(range(count, count + added))
-    out = []
-    for a, b in runs:
-        out += rows[a:b]
-    out += ([src[k][x] for k, x in row] for row in sources)
-    return out
-
-
 def _carry_classes(tri: Triangulation, out: Triangulation, olds: list, runs: list,
                    vertices: tuple, edges: tuple):
     """Give ``out``, the flip of ``tri``, the record ``_carried`` of its
-    vertex and edge ids and their counts, derived from the parent's.
+    vertex and edge ids and their counts: the parent's rows of the
+    survivors, then one row per new tetrahedron.
 
     A flip keeps every vertex and edge class of the parent: a token, or a
     pair of tokens, of a new tetrahedron lies in the class of the old corner
@@ -558,7 +546,13 @@ def _carry_classes(tri: Triangulation, out: Triangulation, olds: list, runs: lis
     kinds = zip(("vertex_class", "edge_class"), tri._ids, (vertices, edges))
     for name, (rows, count), (sources, added) in kinds:
         rows = tri.__dict__.get(name, rows)
-        record.append((_carry(rows, olds, runs, sources, count, added), count + added))
+        src = [rows[s] for s in olds]
+        src.append(range(count, count + added))
+        carried = []
+        for a, b in runs:
+            carried += rows[a:b]
+        carried += ([src[k][x] for k, x in row] for row in sources)
+        record.append((carried, count + added))
     object.__setattr__(out, "_carried", tuple(record))
 
 

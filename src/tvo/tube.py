@@ -47,20 +47,6 @@ def _sector_chunks(n: int, rows: int = 1) -> list:
     return [slice(a, a + step) for a in range(0, n, step)]
 
 
-def _convolve(tau: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Products within each sector: out[g, j] = U[g, j] V[g, j] for vectors
-    of shape (n, rows, n) in the u_(g,x) basis, that is
-
-        out[g, j, z] = sum_x U[g, j, x] V[g, j, z - x] tau[g, x, z - x]."""
-    n, rows = tau.shape[0], U.shape[1]
-    x = np.arange(n)[:, None]
-    diff = (x.T - x) % n  # [x, z] -> z - x
-    out = np.empty(U.shape, dtype=complex)
-    for s in _sector_chunks(n, rows):
-        out[s] = np.einsum("gjx,gjxz,gxz->gjz", U[s], V[s][:, :, diff], tau[s][:, x, diff])
-    return out
-
-
 @dataclass(eq=False, frozen=True)
 class TubeAlgebra:
     """Finite-dimensional *-algebra of n flux sectors in the (g, x) basis,
@@ -98,8 +84,17 @@ class TubeAlgebra:
         return out.reshape(-1)
 
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """u v for vectors of n^2 entries, or row by row for stacks of shape
+        (n, rows, n): out[g, j, z] = sum_x u[g, j, x] v[g, j, z - x] tau[g, x, z - x],
+        of u's shape."""
         n = self.n
-        return _convolve(self.tau, u.reshape(n, 1, n), v.reshape(n, 1, n)).reshape(-1)
+        U, V = u.reshape(n, -1, n), v.reshape(n, -1, n)
+        x = np.arange(n)[:, None]
+        diff = (x.T - x) % n  # [x, z] -> z - x
+        out = np.empty(U.shape, dtype=complex)
+        for s in _sector_chunks(n, U.shape[1]):
+            out[s] = np.einsum("gjx,gjxz,gxz->gjz", U[s], V[s][:, :, diff], self.tau[s][:, x, diff])
+        return out.reshape(u.shape)
 
     def _star_phase(self) -> tuple:
         """(x -> -x as an index array, phase[g, x] = conj(tau_g(x, -x)))."""
@@ -220,7 +215,7 @@ def center_idempotents(alg: TubeAlgebra) -> CenterBasis:
         raise DecompositionError(f"charges of sector {g} are {off[g]:.3e} off the integers "
                                  f"for the charge offset k = {k} read from sector 1")
     Q = evecs.transpose(0, 2, 1)  # [g, i, x]: eigenvector i of sector g
-    QQ = _convolve(alg.tau, Q, Q)
+    QQ = alg.product(Q, Q)
     mu = np.einsum("gjz,gjz->gj", Q.conj(), QQ) / np.einsum("gjz,gjz->gj", Q.conj(), Q)
     if np.abs(mu).min() < _TOL:
         raise DecompositionError("nilpotent direction in the center")

@@ -4,8 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import tvo
 from tvo import (
@@ -324,7 +322,7 @@ def test_group_factors_are_read_as_ints():
         FiniteAbelianGroup((2, 0))
 
 
-@given(st.integers(2, 9))
+@pytest.mark.parametrize("n", range(2, 10))
 def test_pointed_standard_form_is_valid(n):
     q = tvo.standard_pointed_form(n)
     d = tvo.pointed_cyclic(n, q)

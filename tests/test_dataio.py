@@ -47,6 +47,8 @@ def test_roundtrip_complex_data(tmp_path):
 
 
 @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+@example(rank=1, seed=0)
+@example(rank=5, seed=2**32 - 1)
 def test_roundtrip_random_matrices(tmp_path_factory, rank, seed):
     # loading does not validate, so arbitrary complex tables must round-trip
     rng = np.random.default_rng(seed)

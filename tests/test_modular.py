@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import tvo
@@ -24,7 +24,7 @@ from tvo import (
     verify_verlinde,
 )
 
-from tvo.modular import INTEGER_TOLERANCE, _associativity_bound
+from tvo.modular import _T_ORDER_CAP, INTEGER_TOLERANCE, _associativity_bound
 
 from helpers import (
     conjugate_equivalence_search,
@@ -106,6 +106,38 @@ def test_anomaly_phase_unimodular_when_proportional(maker):
     rep = verify_verlinde(maker())
     assert rep.st_proportional
     assert abs(abs(rep.anomaly_phase) - 1.0) < 1e-9
+
+
+def test_the_double_of_fibonacci_is_strictly_anomaly_free():
+    # Fibonacci's anomaly phase e^(7 pi i / 10) and its conjugate's cancel
+    fib = tvo.fibonacci()
+    dd = double_data(fib)
+    assert not fib.is_strictly_anomaly_free and dd.is_strictly_anomaly_free
+    (warning,) = fib._surgery_warnings
+    assert f"anomaly phase {fib.anomaly_phase:.6f}" in warning
+    assert dd._surgery_warnings == ()
+
+
+def _with_turns(*turns):
+    return ModularData(np.eye(len(turns)), np.exp(2j * np.pi * np.array(turns)))
+
+
+@pytest.mark.parametrize("make,order", [
+    (tvo.fibonacci, 5),
+    (lambda: tvo.su2_level_k(2), 16),
+    (lambda: _with_turns(0.0, 1 / 97, 1 / 101, 1 / 103), None),  # the lcm passes the cap
+    (lambda: _with_turns(0.0, math.sqrt(2)), None),  # no t^N is 1
+], ids=["fibonacci", "su2-2", "above-cap", "irrational"])
+def test_the_order_of_t(make, order):
+    assert 97 * 101 <= _T_ORDER_CAP < 97 * 101 * 103
+    assert make()._t_order == order
+
+
+def test_the_surgery_caches_start_from_s():
+    d = tvo.su2_level_k(4)
+    # min |S_i0| = sqrt(2 / 6) sin(pi / 6), at the two ends of the chain
+    assert abs(d._s0_min - math.sqrt(2 / 6) * 0.5) < 1e-15
+    assert d._vertex_bases == {}
 
 
 def test_report_stats_time_every_stage():
@@ -196,6 +228,8 @@ _NOISY = [tvo.ising, lambda: tvo.su2_level_k(5), lambda: tvo.su2_level_k(20), _a
 
 
 @given(st.sampled_from(range(len(_NOISY))), st.floats(-12.0, -3.0), st.integers(0, 2**32 - 1))
+@example(which=0, exponent=-12.0, seed=0)  # certified: a bound, no exact products
+@example(which=2, exponent=-3.0, seed=0)  # no bound: the exact products decide
 def test_a_certified_ring_under_noise_passes_the_exact_check(which, exponent, seed):
     d = _NOISY[which]()
     rng = np.random.default_rng(seed)
@@ -347,24 +381,31 @@ def test_a_read_only_array_is_shared_and_anything_else_copied():
 
 
 @pytest.mark.parametrize("name", ["twisted_double_cyclic", "quantum_double_abelian",
-                                  "tube_modular_data", "conjugate"])
+                                  "tube_modular_data", "conjugate", "su2_level_k",
+                                  "pointed_cyclic", "double_data"])
 def test_builders_hold_s_once(name):
     # the capacity cap counts S once, so each builder writes S into one
-    # array and ModularData keeps it rather than a copy
+    # array and ModularData keeps it rather than a copy; su2_level_k and
+    # pointed_cyclic build it beside a real or integer temporary of half its size
     d = tvo.twisted_double_cyclic(32, 1)
+    base = tvo.su2_level_k(20)
     build = {
         "twisted_double_cyclic": lambda: tvo.twisted_double_cyclic(32, 1),
         "quantum_double_abelian": lambda: tvo.quantum_double_abelian(tvo.FiniteAbelianGroup((6, 6))),
         "tube_modular_data": lambda: tvo.tube_modular_data(tvo.tube_pointed(32, 1)),
         "conjugate": d.conjugate,
+        "su2_level_k": lambda: tvo.su2_level_k(500),
+        "pointed_cyclic": lambda: tvo.pointed_cyclic(501, 2),
+        "double_data": lambda: double_data(base),
     }[name]
+    bound = 1.6 if name in ("su2_level_k", "pointed_cyclic") else 1.25
     tracemalloc.start()
     try:
         md = build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * md.S.nbytes, peak / md.S.nbytes
+    assert peak <= bound * md.S.nbytes, peak / md.S.nbytes
 
 
 def test_an_overflowing_s_fails_verify_without_warnings():

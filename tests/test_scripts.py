@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -77,6 +79,13 @@ def test_untested_lines_finds_every_catalog_line_run_by_its_own_tests():
     proc = run_script("untested_lines.py", str(ROOT / "tests" / "test_catalog.py"))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert not [line for line in proc.stdout.splitlines() if line.startswith("src/tvo/catalog.py:")]
+
+
+@pytest.mark.parametrize("module", ["modular", "surgery", "statesum"])
+def test_each_evaluator_module_is_run_whole_by_its_own_tests(module):
+    proc = run_script("untested_lines.py", str(ROOT / "tests" / f"test_{module}.py"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert not [line for line in proc.stdout.splitlines() if line.startswith(f"src/tvo/{module}.py:")]
 
 
 def test_bench_pairs_alternates_sides_and_appends(tmp_path, capsys):

@@ -11,6 +11,7 @@ from tvo import (
     Triangulation,
     UnsupportedFeatureError,
     fibonacci,
+    fusion_from_S,
     lens_general,
     lens_p1,
     pointed_sixj,
@@ -502,14 +503,21 @@ _KEY = (1, 0, 2, 2, 1, 2)  # a, b, c = 1, 2, 2 on Z/3
     ("md.S = md.S.conj()", FrozenInstanceError),
     ("md.T = md.T.conj()", FrozenInstanceError),
     ("md.labels = ('1', 'tau')", FrozenInstanceError),
+    ("table.N = -np.ones((2, 2, 2), dtype=np.int64)", FrozenInstanceError),
 ])
 def test_every_former_mutation_route_is_refused(statement, error, s3_triangulation):
     sj = pointed_sixj(3, 1)
     md = fibonacci()
-    before = _outcomes(sj, s3_triangulation), repr(lens_p1(md, 3).value)
+    table = fusion_from_S(md)
+
+    def outcomes():
+        return (_outcomes(sj, s3_triangulation), repr(lens_p1(md, 3).value),
+                table.unit_ok(), table.N.tobytes())
+
+    before = outcomes()
     with pytest.raises(error):
-        exec(statement, {"sj": sj, "md": md, "key": _KEY, "np": np})
-    assert (_outcomes(sj, s3_triangulation), repr(lens_p1(md, 3).value)) == before
+        exec(statement, {"sj": sj, "md": md, "table": table, "key": _KEY, "np": np})
+    assert outcomes() == before
 
 
 @pytest.mark.parametrize("edit", [

@@ -7,8 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import tvo
 from tvo import (
@@ -165,6 +163,8 @@ def test_brieskorn_preconditions(toric_code):
 # ---------------------------------------------------------------------------
 
 def test_tree_validation():
+    with pytest.raises(StructureError, match="at least one vertex"):
+        PlumbingTree((), ())  # empty
     with pytest.raises(StructureError):
         PlumbingTree(((0, 1), (1, 2)), ())  # disconnected
     with pytest.raises(StructureError):
@@ -358,7 +358,7 @@ def test_schedule_is_outside_equality():
 # doubling identity and warnings
 # ---------------------------------------------------------------------------
 
-@given(st.integers(1, 12))
+@pytest.mark.parametrize("p", range(1, 13))
 def test_doubling_identity_lens(p):
     for maker in (tvo.fibonacci, tvo.ising, lambda: tvo.su2_level_k(5),
                   lambda: tvo.pointed_cyclic(4, 1)):
