@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -812,6 +813,8 @@ def _assert_conj_perm(a, b, perm):
 @given(st.builds(tvo.su2_level_k, st.integers(1, 6))
        | st.builds(_abelian(2, 2)),
        st.randoms(use_true_random=False))
+@example(d=tvo.su2_level_k(6), rnd=random.Random(0))
+@example(d=_abelian(2, 2)(), rnd=random.Random(0))
 def test_scrambled_conjugate_recovered(d, rnd):
     perm = list(range(1, d.rank))
     rnd.shuffle(perm)
