@@ -193,13 +193,11 @@ def cmd_invariant(args) -> CommandResult:
         if None in (args.p, args.q, args.r):
             raise TvoError("brieskorn requires -p, -q and -r")
         _, result = _surgery(data, ("brieskorn", args.p, args.q, args.r))
-    elif args.manifold == "plumbing":
+    else:  # plumbing, the one choice left
         if args.tree is None:
             raise TvoError("plumbing requires --tree FILE")
         tree = _load(dataio.load_plumbing_tree, args.tree, "tree")
         result = surgery.plumbing_invariant(data, tree)
-    else:  # pragma: no cover - argparse restricts choices
-        raise TvoError(f"unknown manifold {args.manifold!r}")
     return CommandResult(
         0,
         [f"# {result.method} data={args.data}"],

@@ -313,25 +313,16 @@ def load_triangulation(path) -> Triangulation:
                 for v, img in zip(face, imgs):
                     perm[v] = img
                 perm = tuple(perm)
-                key = (t, f)
-                if key in gluings:
-                    if gluings[key] != (t2, perm):
-                        raise ParseError(
-                            f"line {lineno}: gluing of tet {t} face {f} conflicts with an "
-                            f"earlier line (involution broken)"
-                        )
-                    continue
-                gluings[key] = (t2, perm)
-                back = (t2, f2)
-                inv = inverse_perm(perm)
-                if back in gluings:
-                    if gluings[back] != (t, inv):
-                        raise ParseError(
-                            f"line {lineno}: gluing of tet {t2} face {f2} is not the inverse "
-                            f"of tet {t} face {f} (involution broken)"
-                        )
-                else:
-                    gluings[back] = (t, inv)
+                # both sides of the line, each naming its fault if written differently
+                sides = (
+                    ((t, f), (t2, perm),
+                     f"gluing of tet {t} face {f} conflicts with an earlier line"),
+                    ((t2, f2), (t, inverse_perm(perm)),
+                     f"gluing of tet {t2} face {f2} is not the inverse of tet {t} face {f}"),
+                )
+                for key, value, fault in sides:
+                    if gluings.setdefault(key, value) != value:
+                        raise ParseError(f"line {lineno}: {fault} (involution broken)")
             else:
                 raise ParseError(f"line {lineno}: unknown directive {kind!r}")
         except (IndexError, ValueError) as exc:

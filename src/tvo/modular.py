@@ -26,7 +26,8 @@ from .errors import (
     StructureError,
 )
 
-#: default comparison tolerance; relative for magnitudes > 1, absolute otherwise
+#: the residual every check reads as zero; the anomaly-phase test scales it
+#: by |u| when |u| exceeds 1
 DEFAULT_TOLERANCE = 1e-9
 #: tolerance for rounding Verlinde sums to integers
 INTEGER_TOLERANCE = 1e-6
@@ -42,12 +43,6 @@ _T_ORDER_CAP = 10_000
 # against it and so refuses ranks above 406; its largest array is the int64
 # table of rank^3 entries (535 MB at rank 406)
 _VERLINDE_CAP_BYTES = 2**30
-
-
-def close(a, b) -> bool:
-    """Tolerance comparison of scalars: relative above magnitude 1, absolute below."""
-    scale = max(1.0, abs(a), abs(b))
-    return abs(a - b) <= DEFAULT_TOLERANCE * scale
 
 
 def _frozen(value, dtype, name: str) -> np.ndarray:
@@ -204,7 +199,7 @@ class ModularData:
     @property
     def is_strictly_anomaly_free(self) -> bool:
         _, u, res = self._st_cubed
-        return res <= DEFAULT_TOLERANCE and close(u, 1.0)
+        return res <= DEFAULT_TOLERANCE and abs(u - 1.0) <= DEFAULT_TOLERANCE * max(1.0, abs(u))
 
 
 @dataclass(eq=False, frozen=True)

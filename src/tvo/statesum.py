@@ -46,6 +46,7 @@ import numpy as np
 
 from .catalog import cyclic_cocycle
 from .errors import CapacityError, StructureError, UnsupportedFeatureError
+from .modular import DEFAULT_TOLERANCE
 from .surgery import InvariantValue, _integral
 from .triangulation import _RANK, TET_EDGES, Triangulation, _spanning_forest
 
@@ -188,10 +189,6 @@ def _weight_table(sixj: SixJData):
         raise StructureError(f"no 6j weight for edge labels {missing.args[0]}") from None
 
 
-#: the largest pentagon residual ``verify_pentagon`` and the gauge gate accept
-_PENTAGON_TOL = 1e-9
-
-
 def _pentagon_residual(mul, w) -> float:
     """max |W(b,c,d) W(a,bc,d) W(a,b,c) - W(ab,c,d) W(a,b,cd)| over label 4-tuples."""
     r = range(len(mul))
@@ -218,7 +215,7 @@ def verify_pentagon(sixj: SixJData) -> PentagonReport:
     if sixj._group is None:
         raise UnsupportedFeatureError("pentagon check implemented for Latin-square fusion only")
     worst = sixj._gate[2]
-    return PentagonReport(worst <= _PENTAGON_TOL, worst, sixj.num_labels**4)
+    return PentagonReport(worst <= DEFAULT_TOLERANCE, worst, sixj.num_labels**4)
 
 
 def _gauge_fixable(mul, w, residual: float) -> bool:
@@ -235,11 +232,11 @@ def _gauge_fixable(mul, w, residual: float) -> bool:
     """
     labels = range(len(mul))
     return (
-        residual <= _PENTAGON_TOL
+        residual <= DEFAULT_TOLERANCE
         and all(mul[0][a] == a == mul[a][0] for a in labels)
         and all(mul[mul[a][b]][c] == mul[a][mul[b][c]]
                 for a in labels for b in labels for c in labels)
-        and all(abs(abs(x) - 1.0) <= 1e-9 for plane in w for row in plane for x in row)
+        and all(abs(abs(x) - 1.0) <= DEFAULT_TOLERANCE for plane in w for row in plane for x in row)
     )
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .catalog import cyclic_cocycle
 from .errors import DecompositionError, PreconditionError, StructureError
-from .modular import ModularData, _frozen, _require_capacity
+from .modular import DEFAULT_TOLERANCE, ModularData, _frozen, _require_capacity
 from .surgery import _integral
 
 #: complex entries of the largest (sectors, ..., n, n) temporary the n^4
@@ -161,11 +161,6 @@ class CenterBasis:
     stats: dict = field(default_factory=dict, repr=False)
 
 
-#: the residual bound of the center extraction; idempotent, completeness,
-#: charge and character checks allow 1e3 times it
-_TOL = 1e-9
-
-
 def center_idempotents(alg: TubeAlgebra) -> CenterBasis:
     """Extract the minimal central idempotents of ``alg`` numerically.
 
@@ -190,10 +185,10 @@ def center_idempotents(alg: TubeAlgebra) -> CenterBasis:
     """
     start = perf_counter()
     res = alg.associativity_residual()
-    if res > _TOL:
+    if res > DEFAULT_TOLERANCE:
         raise DecompositionError(f"structure constants not associative (residual {res:.3e})")
     res = float(np.abs(alg.tau - alg.tau.swapaxes(1, 2)).max())
-    if res > _TOL:
+    if res > DEFAULT_TOLERANCE:
         raise DecompositionError(f"structure constants not commutative (residual {res:.3e})")
     checked = perf_counter()
     n, ar = alg.n, np.arange(alg.n)
@@ -210,23 +205,23 @@ def center_idempotents(alg: TubeAlgebra) -> CenterBasis:
     charge = np.angle(evals) * n / (2 * np.pi) - k * ar[:, None] / n
     j = np.rint(charge)
     off = np.abs(charge - j).max(axis=1)
-    if off.max() > 1e3 * _TOL:
-        g = int(np.argmax(off > 1e3 * _TOL))
+    if off.max() > 1e3 * DEFAULT_TOLERANCE:
+        g = int(np.argmax(off > 1e3 * DEFAULT_TOLERANCE))
         raise DecompositionError(f"charges of sector {g} are {off[g]:.3e} off the integers "
                                  f"for the charge offset k = {k} read from sector 1")
     Q = evecs.transpose(0, 2, 1)  # [g, i, x]: eigenvector i of sector g
     QQ = alg.product(Q, Q)
     mu = np.einsum("gjz,gjz->gj", Q.conj(), QQ) / np.einsum("gjz,gjz->gj", Q.conj(), Q)
-    if np.abs(mu).min() < _TOL:
+    if np.abs(mu).min() < DEFAULT_TOLERANCE:
         raise DecompositionError("nilpotent direction in the center")
     P = Q / mu[:, :, None]
     worst = float(np.abs(QQ / (mu * mu)[:, :, None] - P).max())  # P P - P, the product bilinear
-    if worst > 1e3 * _TOL:
+    if worst > 1e3 * DEFAULT_TOLERANCE:
         raise DecompositionError(f"idempotent residual {worst:.3e} above tolerance")
     blocks = np.zeros((n, n, n), dtype=complex)
     blocks[ar[:, None], j.astype(np.int64) % n] = P
     completeness = float(np.abs(blocks.sum(axis=1) - alg.identity.reshape(n, n)).max())
-    if completeness > 1e3 * _TOL:
+    if completeness > 1e3 * DEFAULT_TOLERANCE:
         raise DecompositionError(f"idempotents do not sum to the identity ({completeness:.3e})")
     stats = {"dim": n * n, "sector_gaps": tuple(gaps.tolist()), "checks_s": checked - start,
              "eig_s": solved - checked, "readout_s": perf_counter() - solved}
@@ -251,13 +246,13 @@ def tube_modular_data(alg: TubeAlgebra) -> ModularData:
     _require_capacity(n**4, f"the modular data of the tube algebra of Z/{n} (n^4 S entries)")
     B = center_idempotents(alg).blocks
     miss = np.abs(B[:, :, 0] - 1.0 / n)
-    if miss.max() > 1e3 * _TOL:
+    if miss.max() > 1e3 * DEFAULT_TOLERANCE:
         bad, j = np.unravel_index(miss.argmax(), miss.shape)
         raise DecompositionError(f"vacuum coefficient {B[bad, j, 0]} of sector {bad} is not 1/n")
     nB = n * B
-    if np.abs(np.abs(nB) - 1.0).max() > 1e3 * _TOL:
+    if np.abs(np.abs(nB) - 1.0).max() > 1e3 * DEFAULT_TOLERANCE:
         raise DecompositionError("projective character is not unimodular")
-    if np.abs(nB[0, 0] - 1.0).max() > 1e3 * _TOL:
+    if np.abs(nB[0, 0] - 1.0).max() > 1e3 * DEFAULT_TOLERANCE:
         raise DecompositionError("vacuum idempotent (flux 0, trivial character) not found")
     S = np.empty((n * n, n * n), dtype=complex)
     np.multiply(nB[:, :, :, None], B.transpose(2, 0, 1)[:, None, :, :], out=S.reshape(n, n, n, n))

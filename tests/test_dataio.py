@@ -22,7 +22,7 @@ from tvo import (
 from tvo.cli import resolve_builtin_data
 from tvo.dataio import load_plumbing_tree
 
-from helpers import read_modular_text, two_tet_sphere
+from helpers import random_pachner_sequence, read_modular_text, two_tet_sphere
 
 
 def test_roundtrip_toric_code(tmp_path, toric_code):
@@ -428,6 +428,12 @@ def test_tets_line_has_exact_fields(tmp_path):
     ("tets 1\nglue 0 0 1 1 0 2 3\n", "line 2: index 1 out of range"),
     ("tets 3\nglue 0 0 1 0 1 2 3\nglue 2 0 1 0 1 2 3\n",
      r"line 3: gluing of tet 1 face 0 is not the inverse of tet 2 face 0"),
+    ("tets 2\nglue 0 0 1 0 1 2 3\nglue 1 0 0 0 2 1 3\n",
+     r"^line 3: gluing of tet 1 face 0 conflicts with an earlier line \(involution broken\)$"),
+    # a self-glued line has one key on both sides; its second side is the one refused
+    ("tets 1\nglue 0 0 0 0 2 3 1\n",
+     r"^line 2: gluing of tet 0 face 0 is not the inverse of tet 0 face 0 \(involution broken\)$"),
+    ("tets 1\nglue 0 0 0 0 1 2 3\n", r"^invalid triangulation: face \(0,0\) glued to itself$"),
     ("tets 1\n# comment\nflip 0 1\n", "line 3: unknown directive 'flip'"),
     ("tets 1\nglue 0 0 0 1 0 2 x\n", "line 2: malformed 'glue' line"),
     ("# no directive\n", "no tets directive found"),
@@ -437,6 +443,35 @@ def test_triangulation_file_errors_name_the_line(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ParseError, match=message):
         load_triangulation(path)
+
+
+def test_gluing_order_follows_the_file_whichever_sides_it_lists(tmp_path, s3_triangulation):
+    # the walks read the gluings in insertion order, so a file written with
+    # both sides, with one side per pair or with repeated lines loads in one order
+    tri, _ = random_pachner_sequence(s3_triangulation, 30, np.random.default_rng(7))
+    path = tmp_path / "both.tri"
+    save_triangulation(tri, path)
+    header, *lines = path.read_text().splitlines()
+
+    def first_of_its_pair(line):
+        t, f, t2, f2 = map(int, line.split()[1:5])
+        return (t, f) <= (t2, f2)
+
+    one_side = [line for line in lines if first_of_its_pair(line)]
+    shuffled = list(lines)
+    np.random.default_rng(8).shuffle(shuffled)
+    repeated = [line for line in lines for _ in range(2)]
+    loaded = {}
+    for name, body in (("both", lines), ("one_side", one_side), ("shuffled", shuffled),
+                       ("repeated", repeated)):
+        (tmp_path / f"{name}.tri").write_text("\n".join([header, *body]) + "\n")
+        loaded[name] = load_triangulation(tmp_path / f"{name}.tri").gluings
+    assert len(one_side) == len(lines) // 2
+    order = list(loaded["both"].items())
+    assert list(loaded["one_side"].items()) == order
+    assert list(loaded["repeated"].items()) == order
+    assert loaded["shuffled"] == loaded["both"] == tri.gluings
+    assert list(loaded["shuffled"].items()) != order
 
 
 def test_unglued_faces_named_in_constant_memory(tmp_path):

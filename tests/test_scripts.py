@@ -75,13 +75,7 @@ def test_untested_lines_names_the_lines_a_test_file_leaves_unrun():
     assert any(line.startswith("src/tvo/surgery.py:") for line in unrun)
 
 
-def test_untested_lines_finds_every_catalog_line_run_by_its_own_tests():
-    proc = run_script("untested_lines.py", str(ROOT / "tests" / "test_catalog.py"))
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert not [line for line in proc.stdout.splitlines() if line.startswith("src/tvo/catalog.py:")]
-
-
-@pytest.mark.parametrize("module", ["modular", "surgery", "statesum"])
+@pytest.mark.parametrize("module", ["catalog", "modular", "surgery", "statesum"])
 def test_each_evaluator_module_is_run_whole_by_its_own_tests(module):
     proc = run_script("untested_lines.py", str(ROOT / "tests" / f"test_{module}.py"))
     assert proc.returncode == 0, proc.stdout + proc.stderr
